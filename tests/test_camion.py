@@ -36,6 +36,29 @@ def unbalanced_triangle():
          ("i5", "v3", "e3", 1), ("i6", "v1", "e3", 1)])
 
 
+def disjoint_union(a, b):
+    """Side-by-side copy of two hypergraphs, ids prefixed 'a.' and 'b.'."""
+    vertices, edges, incs = [], [], []
+    for tag, g in (("a", a), ("b", b)):
+        vertices += [f"{tag}.{v}" for v in g.vertices]
+        edges += [f"{tag}.{e}" for e in g.edges]
+        incs += [(f"{tag}.{i.id}", f"{tag}.{i.vertex}", f"{tag}.{i.edge}",
+                  i.sign) for i in g.incidences]
+    return OrientedHypergraph.build(vertices, edges, incs)
+
+
+# frustration(mode="trees") on random_balanceable(seed, 14, extra_range=(2, 5)):
+# seed -> (witness, spanning trees inspected).
+TREE_PINS = {
+    0: (("i7",), 4), 1: (("i4", "i5"), 4), 2: (("i4",), 4),
+    3: (("i8",), 4), 4: (("i6", "i8"), 16), 5: (("i5", "i9"), 12),
+    6: (("i5", "i6", "i7"), 8), 7: (("i6", "i7"), 4), 8: (("i8",), 8),
+    9: (("i6", "i7"), 4), 10: (("i6",), 8), 11: (("i6",), 8),
+    12: (("i4",), 4), 13: (("i9",), 8), 14: (("i9",), 16),
+    15: (("i8",), 12),
+}
+
+
 def small_corpus(count=40, max_incidences=12):
     return [random_balanceable(seed, max_incidences) for seed in range(count)]
 
@@ -178,6 +201,32 @@ class TestFrustration:
         a = frustration(g, "local_search", seed=42)
         b = frustration(g, "local_search", seed=42)
         assert (a.value, a.witness) == (b.value, b.witness)
+
+    def test_trees_mode_pinned(self):
+        """Witness and tree count of the spanning-tree search, recorded."""
+        for seed, (witness, evaluations) in TREE_PINS.items():
+            g = random_balanceable(seed, max_incidences=14, extra_range=(2, 5))
+            result = frustration(g, mode="trees")
+            assert (result.witness, result.evaluations) == (witness, evaluations)
+            assert result.value == len(witness) and result.exact
+
+    def test_trees_mode_pinned_under_budget(self):
+        for seed, budget, witness in ((4, 5, ("i6", "i8")),
+                                      (21, 10, ("i6", "i8", "i9"))):
+            g = random_balanceable(seed, max_incidences=14, extra_range=(2, 5))
+            result = frustration(g, mode="trees", budget=budget)
+            assert result.witness == witness
+            assert result.evaluations == budget
+            assert not result.exact
+
+    def test_trees_mode_pinned_two_components(self):
+        g = disjoint_union(
+            random_balanceable(6, max_incidences=14, extra_range=(2, 5)),
+            random_balanceable(21, max_incidences=14, extra_range=(2, 5)))
+        result = frustration(g, mode="trees")
+        assert result.witness == ("a.i5", "a.i6", "a.i7",
+                                  "b.i6", "b.i8", "b.i9")
+        assert result.evaluations == 56 and result.exact
 
     def test_unbalanceable_raises(self):
         with pytest.raises(UnbalanceableError):

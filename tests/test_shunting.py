@@ -255,6 +255,38 @@ class TestValidation:
         assert labels  # at least one classified path
         assert labels <= {"tt", "tb", "bb"}
 
+    def test_shunt_path_edges_pinned(self):
+        """Edge order of every shunt path, recorded for lengths 2 and 3."""
+        firsts = {0: [("p0.v1", "p1.x"), ("p0.v3", "p2.x")],
+                  1: [("p0.v2", "p1.x")], 2: [("p0.v2", "p1.x")],
+                  3: [("p0.v5", "p1.x")], 4: [("p0.v2", "p1.x")],
+                  5: [("p0.v1", "p1.x"), ("p0.v2", "p2.x")]}
+        for seed, ends in firsts.items():
+            for length in (2, 3):
+                g, d = generate_optimal_shunting(seed, artery_length=length)
+                got = [(p.endpoints, p.edges)
+                       for p in classify_shunt_paths(d, g)]
+                want = [(pair, tuple(f"a{k}.e{n}"
+                                     for n in range(1, length + 1)))
+                        for k, pair in enumerate(ends)]
+                assert got == want
+
+    def test_shunt_paths_through_a_spider_artery(self):
+        # A 3-edge subdivided on every leg: three leaves, three paths.
+        g = build(["c1", "c2", "c3", "l1", "l2", "l3"],
+                  ["h", "f1", "f2", "f3"],
+                  [("h1", "c1", "h", 1), ("h2", "c2", "h", 1),
+                   ("h3", "c3", "h", 1),
+                   ("a1", "c1", "f1", 1), ("b1", "l1", "f1", -1),
+                   ("a2", "c2", "f2", 1), ("b2", "l2", "f2", -1),
+                   ("a3", "c3", "f3", 1), ("b3", "l3", "f3", -1)])
+        assert is_artery(g)
+        d = ShuntingDecomposition.build([], [("h", "f1", "f2", "f3")])
+        got = [(p.endpoints, p.edges) for p in classify_shunt_paths(d, g)]
+        assert got == [(("l1", "l2"), ("f1", "h", "f2")),
+                       (("l1", "l3"), ("f1", "h", "f3")),
+                       (("l2", "l3"), ("f2", "h", "f3"))]
+
 
 class TestUpsilon:
     def test_tree_shape(self):
