@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InputError, ResourceError
 from .gamma import (Node, internally_disjoint_paths, sorted_adjacency,
@@ -59,14 +59,22 @@ def is_path(g: OrientedHypergraph, walk: Walk) -> bool:
             and len(set(walk.incidences)) == len(walk.incidences))
 
 
+def walk_sign(g: OrientedHypergraph, incidence_ids: Sequence[str]) -> int:
+    """(-1)^floor(n/2) times the product of the signs of n incidences.
+
+    The sign of any walk or circle through exactly these incidences; the
+    sequence is not checked to be one.
+    """
+    sign = -1 if len(incidence_ids) // 2 % 2 else 1
+    for inc_id in incidence_ids:
+        sign *= g.sign_of(inc_id)
+    return sign
+
+
 def path_sign(g: OrientedHypergraph, walk: Walk) -> int:
     """(-1)^floor(n/2) times the product of the walk's incidence signs."""
     validate_walk(g, walk)
-    n = len(walk.incidences)
-    prod = 1
-    for inc_id in walk.incidences:
-        prod *= g.sign_of(inc_id)
-    return (-1) ** (n // 2) * prod
+    return walk_sign(g, walk.incidences)
 
 
 @dataclass(frozen=True)
@@ -145,32 +153,33 @@ def enumerate_circles(g: OrientedHypergraph,
     adj = sorted_adjacency(g)
     order = {node: i for i, node in enumerate(sorted_nodes(g))}
     found: set[Circle] = set()
-
-    def record(nodes, incs):
-        found.add(Circle.from_sequence(nodes, incs))
-        if len(found) > cap:
-            raise ResourceError(f"more than {cap} circles; raise the cap to continue")
-
-    def extend(root, node, path_nodes, path_incs, used, on_path):
-        for inc, other in adj[node]:
-            if inc in used:
+    # Depth-first from each root through nodes ordered after it, with an
+    # explicit stack of neighbour iterators so long circles cannot exhaust
+    # the recursion limit.  The path's nodes and links grow and shrink with
+    # the stack; a link back to the root other than the first closes a circle.
+    for root in sorted_nodes(g):
+        path_nodes, path_incs, on_path = [root], [], {root}
+        stack = [iter(adj[root])]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if path_incs:
+                    path_incs.pop()
+                    on_path.discard(path_nodes.pop())
                 continue
+            inc, other = step
             if other == root:
                 if path_incs and inc != path_incs[0]:
-                    record(path_nodes, path_incs + [inc])
+                    found.add(Circle.from_sequence(path_nodes, path_incs + [inc]))
+                    if len(found) > cap:
+                        raise ResourceError(
+                            f"more than {cap} circles; raise the cap to continue")
             elif other not in on_path and order[other] > order[root]:
                 path_nodes.append(other)
                 path_incs.append(inc)
-                used.add(inc)
                 on_path.add(other)
-                extend(root, other, path_nodes, path_incs, used, on_path)
-                on_path.discard(other)
-                used.discard(inc)
-                path_incs.pop()
-                path_nodes.pop()
-
-    for root in sorted_nodes(g):
-        extend(root, root, [root], [], set(), {root})
+                stack.append(iter(adj[other]))
     return sorted(found, key=lambda c: (len(c.incidences), c.incidences))
 
 

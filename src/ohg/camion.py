@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .balance import is_balanceable, is_balanced
+from .balance import is_balanceable, is_balanced, walk_sign
 from .errors import InputError, ResourceError
 from .gamma import (
+    DisjointSets,
     Node,
     SpanningForest,
     component_count,
@@ -26,6 +27,7 @@ from .gamma import (
 from .model import (
     EDGE,
     VERTEX,
+    Incidence,
     OrientedHypergraph,
     gamma_components,
     reverse_incidences,
@@ -52,19 +54,6 @@ class CamionResult:
     forest: SpanningForest
 
 
-def _required_sign(g: OrientedHypergraph, forest: SpanningForest,
-                   inc_id: str) -> int:
-    """Sign a non-forest incidence must have for a positive fundamental circle."""
-    inc = g.incidence(inc_id)
-    nodes, path_incs = forest.path_between((VERTEX, inc.vertex),
-                                           (EDGE, inc.edge))
-    total = len(path_incs) + 1
-    prod = 1
-    for other in path_incs:
-        prod *= g.sign_of(other)
-    return (-1) ** (total // 2) * prod
-
-
 def camion_reorient(g: OrientedHypergraph,
                     forest: SpanningForest | None = None) -> CamionResult:
     """Reorient incidences so every fundamental circle of the forest is positive.
@@ -76,18 +65,20 @@ def camion_reorient(g: OrientedHypergraph,
     """
     if forest is None:
         forest = spanning_forest(g, "bfs")
-    new_signs: dict[str, int] = {}
-    changed: set[str] = set()
-    for inc in g.incidences:
-        if inc.id in forest:
-            continue
-        want = _required_sign(g, forest, inc.id)
-        if want != inc.sign:
-            changed.add(inc.id)
-            new_signs[inc.id] = want
-    out = g.with_signs(new_signs)
+    changed = _negative_fundamental_circles(g, g.incidences, forest)
+    out = reverse_incidences(g, changed)
     balanced, _ = is_balanced(out)
     return CamionResult(out, frozenset(changed), balanced, forest)
+
+
+def _negative_fundamental_circles(g: OrientedHypergraph,
+                                  incidences: Iterable[Incidence],
+                                  forest: SpanningForest) -> list[str]:
+    """Non-forest incidences among ``incidences`` whose fundamental circle
+    is negative: exactly those a reorientation along the forest flips."""
+    return [inc.id for inc in incidences
+            if inc.id not in forest
+            and walk_sign(g, fundamental_cycle(g, forest, inc.id)[1]) == -1]
 
 
 def signed_graph_balance(g: OrientedHypergraph,
@@ -221,14 +212,7 @@ def _fundamental_circle_data(
         if inc.id in forest:
             continue
         nodes, incs = fundamental_cycle(g, forest, inc.id)
-        sign = 1
-        for other in incs:
-            sign *= g.sign_of(other)
-        if len(incs) % 2:
-            raise InputError("fundamental circle with odd incidence count")
-        if (len(incs) // 2) % 2:
-            sign = -sign
-        data.append((frozenset(incs), sign))
+        data.append((frozenset(incs), walk_sign(g, incs)))
     return data
 
 
@@ -265,92 +249,15 @@ def _frustration_exact(g: OrientedHypergraph,
     raise InputError("no balancing set found; input was not balanceable")
 
 
-def _component_partition(g: OrientedHypergraph) -> list[tuple[set[Node], list[str]]]:
-    """(node set, incidence ids) per connected component, in discovery order."""
+def _component_partition(g: OrientedHypergraph
+                          ) -> list[tuple[list[Node], list[Incidence]]]:
+    """(nodes, incidences) per connected component, in discovery order."""
     comps = []
     for nodes in gamma_components(g):
-        incs = [inc.id for inc in g.incidences
-                if (VERTEX, inc.vertex) in nodes]
-        comps.append((nodes, incs))
+        node_set = set(nodes)
+        comps.append((nodes, [inc for inc in g.incidences
+                              if (VERTEX, inc.vertex) in node_set]))
     return comps
-
-
-def _is_spanning_tree(node_count: int, nodes_of: dict[str, tuple[Node, Node]],
-                      combo: Sequence[str]) -> bool:
-    """Union-find acyclicity test for a candidate tree edge set."""
-    parent: dict[Node, Node] = {}
-
-    def find(x: Node) -> Node:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    merged = 0
-    for inc_id in combo:
-        u, v = nodes_of[inc_id]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-        merged += 1
-    return merged == node_count - 1
-
-
-def _tree_change_count(g: OrientedHypergraph, tree: set[str],
-                       component_incs: Sequence[str],
-                       nodes_of: dict[str, tuple[Node, Node]]) -> list[str]:
-    """Incidences a reorientation along ``tree`` would flip, by direct walk."""
-    parent: dict[Node, tuple[str, Node] | None] = {}
-    depth: dict[Node, int] = {}
-    adj: dict[Node, list[tuple[str, Node]]] = {}
-    for inc_id in tree:
-        u, v = nodes_of[inc_id]
-        adj.setdefault(u, []).append((inc_id, v))
-        adj.setdefault(v, []).append((inc_id, u))
-    for node in adj:
-        if node in parent:
-            continue
-        parent[node] = None
-        depth[node] = 0
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            for inc_id, nxt in adj[cur]:
-                if nxt not in parent:
-                    parent[nxt] = (inc_id, cur)
-                    depth[nxt] = depth[cur] + 1
-                    stack.append(nxt)
-    changed = []
-    for inc_id in component_incs:
-        if inc_id in tree:
-            continue
-        u, v = nodes_of[inc_id]
-        sign = g.sign_of(inc_id)
-        count = 1
-        x, y = u, v
-        while depth.get(x, 0) > depth.get(y, 0):
-            step = parent[x]
-            sign *= g.sign_of(step[0])
-            count += 1
-            x = step[1]
-        while depth.get(y, 0) > depth.get(x, 0):
-            step = parent[y]
-            sign *= g.sign_of(step[0])
-            count += 1
-            y = step[1]
-        while x != y:
-            sx, sy = parent[x], parent[y]
-            sign *= g.sign_of(sx[0]) * g.sign_of(sy[0])
-            count += 2
-            x, y = sx[1], sy[1]
-        if (count // 2) % 2:
-            sign = -sign
-        if sign != 1:
-            changed.append(inc_id)
-    return changed
 
 
 DEFAULT_TREE_CAP = 100_000
@@ -359,32 +266,36 @@ DEFAULT_TREE_CAP = 100_000
 def _frustration_trees(g: OrientedHypergraph,
                        budget: int | None) -> FrustrationResult:
     cap = DEFAULT_TREE_CAP if budget is None else budget
-    nodes_of = {inc.id: ((VERTEX, inc.vertex), (EDGE, inc.edge))
-                for inc in g.incidences}
     inspected = 0
     exact = True
     total = 0
     witness: list[str] = []
     for nodes, incs in _component_partition(g):
-        tree_size = len(nodes) - 1
         best: list[str] | None = None
         seen_any = False
-        for combo in combinations(sorted(incs), tree_size):
+        # A component's spanning trees are its acyclic sets of |nodes| - 1
+        # incidences.
+        for combo in combinations(sorted(incs, key=lambda i: i.id),
+                                  len(nodes) - 1):
             if inspected >= cap:
                 exact = False
                 break
-            if not _is_spanning_tree(len(nodes), nodes_of, combo):
+            sets = DisjointSets()
+            if not all(sets.union((VERTEX, i.vertex), (EDGE, i.edge))
+                       for i in combo):
                 continue
             inspected += 1
             seen_any = True
-            changed = _tree_change_count(g, set(combo), incs, nodes_of)
+            tree = OrientedHypergraph(g.vertices, g.edges, combo)
+            changed = _negative_fundamental_circles(
+                g, incs, spanning_forest(tree))
             if best is None or len(changed) < len(best):
                 best = changed
                 if not best:
                     break
         if not seen_any:
             base = camion_reorient(g)
-            best = sorted(i for i in base.changed if i in set(incs))
+            best = sorted(base.changed.intersection(i.id for i in incs))
             exact = False
         total += len(best)
         witness.extend(best)

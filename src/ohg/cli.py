@@ -32,7 +32,8 @@ from .model import (
 from .shunting import (
     ShuntingDecomposition,
     is_balanceable_shunting,
-    is_optimal_shunting,
+    is_F_maximal,
+    is_S_minimal,
     validate_shunting,
 )
 
@@ -236,7 +237,7 @@ def _cmd_shunt_verify(args) -> int:
     }
     if report.ok:
         payload["balanceable"] = is_balanceable_shunting(d, g)
-        payload["optimal"] = is_optimal_shunting(d, g)
+        payload["optimal"] = is_F_maximal(d, g) and is_S_minimal(d, g)
     _emit(payload, args.human)
     return 0 if report.ok else 1
 

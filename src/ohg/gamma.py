@@ -3,17 +3,22 @@
 Every structural question about an oriented hypergraph is answered on its
 bipartite representation: nodes are tagged vertices and edges, links are
 incidences.  This module supplies deterministic spanning forests, biconnected
-blocks, and internally disjoint path searches on that multigraph.
+blocks, internally disjoint path searches on that multigraph, and the one
+union-find (``DisjointSets``) of the package.  Connected components come
+from ``model.gamma_components``; every walk and circle sign comes from
+``balance.walk_sign``.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import InputError
-from .model import EDGE, VERTEX, OrientedHypergraph, gamma_adjacency
+from .model import (EDGE, VERTEX, OrientedHypergraph, gamma_adjacency,
+                    gamma_components)
 
 Node = tuple[str, str]
 
@@ -107,8 +112,7 @@ def spanning_forest(g: OrientedHypergraph, strategy: str = "bfs",
         depth[root] = 0
         if not depth_first:
             queue = [root]
-            while queue:
-                node = queue.pop(0)
+            for node in queue:  # breadth first: iterating while appending
                 for inc, other in adj[node]:
                     if other in depth:
                         continue
@@ -159,23 +163,29 @@ def fundamental_cycle(g: OrientedHypergraph, forest: SpanningForest,
 def component_count(g: OrientedHypergraph,
                     exclude: Iterable[str] = ()) -> int:
     """Number of connected components, optionally ignoring some incidences."""
-    skip = set(exclude)
-    adj = gamma_adjacency(g)
-    seen: set[Node] = set()
-    count = 0
-    for start in adj:
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            for inc, other in adj[node]:
-                if inc not in skip and other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-    return count
+    return len(gamma_components(g, exclude))
+
+
+class DisjointSets:
+    """Union-find over hashable items; an item not yet seen is a singleton."""
+
+    def __init__(self):
+        self._parent: dict = {}
+
+    def find(self, x):
+        parent = self._parent
+        while (up := parent.get(x, x)) != x:
+            parent[x] = parent.get(up, up)  # path splitting
+            x = up
+        return x
+
+    def union(self, a, b) -> bool:
+        """Merge the sets of a and b; False when they were already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self._parent[ra] = rb
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +275,7 @@ class _FlowNet:
         """One BFS augmenting path of unit flow; True when found."""
         prev = {source: None}
         queue = [source]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:  # breadth first: iterating while appending
             if u == sink:
                 break
             for arc in self.adj[u]:
@@ -321,13 +330,13 @@ def internally_disjoint_paths(g: OrientedHypergraph, source: Node, sink: Node,
     for u, arcs in net.adj.items():
         for arc in arcs:
             if arc[2] is not None and arc[3][1] > 0:
-                used.setdefault(u, []).append(arc)
+                used.setdefault(u, deque()).append(arc)
     paths = []
     for _ in range(flow):
         node, here = s_out, source
         nodes, incs = [source], []
         while here != sink:
-            arc = used[node].pop(0)
+            arc = used[node].popleft()
             arc[3][1] -= 1
             inc_id, _, nxt = arc[2]
             incs.append(inc_id)

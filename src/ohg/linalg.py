@@ -45,6 +45,8 @@ class Domain:
 
     @classmethod
     def prime_field(cls, p: int) -> Domain:
+        if not is_prime(p):
+            raise InputError(f"{p!r} is not prime; use a prime field or the rationals")
         return cls(p)
 
     @classmethod
@@ -78,9 +80,6 @@ class Domain:
         return self.label()
 
 
-Matrix = tuple  # rows of equal-length integer tuples
-
-
 def _check_rect(rows) -> tuple[int, int]:
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
@@ -111,29 +110,11 @@ def rank_int(rows) -> int:
     return rank
 
 
-def rank_mod(rows, p: int) -> int:
-    nr, nc = _check_rect(rows)
-    m = [[x % p for x in r] for r in rows]
-    rank = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(nr):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
 def rank(rows, domain: Domain) -> int:
-    return rank_int(rows) if domain.is_rational else rank_mod(rows, domain.char)
+    if domain.is_rational:
+        return rank_int(rows)
+    _check_rect(rows)
+    return len(_rref_mod(rows, domain.char)[1])
 
 
 def nullity(rows, domain: Domain) -> int:

@@ -5,6 +5,11 @@ and a list of incidences, each incidence tying one vertex to one edge and
 carrying a sign (+1 entering, -1 exiting).  Parallel incidences between the
 same vertex/edge pair are allowed and are how entries of magnitude >= 2
 arise in the incidence matrix.
+
+The one components traversal of the bipartite representation,
+``gamma_components``, lives here beside ``gamma_adjacency``; spanning
+forests, blocks, flows and the one union-find (``DisjointSets``) live in
+``gamma``, and the one walk-sign rule (``walk_sign``) lives in ``balance``.
 """
 
 from __future__ import annotations
@@ -257,23 +262,24 @@ def gamma_adjacency(g: OrientedHypergraph):
     return adj
 
 
-def gamma_components(g: OrientedHypergraph) -> list[list[tuple[str, str]]]:
-    """Connected components of the bipartite representation, in node order."""
+def gamma_components(g: OrientedHypergraph, exclude: Iterable[str] = ()
+                     ) -> list[list[tuple[str, str]]]:
+    """Connected components of the bipartite representation, optionally
+    ignoring some incidences; components come in order of their first node."""
+    skip = set(exclude)
     adj = gamma_adjacency(g)
     seen = set()
     comps = []
-    for start in gamma_nodes(g):
+    for start in adj:
         if start in seen:
             continue
-        comp, queue = [], [start]
         seen.add(start)
-        while queue:
-            node = queue.pop(0)
-            comp.append(node)
-            for _, other in adj[node]:
-                if other not in seen:
+        comp = [start]
+        for node in comp:  # breadth first: comp doubles as the queue
+            for inc, other in adj[node]:
+                if inc not in skip and other not in seen:
                     seen.add(other)
-                    queue.append(other)
+                    comp.append(other)
         comps.append(comp)
     return comps
 
@@ -282,27 +288,6 @@ def cyclomatic_number(g: OrientedHypergraph) -> int:
     """|I| - (|V| + |E|) + number of connected components."""
     return len(g.incidences) - (len(g.vertices) + len(g.edges)) + len(
         gamma_components(g))
-
-
-@dataclass(frozen=True)
-class BipartiteRep:
-    """The bipartite representation as a standalone labeled multigraph."""
-
-    vertex_nodes: tuple[str, ...]
-    edge_nodes: tuple[str, ...]
-    links: tuple[tuple[str, str, str, int], ...]  # (incidence, vertex, edge, sign)
-
-
-def bipartite_rep(g: OrientedHypergraph) -> BipartiteRep:
-    return BipartiteRep(
-        g.vertices, g.edges,
-        tuple((i.id, i.vertex, i.edge, i.sign) for i in g.incidences))
-
-
-def from_bipartite(rep: BipartiteRep) -> OrientedHypergraph:
-    return OrientedHypergraph.build(
-        rep.vertex_nodes, rep.edge_nodes,
-        [(i, v, e, s) for (i, v, e, s) in rep.links])
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +518,6 @@ class IncidenceMatrix:
     cols: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
     domain: Domain
-
-    def column(self, edge: str) -> tuple[int, ...]:
-        j = self.cols.index(edge)
-        return tuple(r[j] for r in self.entries)
 
 
 def incidence_matrix(g: OrientedHypergraph, domain=None) -> IncidenceMatrix:

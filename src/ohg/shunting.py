@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from .balance import is_balanceable, is_balanced
 from .camion import is_balancing_set, is_minimal_balancing_set
 from .errors import InputError, ResourceError
-from .gamma import blocks
+from .gamma import DisjointSets, blocks, spanning_forest
 from .linalg import Domain, nullity
 from .model import (
     EDGE,
@@ -29,7 +29,6 @@ from .model import (
     contract_degree2_vertex,
     cyclomatic_number,
     edge_induced,
-    gamma_adjacency,
     gamma_components,
     incidence_matrix,
     weak_delete,
@@ -439,14 +438,7 @@ def validate_shunting(d: ShuntingDecomposition,
             if u in ext:
                 parts_at[u].append(f"artery {idx}")
     n_parts = len(flower_subs) + len(artery_subs)
-    parent = list(range(n_parts))
-
-    def _find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    groups = DisjointSets()
     name_index = {f"part {i}": i for i in range(len(flower_subs))}
     name_index.update({f"artery {i}": len(flower_subs) + i
                        for i in range(len(artery_subs))})
@@ -454,12 +446,9 @@ def validate_shunting(d: ShuntingDecomposition,
     for u in attachment_vertices:
         members = [name_index[p] for p in parts_at[u]]
         for a, b in zip(members, members[1:]):
-            ra, rb = _find(a), _find(b)
-            if ra == rb:
+            if not groups.union(a, b):
                 cyclic = True
-            else:
-                parent[ra] = rb
-    roots = {_find(i) for i in range(n_parts)}
+    roots = {groups.find(i) for i in range(n_parts)}
     if len(roots) > 1:
         cond1_notes.append("attachment structure leaves "
                            f"{len(roots)} part groups unconnected")
@@ -565,28 +554,11 @@ def _artery_paths(sub: OrientedHypergraph) -> list[tuple[str, str, tuple[str, ..
     ext = sorted(artery_external_vertices(sub))
     if len(ext) < 2:
         return []
-    adj = gamma_adjacency(sub)
+    forest = spanning_forest(sub)  # an artery is a tree: its own forest
     out = []
     for a, b in combinations(ext, 2):
-        start, goal = (VERTEX, a), (VERTEX, b)
-        parent: dict = {start: None}
-        queue = [start]
-        while queue:
-            node = queue.pop(0)
-            if node == goal:
-                break
-            for inc, other in adj[node]:
-                if other not in parent:
-                    parent[other] = (inc, node)
-                    queue.append(other)
-        edges: list[str] = []
-        node = goal
-        while parent[node] is not None:
-            inc, prev = parent[node]
-            if node[0] == EDGE:
-                edges.append(node[1])
-            node = prev
-        out.append((a, b, tuple(reversed(edges))))
+        nodes, _ = forest.path_between((VERTEX, a), (VERTEX, b))
+        out.append((a, b, tuple(nid for kind, nid in nodes if kind == EDGE)))
     return out
 
 
@@ -912,7 +884,8 @@ def find_shunting_decomposition(
                 spend(10)
                 if not validate_shunting(d, g).ok:
                     continue
-                if require_optimal and not is_optimal_shunting(d, g):
+                if require_optimal and not (is_F_maximal(d, g)
+                                            and is_S_minimal(d, g)):
                     continue
                 return DecompositionSearch(d, counter["spent"], "found")
         return DecompositionSearch(
@@ -1067,20 +1040,11 @@ def build_arterial_connection(
         if length < 0:
             raise InputError(f"connection {idx} has negative length")
 
-    parent = list(range(len(parts)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    joined = DisjointSets()
     for idx, ((pa, _), (pb, _), _) in enumerate(connections):
-        ra, rb = find(pa), find(pb)
-        if ra == rb:
+        if not joined.union(pa, pb):
             raise InputError(
                 f"connection {idx} closes a circle among the parts")
-        parent[ra] = rb
 
     vertices: list[str] = []
     edges: list[str] = []
@@ -1242,7 +1206,7 @@ def generate_optimal_shunting(
     if not report.ok:
         raise RuntimeError("generated decomposition failed validation: "
                            + "; ".join(c.name for c in report.failed()))
-    if not is_optimal_shunting(d, g):
+    if not (is_F_maximal(d, g) and is_S_minimal(d, g)):
         raise RuntimeError("generated decomposition is not optimal")
     matrix = incidence_matrix(g, Domain.rationals())
     if nullity(matrix.entries, matrix.domain) != 1:

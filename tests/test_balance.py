@@ -99,6 +99,21 @@ class TestEnumeration:
         with pytest.raises(ResourceError):
             enumerate_circles(g, cap=3)
 
+    def test_long_circle_stays_below_recursion_limit(self):
+        # 700 2-edges in a ring: 1,400 links, deeper than Python's default
+        # recursion limit; the last incidence makes the circle negative.
+        n = 700
+        g = OrientedHypergraph.build(
+            [f"v{k}" for k in range(n)], [f"e{k}" for k in range(n)],
+            [(f"a{k}", f"v{k}", f"e{k}", 1) for k in range(n)]
+            + [(f"b{k}", f"v{(k + 1) % n}", f"e{k}", 1 if k else -1)
+               for k in range(n)])
+        circles = enumerate_circles(g)
+        assert len(circles) == 1
+        assert len(circles[0].incidences) == 2 * n
+        balanced, witness = is_balanced(g, method="enumerate")
+        assert not balanced and witness == circles[0]
+
 
 class TestSigns:
     def test_triangle_sign_by_last_incidence(self):

@@ -93,12 +93,11 @@ class TestMatrixGamma:
         assert text.splitlines()[0] == ",e1,e2,e3"
 
     def test_matrix_bad_field(self, capsys, triangle_file):
-        code, _, err = run(capsys, "matrix", triangle_file,
-                           "--field", "4")
-        assert code == 2
-        code, _, err = run(capsys, "matrix", triangle_file,
-                           "--field", "weird")
-        assert code == 2
+        for field in ("4", "weird", "0", "00"):
+            code, _, err = run(capsys, "matrix", triangle_file,
+                               "--field", field)
+            assert code == 2
+            assert json.loads(err)["kind"] == "input"
 
     def test_gamma_dot(self, capsys, tmp_path, triangle_file):
         dot = tmp_path / "g.dot"

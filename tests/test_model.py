@@ -1,5 +1,6 @@
 """Core model: construction, serialization, views, and gamma utilities."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from ohg.model import (
     dump,
     edge_induced,
     gamma_components,
+    gamma_nodes,
     incidence_matrix,
     load,
     make_Lk,
@@ -89,6 +91,14 @@ class TestMatrix:
     def test_prime_field_reduction(self):
         m = incidence_matrix(make_Lk(2, 2), Domain.prime_field(2))
         assert m.entries == ((0,),)
+
+    def test_zero_is_not_a_prime_field(self):
+        for make in (lambda: Domain.prime_field(0), lambda: Domain.coerce(0),
+                     lambda: Domain.coerce("0"), lambda: Domain.coerce("00"),
+                     lambda: Domain.prime_field(4)):
+            with pytest.raises(InputError):
+                make()
+        assert Domain.rationals().is_rational
 
     def test_csv(self):
         text = matrix_csv(triangle())
@@ -229,6 +239,47 @@ def test_cyclomatic_matches_component_formula(seed):
     nodes = len(g.vertices) + len(g.edges)
     assert phi == len(g.incidences) - nodes + len(gamma_components(g))
     assert phi >= 0
+
+
+def _nx_multigraph(g, exclude=frozenset()):
+    """The bipartite representation as a networkx MultiGraph keyed by
+    incidence id."""
+    mg = nx.MultiGraph()
+    mg.add_nodes_from(gamma_nodes(g))
+    for inc in g.incidences:
+        if inc.id not in exclude:
+            mg.add_edge(("v", inc.vertex), ("e", inc.edge), key=inc.id)
+    return mg
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=4000),
+       st.sets(st.integers(min_value=1, max_value=12)))
+def test_components_match_networkx(seed, dropped):
+    g = random_hypergraph(seed)
+    exclude = {f"i{k}" for k in dropped}
+    comps = gamma_components(g, exclude)
+    want = {frozenset(c)
+            for c in nx.connected_components(_nx_multigraph(g, exclude))}
+    assert {frozenset(c) for c in comps} == want
+    assert sum(len(c) for c in comps) == len(gamma_nodes(g))
+    position = {node: k for k, node in enumerate(gamma_nodes(g))}
+    firsts = [position[c[0]] for c in comps]
+    assert firsts == sorted(firsts)
+    assert all(position[c[0]] == min(position[n] for n in c) for c in comps)
+    assert component_count(g, exclude=exclude) == len(want)
+    assert component_count(g) == nx.number_connected_components(
+        _nx_multigraph(g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=4000))
+def test_bridges_match_networkx(seed):
+    g = random_hypergraph(seed, max_incidences=16, extra_range=(0, 6))
+    ends = {inc.id: frozenset({("v", inc.vertex), ("e", inc.edge)})
+            for inc in g.incidences}
+    want = {frozenset(pair) for pair in nx.bridges(_nx_multigraph(g))}
+    assert {ends[i] for i in bridges(g)} == want
 
 
 def test_to_dot_mentions_every_node():
