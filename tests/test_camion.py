@@ -59,6 +59,17 @@ TREE_PINS = {
 }
 
 
+# frustration(mode="local_search", budget=400, seed=seed) on
+# random_balanceable(seed, 20, extra_range=(4, 8), nv_range=(3, 7),
+# ne_range=(3, 7)): seed -> (witness, evaluations).  Seeds 5, 10, 25 and 29
+# end below their first hill climb, so the random restarts decide them.
+LOCAL_SEARCH_PINS = {
+    5: (("i3",), 400), 6: (("i15", "i3", "i5", "i6"), 400),
+    10: (("i3", "i5"), 400), 23: ((), 11),
+    25: (("i1", "i12", "i5"), 400), 29: (("i10", "i2"), 400),
+}
+
+
 def small_corpus(count=40, max_incidences=12):
     return [random_balanceable(seed, max_incidences) for seed in range(count)]
 
@@ -201,6 +212,16 @@ class TestFrustration:
         a = frustration(g, "local_search", seed=42)
         b = frustration(g, "local_search", seed=42)
         assert (a.value, a.witness) == (b.value, b.witness)
+
+    def test_local_search_pinned(self):
+        """Witness and evaluation count of the local search, recorded."""
+        for seed, (witness, evaluations) in LOCAL_SEARCH_PINS.items():
+            g = random_balanceable(seed, max_incidences=20, extra_range=(4, 8),
+                                   nv_range=(3, 7), ne_range=(3, 7))
+            result = frustration(g, mode="local_search", budget=400, seed=seed)
+            assert (result.witness, result.evaluations) == (witness, evaluations)
+            assert result.value == len(witness)
+            assert result.exact == (not witness)
 
     def test_trees_mode_pinned(self):
         """Witness and tree count of the spanning-tree search, recorded."""

@@ -1,9 +1,14 @@
 """Command-line interface: exit codes, JSON output, file side effects."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ohg
 from ohg.cli import main
 from ohg.model import OrientedHypergraph, dump, load, make_Lk
 from ohg.shunting import generate_optimal_shunting
@@ -251,3 +256,34 @@ class TestDemo:
     def test_lk_bad_k(self, capsys):
         code, _, err = run(capsys, "demo", "lk", "--k", "1")
         assert code == 2
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process_match_fresh_processes(
+            self, capsys, monkeypatch, triangle_file, l3_file):
+        """One process serving many main() calls answers each of them as a
+        fresh interpreter would, bad arguments included."""
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=str(Path(ohg.__file__).resolve().parents[1]))
+        fresh_main = "import sys; from ohg.cli import main; sys.exit(main(sys.argv[1:]))"
+        cases = [
+            ("info", triangle_file),
+            ("balanceable", "--certificate", l3_file),
+            ("balance", "--bogus", triangle_file),
+            ("matrix", triangle_file, "--field", "0"),
+            ("frustration", triangle_file),
+            ("demo", "lk", "--k", "4", "--human"),
+            ("balanceable", "--jobs", "2", "--certificate", l3_file),
+            ("info", triangle_file),
+        ]
+        for argv in cases:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            fresh = subprocess.run([sys.executable, "-c", fresh_main, *argv],
+                                   capture_output=True, text=True, env=env)
+            assert (code, out.out, out.err) == (
+                fresh.returncode, fresh.stdout, fresh.stderr), argv
