@@ -5,19 +5,24 @@ A walk alternates vertices and edges through named incidences; its sign is
 incidences.  A hypergraph is balanced when every circle is positive, and
 balanceable when some reorientation of its incidences makes it balanced.
 The obstruction to balanceability is three internally disjoint vertex-edge
-paths sharing endpoints, found here by unit-capacity flow.
+paths sharing endpoints, found here by unit-capacity flow.  Any two of the
+three paths close a cycle, and every cycle lies inside one biconnected
+block, so the scan only tries endpoint pairs that share a block and meet at
+least three of its incidences each, and runs each flow on that block alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceError
-from .gamma import (Node, internally_disjoint_paths, sorted_adjacency,
+from .gamma import (Node, blocks, internally_disjoint_paths, sorted_adjacency,
                     sorted_nodes, spanning_forest, fundamental_cycle)
-from .model import EDGE, VERTEX, OrientedHypergraph
+from .model import EDGE, VERTEX, Incidence, OrientedHypergraph
 
 DEFAULT_CIRCLE_CAP = 1_000_000
 
@@ -230,48 +235,83 @@ def verify_theta(g: OrientedHypergraph, cert: ThetaCertificate) -> bool:
     return True
 
 
-def _endpoint_pairs(g: OrientedHypergraph, kind: str):
-    vs = sorted(g.vertices)
-    es = sorted(g.edges)
+_THETA_KINDS = ("cross", "vertex", "edge")
+
+
+def _hub_pairs(incidences: Iterable[Incidence],
+               kind: str) -> Iterator[tuple[Node, Node]]:
+    """Endpoint pairs of the requested kind, in lexicographic order, whose
+    two ends each meet at least three of the given incidences."""
+    degree: Counter[Node] = Counter()
+    for inc in incidences:
+        degree[(VERTEX, inc.vertex)] += 1
+        degree[(EDGE, inc.edge)] += 1
+    hubs = sorted(node for node, d in degree.items() if d >= 3)
+    vertex_hubs = [node for node in hubs if node[0] == VERTEX]
+    edge_hubs = [node for node in hubs if node[0] == EDGE]
     if kind == "cross":
-        return [((VERTEX, v), (EDGE, e)) for v in vs for e in es]
-    if kind == "vertex":
-        return [((VERTEX, a), (VERTEX, b))
-                for i, a in enumerate(vs) for b in vs[i + 1:]]
-    if kind == "edge":
-        return [((EDGE, a), (EDGE, b))
-                for i, a in enumerate(es) for b in es[i + 1:]]
-    raise InputError(f"unknown theta kind {kind!r}")
+        # Vertex end first, as a certificate names it; ("e", ...) sorts
+        # before ("v", ...), so a sorted pair of hubs would be backwards.
+        return product(vertex_hubs, edge_hubs)
+    return combinations(vertex_hubs if kind == "vertex" else edge_hubs, 2)
+
+
+def _block_view(g: OrientedHypergraph,
+                incidences: list[Incidence]) -> OrientedHypergraph:
+    """The block on these incidences, in the parent's vertex, edge and
+    incidence order."""
+    vs = {inc.vertex for inc in incidences}
+    es = {inc.edge for inc in incidences}
+    return OrientedHypergraph(tuple(v for v in g.vertices if v in vs),
+                              tuple(e for e in g.edges if e in es),
+                              tuple(incidences))
 
 
 def detect_theta(g: OrientedHypergraph, kind: str = "cross",
                  jobs: int = 1) -> ThetaCertificate | None:
     """First triple of internally disjoint paths between a pair of the
-    requested endpoint kind, scanning pairs in lexicographic order."""
-    degree = {(VERTEX, v): g.degree(v) for v in g.vertices}
-    degree.update({(EDGE, e): g.edge_size(e) for e in g.edges})
+    requested endpoint kind, scanning pairs in lexicographic order.
 
-    pairs = [(a, b) for a, b in _endpoint_pairs(g, kind)
-             if degree[a] >= 3 and degree[b] >= 3]
+    Only pairs that lie in one biconnected block, each end meeting at
+    least three incidences of that block, can carry three such paths; each
+    of them is probed by a flow on its block, which every path between the
+    two ends stays inside.  Two nodes share at most one block, so the first
+    pair that succeeds and its paths are those of a scan over all pairs.
+    """
+    if kind not in _THETA_KINDS:
+        raise InputError(f"unknown theta kind {kind!r}")
+    if next(_hub_pairs(g.incidences, kind), None) is None:
+        return None
+    block_of = {inc_id: k for k, block in enumerate(blocks(g)) for inc_id in block}
+    members: dict[int, list[Incidence]] = {}
+    for inc in g.incidences:
+        members.setdefault(block_of[inc.id], []).append(inc)
+    candidates = []
+    for incs in members.values():
+        pairs = list(_hub_pairs(incs, kind)) if len(incs) >= 3 else []
+        if pairs:
+            view = _block_view(g, incs)
+            candidates.extend((pair, view) for pair in pairs)
+    candidates.sort(key=lambda candidate: candidate[0])
 
-    def probe(pair):
-        a, b = pair
-        paths = internally_disjoint_paths(g, a, b, need=3)
+    def probe(candidate):
+        (a, b), view = candidate
+        paths = internally_disjoint_paths(view, a, b, need=3)
         if len(paths) >= 3:
             walks = tuple(Walk(tuple(ns), tuple(incs)) for ns, incs in paths[:3])
             return ThetaCertificate(kind, (a, b), walks)
         return None
 
-    if jobs > 1 and len(pairs) > 1:
+    if jobs > 1 and len(candidates) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for cert in pool.map(probe, pairs):
+            for cert in pool.map(probe, candidates):
                 if cert is not None:
                     return cert
         return None
-    for pair in pairs:
-        cert = probe(pair)
+    for candidate in candidates:
+        cert = probe(candidate)
         if cert is not None:
             return cert
     return None

@@ -336,13 +336,15 @@ def _frustration_local(g: OrientedHypergraph, budget: int | None,
                        seed: int) -> FrustrationResult:
     cap = 10_000 if budget is None else budget
     stars = _star_sets(g)
-    base = camion_reorient(g)
-    best, evaluations = _hill_climb(base.changed, stars, 0, cap)
+    # Each start is the change set a reorientation along a forest would
+    # make; the reoriented hypergraph itself is not needed.
+    base = _negative_fundamental_circles(g, g.incidences, spanning_forest(g, "bfs"))
+    best, evaluations = _hill_climb(frozenset(base), stars, 0, cap)
     restart = 0
     while evaluations < cap and best:
         restart += 1
         forest = spanning_forest(g, "random", seed=seed + restart)
-        start = camion_reorient(g, forest).changed
+        start = frozenset(_negative_fundamental_circles(g, g.incidences, forest))
         found, evaluations = _hill_climb(start, stars, evaluations, cap)
         if len(found) < len(best):
             best = found

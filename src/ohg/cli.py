@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import comb
 
 from .balance import circle_sign, is_balanceable, is_balanced
@@ -264,7 +265,10 @@ def _cmd_demo(args) -> int:
     return 0
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it as
+    it was, so every call of ``main`` can share it."""
     parser = argparse.ArgumentParser(
         prog="ohg",
         description="Exact analysis of oriented hypergraphs: balance, "

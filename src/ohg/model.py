@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -82,11 +83,17 @@ class OrientedHypergraph:
                      for i in incidences)
         return cls(tuple(vertices), tuple(edges), incs)
 
+    @cached_property
+    def _incidence_by_id(self) -> dict[str, Incidence]:
+        # Built on first lookup; a frozen dataclass without slots keeps it
+        # in the instance dict, outside the compared and hashed fields.
+        return {inc.id: inc for inc in self.incidences}
+
     def incidence(self, incidence_id: str) -> Incidence:
-        for inc in self.incidences:
-            if inc.id == incidence_id:
-                return inc
-        raise InputError(f"unknown incidence id {incidence_id!r}")
+        try:
+            return self._incidence_by_id[incidence_id]
+        except (KeyError, TypeError):
+            raise InputError(f"unknown incidence id {incidence_id!r}") from None
 
     def incidences_at(self, vertex: str) -> tuple[Incidence, ...]:
         return tuple(i for i in self.incidences if i.vertex == vertex)

@@ -128,3 +128,51 @@ def random_signed_graph(seed: int, max_edges: int = 6) -> OrientedHypergraph:
     used = {v for _, v, _, _ in incs}
     return OrientedHypergraph.build([v for v in vertices if v in used],
                                     edges, incs)
+
+
+def hypertree(m: int, seed: int = 0) -> OrientedHypergraph:
+    """A 3-uniform hypertree with m edges: its bipartite representation is
+    a tree, so it is balanceable.
+
+    The root vertex "r" gets three child edges and every later vertex, in
+    breadth-first order, two, until m edges exist; every edge meets its
+    parent vertex and two fresh ones.  Many vertex-edge pairs therefore
+    have degree at least three at both ends.
+    """
+    rng = random.Random(seed)
+    vertices, edges, incs = ["r"], [], []
+    for anchor in vertices:  # breadth first: iterating while appending
+        for _ in range(3 if anchor == "r" else 2):
+            if len(edges) == m:
+                return OrientedHypergraph.build(vertices, edges, incs)
+            e = f"e{len(edges) + 1}"
+            edges.append(e)
+            fresh = [f"v{len(vertices) + k}" for k in range(2)]
+            vertices.extend(fresh)
+            for v in [anchor] + fresh:
+                incs.append((f"i{len(incs) + 1}", v, e, rng.choice((1, -1))))
+    raise AssertionError("unreachable: the vertex list outgrows the edges")
+
+
+def plant_trap(g: OrientedHypergraph, seed: int = 0) -> OrientedHypergraph:
+    """Add an edge "trap" meeting one non-root vertex of each of the root's
+    three edges: the root and the trap are then joined by three internally
+    disjoint paths, and nothing else gains a second route."""
+    rng = random.Random(seed)
+    root_edges = [i.edge for i in g.incidences_at("r")][:3]
+    incs = [(i.id, i.vertex, i.edge, i.sign) for i in g.incidences]
+    for k, e in enumerate(root_edges, start=1):
+        leaf = rng.choice([i.vertex for i in g.incidences_of(e) if i.vertex != "r"])
+        incs.append((f"t{k}", leaf, "trap", rng.choice((1, -1))))
+    return OrientedHypergraph.build(g.vertices, g.edges + ("trap",), incs)
+
+
+def without_parallels(g: OrientedHypergraph) -> OrientedHypergraph:
+    """Drop every incidence that repeats the vertex and edge of an earlier
+    one; the bipartite representation becomes a simple graph."""
+    seen, incs = set(), []
+    for inc in g.incidences:
+        if (inc.vertex, inc.edge) not in seen:
+            seen.add((inc.vertex, inc.edge))
+            incs.append(inc)
+    return OrientedHypergraph(g.vertices, g.edges, tuple(incs))

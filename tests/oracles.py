@@ -14,7 +14,9 @@ from itertools import combinations
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
-from ohg.model import OrientedHypergraph
+from ohg.balance import ThetaCertificate, Walk
+from ohg.gamma import internally_disjoint_paths
+from ohg.model import EDGE, VERTEX, OrientedHypergraph
 
 
 def oracle_circles(g: OrientedHypergraph) -> set[frozenset[str]]:
@@ -111,6 +113,28 @@ def oracle_in_cycle_orthogonal(g: OrientedHypergraph,
                                difference: frozenset[str]) -> bool:
     """GF(2) cut-space membership: even overlap with every circle."""
     return all(len(difference & c) % 2 == 0 for c in oracle_circles(g))
+
+
+def oracle_detect_theta(g: OrientedHypergraph,
+                        kind: str = "cross") -> ThetaCertificate | None:
+    """The theta scan over every endpoint pair of the requested kind.
+
+    Pairs come in lexicographic order, each end of degree at least three
+    in the whole hypergraph, and each pair is probed by a flow on the whole
+    hypergraph; the first triple of paths found is returned.
+    """
+    vs = [(VERTEX, v) for v in sorted(g.vertices) if g.degree(v) >= 3]
+    es = [(EDGE, e) for e in sorted(g.edges) if g.edge_size(e) >= 3]
+    if kind == "cross":
+        pairs = [(v, e) for v in vs for e in es]
+    else:
+        pairs = list(combinations(vs if kind == "vertex" else es, 2))
+    for a, b in pairs:
+        paths = internally_disjoint_paths(g, a, b, need=3)
+        if len(paths) >= 3:
+            walks = tuple(Walk(tuple(ns), tuple(incs)) for ns, incs in paths[:3])
+            return ThetaCertificate(kind, (a, b), walks)
+    return None
 
 
 def oracle_rank(rows, p: int | None = None) -> int:

@@ -1,7 +1,11 @@
 """Circle enumeration, signs, and the balanceability recognizer."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx.algorithms.connectivity import local_node_connectivity
+
+import ohg.balance
 
 from ohg.balance import (
     Circle,
@@ -20,12 +24,20 @@ from ohg.balance import (
     verify_theta,
 )
 from ohg.errors import InputError, ResourceError
-from ohg.model import EDGE, VERTEX, OrientedHypergraph, make_Lk
+from ohg.model import EDGE, VERTEX, OrientedHypergraph, gamma_nodes, make_Lk
 
-from instances import plant_obstruction, random_balanceable, random_hypergraph
+from instances import (
+    hypertree,
+    plant_obstruction,
+    plant_trap,
+    random_balanceable,
+    random_hypergraph,
+    without_parallels,
+)
 from oracles import (
     oracle_circle_sign,
     oracle_circles,
+    oracle_detect_theta,
     oracle_is_balanceable,
     oracle_is_balanced,
 )
@@ -225,3 +237,99 @@ class TestTheta:
         for seed in range(30):
             g = random_balanceable(seed)
             assert detect_theta(g, "cross") is None
+
+
+def _theta_instance(family, seed):
+    if family == "planted":
+        return plant_obstruction(seed)
+    if family == "balanceable":
+        return random_balanceable(seed, max_incidences=16, extra_range=(1, 6))
+    return random_hypergraph(seed, max_incidences=20, extra_range=(0, 9),
+                             nv_range=(1, 7), ne_range=(1, 7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["random", "balanceable", "planted"]),
+       st.integers(0, 10_000))
+def test_block_scan_matches_all_pairs_scan(family, seed):
+    """The block-local scan returns the certificate of the scan over every
+    pair, byte for byte, for each endpoint kind."""
+    g = _theta_instance(family, seed)
+    for kind in ("cross", "vertex", "edge"):
+        got, want = detect_theta(g, kind), oracle_detect_theta(g, kind)
+        assert (got and got.to_json()) == (want and want.to_json())
+    if family == "planted":
+        assert detect_theta(g, "cross") is not None
+
+
+def _path_connectivity(graph, a, b):
+    """Internally disjoint a-b paths in a simple graph; a direct link counts
+    as one path of its own."""
+    if graph.has_edge(a, b):
+        rest = graph.copy()
+        rest.remove_edge(a, b)
+        return 1 + local_node_connectivity(rest, a, b)
+    return local_node_connectivity(graph, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_cross_theta_matches_networkx(seed):
+    """Without parallel incidences the bipartite representation is simple:
+    the scan finds a theta exactly when networkx counts three disjoint
+    paths for some vertex-edge pair, and reports the least such pair."""
+    g = without_parallels(random_hypergraph(
+        seed, max_incidences=22, extra_range=(2, 12), nv_range=(2, 7),
+        ne_range=(2, 7)))
+    graph = nx.Graph()
+    graph.add_nodes_from(gamma_nodes(g))
+    graph.add_edges_from(((VERTEX, i.vertex), (EDGE, i.edge))
+                         for i in g.incidences)
+    thetas = [((VERTEX, v), (EDGE, e))
+              for v in sorted(g.vertices) for e in sorted(g.edges)
+              if _path_connectivity(graph, (VERTEX, v), (EDGE, e)) >= 3]
+    cert = detect_theta(g, "cross")
+    if not thetas:
+        assert cert is None
+    else:
+        assert cert is not None and cert.endpoints == thetas[0]
+        assert verify_theta(g, cert)
+
+
+class TestThetaProbes:
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        calls = []
+        flow = ohg.balance.internally_disjoint_paths
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(ohg.balance, "internally_disjoint_paths", counted)
+        return calls
+
+    def test_hypertree_needs_no_probe(self, probes):
+        g = hypertree(160)
+        assert detect_theta(g, "cross") is None
+        assert is_balanceable(g) == (True, None)
+        assert probes == []
+
+    def test_trapped_hypertree_needs_one_probe(self, probes):
+        g = plant_trap(hypertree(160))
+        cert = detect_theta(g, "cross")
+        assert verify_theta(g, cert)
+        assert cert.endpoints == ((VERTEX, "r"), (EDGE, "trap"))
+        assert probes == [((VERTEX, "r"), (EDGE, "trap"))]
+
+    def test_signed_graph_skips_the_blocks(self, probes, monkeypatch):
+        """Without an edge of size three no cross pair exists, so the scan
+        ends before the blocks are computed."""
+        monkeypatch.setattr(ohg.balance, "blocks", None)
+        g = OrientedHypergraph.build(
+            ["a", "b", "c"], ["e", "f", "g"],
+            [("p1", "a", "e", 1), ("p2", "b", "e", 1),
+             ("q1", "b", "f", 1), ("q2", "c", "f", -1),
+             ("r1", "c", "g", 1), ("r2", "a", "g", 1)])
+        assert detect_theta(g, "cross") is None
+        assert probes == []
