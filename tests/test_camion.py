@@ -14,7 +14,7 @@ from ohg.camion import (
     is_minimal_balancing_set,
     signed_graph_balance,
 )
-from ohg.errors import InputError
+from ohg.errors import InputError, ResourceError
 from ohg.gamma import spanning_forest
 from ohg.model import OrientedHypergraph, make_Lk
 
@@ -67,6 +67,15 @@ LOCAL_SEARCH_PINS = {
     5: (("i3",), 400), 6: (("i15", "i3", "i5", "i6"), 400),
     10: (("i3", "i5"), 400), 23: ((), 11),
     25: (("i1", "i12", "i5"), 400), 29: (("i10", "i2"), 400),
+}
+
+
+# frustration(mode="exact") on random_balanceable(seed, 14,
+# extra_range=(2, 5)): seed -> (witness, candidate sets evaluated).
+EXACT_PINS = {
+    0: (("i6",), 7), 1: (("i1", "i2"), 7), 2: (("i1",), 2),
+    3: (("i6",), 7), 4: (("i3", "i4"), 26), 5: (("i1", "i11"), 14),
+    6: (("i1", "i2", "i4"), 31), 7: (("i1", "i4"), 11),
 }
 
 
@@ -222,6 +231,26 @@ class TestFrustration:
             assert (result.witness, result.evaluations) == (witness, evaluations)
             assert result.value == len(witness)
             assert result.exact == (not witness)
+
+    def test_exact_mode_pinned(self):
+        """Witness and evaluation count of the ascending exact search."""
+        for seed, (witness, evaluations) in EXACT_PINS.items():
+            g = random_balanceable(seed, max_incidences=14, extra_range=(2, 5))
+            result = frustration(g, mode="exact")
+            assert (result.witness, result.evaluations) == (witness, evaluations)
+            assert result.value == len(witness) and result.exact
+            assert result.mode == "exact"
+
+    def test_exact_mode_budget_message_pinned(self):
+        for seed, budget, size in ((4, 10, 2), (21, 3, 1)):
+            g = random_balanceable(seed, max_incidences=14, extra_range=(2, 5))
+            with pytest.raises(ResourceError) as info:
+                frustration(g, mode="exact", budget=budget)
+            assert str(info.value) == (
+                f"exact frustration budget of {budget} candidate sets "
+                f"exhausted at size {size}")
+        g = random_balanceable(6, max_incidences=14, extra_range=(2, 5))
+        assert frustration(g, mode="exact", budget=31).evaluations == 31
 
     def test_trees_mode_pinned(self):
         """Witness and tree count of the spanning-tree search, recorded."""

@@ -1,6 +1,7 @@
 """Flower and artery recognition, decomposition validation, search."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,43 @@ from ohg.shunting import (
     upsilon_tree,
     validate_shunting,
 )
+
+from census import connected_multigraphs, realize, switching_patterns
+
+EXHAUSTED = "no decomposition found: bounded search space exhausted"
+OUT_OF_BUDGET = "no decomposition found within budget"
+
+# find_shunting_decomposition(g, budget) on generate_optimal_shunting(seed):
+# (seed, budget) -> (subsets and candidates inspected, reason).
+SEARCH_PINS = {
+    (0, None): (6759, "found"),
+    (0, 200): (201, "no decomposition found within budget"),
+    (1, None): (1170, "found"),
+    (1, 20): (21, "no decomposition found within budget"),
+    (2, None): (147, "found"),
+    (2, 200): (147, "found"),
+    (3, None): (1305, "found"),
+}
+
+# The same search on every connected signed multigraph with at most four
+# edges, one per switching class: budget -> (total inspected, reason
+# counts, found instances with their inspected count).
+CENSUS_SEARCH_PINS = {
+    5000: (8565, {"found": 7, EXHAUSTED: 168}, {
+        (1, ((0, 0), (0, 0)), (-1, -1)): 25,
+        (2, ((0, 0), (0, 1), (0, 1)), (-1, 1, -1)): 41,
+        (2, ((0, 0), (0, 1), (1, 1)), (-1, 1, -1)): 31,
+        (3, ((0, 0), (0, 1), (0, 2), (1, 2)), (-1, 1, 1, -1)): 97,
+        (3, ((0, 0), (0, 1), (1, 2), (1, 2)), (-1, 1, 1, -1)): 51,
+        (3, ((0, 0), (0, 1), (1, 2), (2, 2)), (-1, 1, 1, -1)): 40,
+        (3, ((0, 1), (0, 1), (0, 2), (0, 2)), (1, -1, 1, -1)): 61}),
+    60: (5301, {"found": 5, EXHAUSTED: 140, OUT_OF_BUDGET: 30}, {
+        (1, ((0, 0), (0, 0)), (-1, -1)): 25,
+        (2, ((0, 0), (0, 1), (0, 1)), (-1, 1, -1)): 41,
+        (2, ((0, 0), (0, 1), (1, 1)), (-1, 1, -1)): 31,
+        (3, ((0, 0), (0, 1), (1, 2), (1, 2)), (-1, 1, 1, -1)): 51,
+        (3, ((0, 0), (0, 1), (1, 2), (2, 2)), (-1, 1, 1, -1)): 40}),
+}
 
 CHECK_NAMES = (
     "parts-disjoint", "coverage", "flower-parts", "arteries", "thorns",
@@ -374,6 +412,30 @@ class TestSearch:
         assert result.found is None
         assert "within budget" in result.reason
         assert result.inspected <= 21
+
+    def test_search_pinned(self):
+        """Inspected count and reason on generated shuntings, recorded."""
+        for (seed, budget), pin in SEARCH_PINS.items():
+            g, _ = generate_optimal_shunting(seed)
+            result = (find_shunting_decomposition(g) if budget is None
+                      else find_shunting_decomposition(g, budget=budget))
+            assert (result.inspected, result.reason) == pin
+
+    def test_census_search_pinned(self):
+        """Inspected counts and reasons over the four-edge signed census."""
+        for budget, (total, reasons, found) in CENSUS_SEARCH_PINS.items():
+            seen_total, seen_reasons, seen_found = 0, Counter(), {}
+            for n, edges in connected_multigraphs(4):
+                for eps in switching_patterns(n, edges):
+                    result = find_shunting_decomposition(
+                        realize(n, edges, eps), budget=budget)
+                    seen_total += result.inspected
+                    seen_reasons[result.reason] += 1
+                    if result.found is not None:
+                        seen_found[(n, edges, eps)] = result.inspected
+            assert seen_total == total
+            assert seen_reasons == reasons
+            assert seen_found == found
 
     def test_disconnected_miss(self):
         g = build(["a", "b"], ["e", "f"],
