@@ -364,6 +364,16 @@ def is_balanced(g: OrientedHypergraph, method: str = "fast",
     ok, cert = is_balanceable(g)
     if not ok:
         return False, negative_circle_from_theta(g, cert)
+    circle = negative_fundamental_circle(g)
+    return circle is None, circle
+
+
+def negative_fundamental_circle(g: OrientedHypergraph) -> Circle | None:
+    """First negative fundamental circle of the BFS spanning forest.
+
+    On a balanceable input, None means balanced: positive fundamental
+    circles force every circle positive.
+    """
     forest = spanning_forest(g, "bfs")
     for inc in g.incidences:
         if inc.id in forest.incidences:
@@ -371,8 +381,8 @@ def is_balanced(g: OrientedHypergraph, method: str = "fast",
         nodes, incs = fundamental_cycle(g, forest, inc.id)
         circle = Circle.from_sequence(nodes, incs)
         if circle_sign(g, circle) == -1:
-            return False, circle
-    return True, None
+            return circle
+    return None
 
 
 def verify_negative_circle(g: OrientedHypergraph, circle: Circle) -> bool:

@@ -30,6 +30,7 @@ from .model import (
     Incidence,
     OrientedHypergraph,
     gamma_components,
+    minimal_subsets,
     reverse_incidences,
 )
 
@@ -128,12 +129,10 @@ def is_minimal_balancing_set(g: OrientedHypergraph, ids: Iterable[str],
     if method == "fast":
         return component_count(g) == component_count(g, exclude=chosen)
     if method == "oracle":
-        ordered = sorted(chosen)
-        for size in range(len(ordered)):
-            for sub in combinations(ordered, size):
-                if is_balancing_set(g, sub):
-                    return False
-        return True
+        smaller = minimal_subsets(sorted(chosen),
+                                  lambda sub: is_balancing_set(g, sub),
+                                  range(len(chosen)))
+        return next(smaller, None) is None
     raise InputError(f"unknown method {method!r}; use 'fast' or 'oracle'")
 
 
@@ -236,17 +235,21 @@ def _frustration_exact(g: OrientedHypergraph,
     circles = _fundamental_circle_data(g, forest)
     ids = sorted(inc.id for inc in g.incidences)
     evaluations = 0
-    for size in range(len(ids) + 1):
-        for combo in combinations(ids, size):
-            evaluations += 1
-            if budget is not None and evaluations > budget:
-                raise ResourceError(
-                    f"exact frustration budget of {budget} candidate sets "
-                    f"exhausted at size {size}")
-            if _balancing_by_circles(frozenset(combo), circles):
-                return FrustrationResult(size, combo, "exact", True,
-                                         evaluations)
-    raise InputError("no balancing set found; input was not balanceable")
+
+    def count(combo: tuple[str, ...]) -> None:
+        nonlocal evaluations
+        evaluations += 1
+        if budget is not None and evaluations > budget:
+            raise ResourceError(
+                f"exact frustration budget of {budget} candidate sets "
+                f"exhausted at size {len(combo)}")
+
+    combo = next(minimal_subsets(
+        ids, lambda c: _balancing_by_circles(frozenset(c), circles),
+        range(len(ids) + 1), count), None)
+    if combo is None:
+        raise InputError("no balancing set found; input was not balanceable")
+    return FrustrationResult(len(combo), combo, "exact", True, evaluations)
 
 
 def _component_partition(g: OrientedHypergraph

@@ -14,7 +14,8 @@ import sys
 from functools import cache
 from math import comb
 
-from .balance import circle_sign, is_balanceable, is_balanced
+from .balance import (circle_sign, is_balanceable, is_balanced,
+                      negative_fundamental_circle)
 from .camion import camion_reorient, frustration
 from .errors import InputError, ResourceError
 from .linalg import Domain
@@ -25,7 +26,6 @@ from .model import (
     gamma_components,
     incidence_matrix,
     load,
-    make_Lk,
     matrix_csv,
     serialize,
     to_dot,
@@ -98,8 +98,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_info(args) -> int:
     g = load(args.file)
-    balanced, _ = is_balanced(g)
     balanceable, _ = is_balanceable(g)
+    balanced = balanceable and negative_fundamental_circle(g) is None
     _emit({
         "command": "info",
         "vertices": len(g.vertices),
@@ -251,7 +251,6 @@ def _cmd_demo(args) -> int:
     entrant = args.entrant
     if not 0 <= entrant <= args.k:
         raise InputError("entrant count must lie between 0 and k")
-    make_Lk(args.k, entrant)
     _emit({
         "command": "demo-lk",
         "k": args.k,

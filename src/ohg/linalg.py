@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Rational computations run on arbitrary-precision integers (fraction-free
-elimination for ranks, Fraction arithmetic for nullspaces); prime-field
-computations reduce modulo p.  No floating point anywhere.
+One fraction-free Gauss-Jordan elimination serves every domain: rank,
+nullity and nullspace all read its reduced rows.  Rational rows stay
+arbitrary-precision integers, kept small by dividing out each row's gcd;
+prime-field rows are reduced modulo p.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -88,83 +89,51 @@ def _check_rect(rows) -> tuple[int, int]:
     return nr, nc
 
 
-def rank_int(rows) -> int:
-    """Rank over the rationals via fraction-free (Bareiss) elimination."""
+def _eliminate(rows, domain: Domain) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination: (reduced rows, pivot columns).
+
+    Each pivot clears its column in every other row, so the nonzero rows
+    are the reduced row echelon form up to one nonzero factor per row; as
+    that form is unique, every reading below is independent of the pivot
+    order.  Over the rationals a row becomes ``d*row - f*pivot_row`` and is
+    then divided by the gcd of its entries; over GF(p) every entry is
+    reduced modulo p.
+    """
     nr, nc = _check_rect(rows)
-    m = [list(r) for r in rows]
-    rank = 0
-    prev = 1
+    p = domain.char
+    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
+    pivots: list[int] = []
     for col in range(nc):
-        piv = next((r for r in range(rank, nr) if m[r][col] != 0), None)
+        top = len(pivots)
+        if top == nr:
+            break
+        piv = next((r for r in range(top, nr) if m[r][col]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, nr):
-            for c in range(col + 1, nc):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+        m[top], m[piv] = m[piv], m[top]
+        pivot_row = m[top]
+        d = pivot_row[col]
+        for r in range(nr):
+            f = m[r][col]
+            if r == top or not f:
+                continue
+            if p:
+                m[r] = [(d * a - f * b) % p for a, b in zip(m[r], pivot_row)]
+            else:
+                row = [d * a - f * b for a, b in zip(m[r], pivot_row)]
+                g = gcd(*row)
+                m[r] = [x // g for x in row] if g > 1 else row
+        pivots.append(col)
+    return m, pivots
 
 
 def rank(rows, domain: Domain) -> int:
-    if domain.is_rational:
-        return rank_int(rows)
-    _check_rect(rows)
-    return len(_rref_mod(rows, domain.char)[1])
+    return len(_eliminate(rows, domain)[1])
 
 
 def nullity(rows, domain: Domain) -> int:
     _, nc = _check_rect(rows)
     return nc - rank(rows, domain)
-
-
-def _rref_fraction(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    pivots = []
-    rank_ = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank_, nr) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank_], m[piv] = m[piv], m[rank_]
-        m[rank_] = [x / m[rank_][col] for x in m[rank_]]
-        for r in range(nr):
-            if r != rank_ and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank_])]
-        pivots.append(col)
-        rank_ += 1
-        if rank_ == nr:
-            break
-    return m, pivots
-
-
-def _rref_mod(rows, p: int):
-    m = [[x % p for x in r] for r in rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    pivots = []
-    rank_ = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank_, nr) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank_], m[piv] = m[piv], m[rank_]
-        inv = pow(m[rank_][col], -1, p)
-        m[rank_] = [(x * inv) % p for x in m[rank_]]
-        for r in range(nr):
-            if r != rank_ and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank_])]
-        pivots.append(col)
-        rank_ += 1
-        if rank_ == nr:
-            break
-    return m, pivots
 
 
 def nullspace(rows, domain: Domain) -> list[tuple]:
@@ -174,25 +143,19 @@ def nullspace(rows, domain: Domain) -> list[tuple]:
     leading entry; prime-field vectors take values in 0..p-1 with leading
     entry 1.
     """
-    nr, nc = _check_rect(rows)
-    if domain.is_rational:
-        m, pivots = _rref_fraction(rows)
-    else:
-        m, pivots = _rref_mod(rows, domain.char)
-    free = [c for c in range(nc) if c not in pivots]
+    _, nc = _check_rect(rows)
+    m, pivots = _eliminate(rows, domain)
+    p = domain.char
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * nc if domain.is_rational else [0] * nc
-        vec[fc] = Fraction(1) if domain.is_rational else 1
+    for fc in (c for c in range(nc) if c not in pivots):
+        vec = [0] * nc
+        vec[fc] = 1
         for r, pc in enumerate(pivots):
-            if domain.is_rational:
-                vec[pc] = -m[r][fc]
+            if p:
+                vec[pc] = -m[r][fc] * pow(m[r][pc], -1, p) % p
             else:
-                vec[pc] = (-m[r][fc]) % domain.char
-        if domain.is_rational:
-            basis.append(primitive_integer(vec))
-        else:
-            basis.append(tuple(vec))
+                vec[pc] = Fraction(-m[r][fc], m[r][pc])
+        basis.append(tuple(vec) if p else primitive_integer(vec))
     return basis
 
 

@@ -5,6 +5,11 @@ arithmetic: rank and nullity of incidence matrices, minimal-dependency
 certification with nullspace witnesses, brute-force circuit enumeration,
 contracted-theta dependency reports, and the complete-hypergraph
 demonstration whose circuits realize the Fano and non-Fano matroids.
+
+Each query builds the incidence matrix once.  A column set is a circuit
+exactly when its nullspace has dimension 1 and is spanned by a vector
+with no zero entry, so one nullspace settles both dependency and
+minimality.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 from .balance import Circle, circle_sign, enumerate_circles
@@ -25,6 +30,7 @@ from .model import (
     OrientedHypergraph,
     incidence_matrix,
     make_complete_hypergraph,
+    minimal_subsets,
 )
 from .shunting import to_hypercircle
 
@@ -90,27 +96,37 @@ class CircuitReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _columns(g: OrientedHypergraph, edges: tuple[str, ...],
-             domain: Domain) -> list[list]:
-    full = incidence_matrix(g, domain)
-    pos = {e: i for i, e in enumerate(full.cols)}
-    idx = [pos[e] for e in edges]
-    return [[row[i] for i in idx] for row in full.entries]
+def _report(matrix: IncidenceMatrix, edges: tuple[str, ...]) -> CircuitReport:
+    """Dependency report for the columns ``edges`` of ``matrix``.
 
-
-def _dependent(rows: list[list], domain: Domain) -> bool:
-    if not rows:
-        return True
-    return _nullity_rows(rows, domain) >= 1
+    Dependent columns have a nonzero nullspace; they form a circuit
+    exactly when that nullspace has dimension 1 and is spanned by a vector
+    with no zero entry (Oxley, Matroid Theory, section 1.1).  Without
+    vertex rows every column is zero, so only single edges are circuits.
+    """
+    domain = matrix.domain
+    if not matrix.rows:
+        return CircuitReport(edges, domain, True, len(edges) == 1,
+                             tuple(domain.reduce(1) for _ in edges))
+    pos = {e: i for i, e in enumerate(matrix.cols)}
+    rows = [[row[pos[e]] for e in edges] for row in matrix.entries]
+    basis = nullspace(rows, domain)
+    if not basis:
+        return CircuitReport(edges, domain, False, False, None)
+    witness = basis[0]
+    if any(mat_vec(rows, witness, domain)):
+        raise RuntimeError("nullspace witness failed verification")
+    return CircuitReport(edges, domain, True,
+                         len(basis) == 1 and all(witness), witness)
 
 
 def is_circuit(g: OrientedHypergraph, edges, domain=None) -> CircuitReport:
     """Dependency and minimality of an edge subset's columns.
 
     The subset is dependent when its column submatrix (all vertex rows
-    kept) has nullity at least one, and minimal when every one-smaller
-    subset is independent.  A dependent verdict carries a verified
-    nullspace witness.
+    kept) has a nonzero nullspace, and minimal (a circuit) when that
+    nullspace is one-dimensional and spanned by a vector with no zero
+    entry.  A dependent verdict carries a verified nullspace witness.
     """
     domain = Domain.coerce(domain)
     chosen = tuple(sorted(set(edges)))
@@ -119,27 +135,7 @@ def is_circuit(g: OrientedHypergraph, edges, domain=None) -> CircuitReport:
     for e in chosen:
         if e not in g.edges:
             raise InputError(f"unknown edge {e!r}")
-    rows = _columns(g, chosen, domain)
-    dependent = _dependent(rows, domain)
-    witness = None
-    if dependent:
-        if rows:
-            witness = nullspace(rows, domain)[0]
-            image = mat_vec(rows, witness, domain)
-            if any(x != 0 for x in image):
-                raise RuntimeError("nullspace witness failed verification")
-        else:
-            witness = tuple(domain.reduce(1) for _ in chosen)
-    minimal = False
-    if dependent:
-        minimal = True
-        for smaller in combinations(chosen, len(chosen) - 1):
-            if not smaller:
-                continue
-            if _dependent(_columns(g, smaller, domain), domain):
-                minimal = False
-                break
-    return CircuitReport(chosen, domain, dependent, minimal, witness)
+    return _report(incidence_matrix(g, domain), chosen)
 
 
 def enumerate_circuits(g: OrientedHypergraph, domain=None,
@@ -160,18 +156,22 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
         raise ResourceError(
             f"circuit enumeration over {len(ids)} edges needs {total} "
             f"subsets; the cap is {cap} (set {SUBSET_CAP_ENV} to raise it)")
-    found: list[CircuitReport] = []
-    found_sets: list[frozenset[str]] = []
-    for size in range(1, top + 1):
-        for combo in combinations(ids, size):
-            as_set = frozenset(combo)
-            if any(prev <= as_set for prev in found_sets):
-                continue
-            rows = _columns(g, combo, domain)
-            if _dependent(rows, domain):
-                report = is_circuit(g, combo, domain)
-                found.append(report)
-                found_sets.append(as_set)
+    matrix = incidence_matrix(g, domain)
+    pos = {e: i for i, e in enumerate(matrix.cols)}
+
+    def dependent(combo: tuple[str, ...]) -> bool:
+        if not matrix.rows:
+            return True
+        rows = [[row[pos[e]] for e in combo] for row in matrix.entries]
+        return _nullity_rows(rows, domain) >= 1
+
+    found = []
+    for combo in minimal_subsets(ids, dependent, range(1, top + 1)):
+        report = _report(matrix, combo)
+        if not report.minimal:
+            raise RuntimeError(
+                f"ascending enumeration reached the non-circuit {combo}")
+        found.append(report)
     return found
 
 

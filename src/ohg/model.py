@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceError
 from .linalg import Domain
@@ -474,6 +474,34 @@ def weak_delete(g: OrientedHypergraph, vertices: Iterable[str] = (),
         tuple(e for e in g.edges if e not in del_e),
         tuple(i for i in g.incidences
               if i.vertex not in del_v and i.edge not in del_e))
+
+
+# ---------------------------------------------------------------------------
+# Subset search
+
+
+def minimal_subsets(items: Sequence, accept: Callable[[tuple], bool],
+                    sizes: Iterable[int], visit=None) -> Iterator[tuple]:
+    """Accepted subsets that contain no subset yielded before them.
+
+    Candidates come size by size in the order of ``sizes``, each size in
+    ``itertools.combinations`` order over ``items``; ``visit`` sees every
+    candidate before the containment check.  With ascending sizes and an
+    ``accept`` closed under supersets, the yield is exactly the minimal
+    accepted subsets, in ascending order.
+    """
+    found: list[frozenset] = []
+    for size in sizes:
+        for combo in combinations(items, size):
+            if visit is not None:
+                visit(combo)
+            if found:
+                as_set = frozenset(combo)
+                if any(prev <= as_set for prev in found):
+                    continue
+            if accept(combo):
+                found.append(frozenset(combo))
+                yield combo
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterable, Sequence
 
 from .balance import is_balanceable, is_balanced
@@ -31,6 +31,7 @@ from .model import (
     edge_induced,
     gamma_components,
     incidence_matrix,
+    minimal_subsets,
     weak_delete,
 )
 
@@ -94,12 +95,11 @@ def is_flower(g: OrientedHypergraph,
         raise ResourceError(
             f"flower minimality check needs 2^{len(g.edges)} edge subsets; "
             f"the cap is {max_edges} edges")
-    ids = sorted(g.edges)
-    for size in range(1, len(ids)):
-        for subset in combinations(ids, size):
-            if is_inseparable(edge_induced(g, subset)):
-                return False
-    return True
+    # Sizes start at 1: the empty edge-induced view counts as inseparable.
+    smaller = minimal_subsets(
+        sorted(g.edges), lambda sub: is_inseparable(edge_induced(g, sub)),
+        range(1, len(g.edges)))
+    return next(smaller, None) is None
 
 
 def find_thorns(g: OrientedHypergraph) -> frozenset[str]:
@@ -729,18 +729,9 @@ def _minimal_balancing_sets(sub: OrientedHypergraph, spend,
     the sets already found.
     """
     ids = sorted(i.id for i in sub.incidences)
-    found: list[frozenset[str]] = []
-    for size in range(0, len(ids) + 1):
-        for combo in combinations(ids, size):
-            spend()
-            as_set = frozenset(combo)
-            if any(prev < as_set for prev in found):
-                continue
-            if is_balancing_set(sub, as_set):
-                found.append(as_set)
-                if len(found) >= cap:
-                    return found
-    return found
+    sets = minimal_subsets(ids, lambda combo: is_balancing_set(sub, combo),
+                           range(len(ids) + 1), lambda combo: spend())
+    return [frozenset(combo) for combo in islice(sets, cap)]
 
 
 def _match_pairing(g: OrientedHypergraph, bal_ids: list[str],

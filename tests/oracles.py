@@ -3,12 +3,15 @@
 Everything here recomputes library answers from first principles with
 different algorithms: circles as 2-regular connected link subsets,
 balance by checking every circle, balancing sets by trying every
-incidence subset, and ranks through sympy.  Slow on purpose; only run
-at desk scale.
+incidence subset, and ranks through sympy.  The exact eliminations the
+library used before it kept one (Bareiss ranks, Fraction and modular
+RREF) and its one-smaller-subset circuit test live here as references.
+Slow on purpose; only run at desk scale.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 from sympy.polys.domains import GF, QQ
@@ -16,7 +19,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from ohg.balance import ThetaCertificate, Walk
 from ohg.gamma import internally_disjoint_paths
-from ohg.model import EDGE, VERTEX, OrientedHypergraph
+from ohg.linalg import Domain, primitive_integer
+from ohg.model import EDGE, VERTEX, OrientedHypergraph, incidence_matrix
 
 
 def oracle_circles(g: OrientedHypergraph) -> set[frozenset[str]]:
@@ -149,8 +153,6 @@ def oracle_rank(rows, p: int | None = None) -> int:
 def oracle_circuits(g: OrientedHypergraph,
                     p: int | None = None) -> set[frozenset[str]]:
     """Minimal dependent column subsets by raw double enumeration."""
-    from ohg.model import incidence_matrix
-
     m = incidence_matrix(g)
     pos = {e: k for k, e in enumerate(m.cols)}
     dependent: set[frozenset[str]] = set()
@@ -163,3 +165,118 @@ def oracle_circuits(g: OrientedHypergraph,
                 dependent.add(frozenset(combo))
     return {d for d in dependent
             if not any(other < d for other in dependent)}
+
+
+def oracle_rank_int(rows) -> int:
+    """Rank over the rationals via fraction-free (Bareiss) elimination."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    m = [list(r) for r in rows]
+    rank = 0
+    prev = 1
+    for col in range(nc):
+        piv = next((r for r in range(rank, nr) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, nr):
+            for c in range(col + 1, nc):
+                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
+            m[r][col] = 0
+        prev = m[rank][col]
+        rank += 1
+        if rank == nr:
+            break
+    return rank
+
+
+def _rref_fraction(rows):
+    m = [[Fraction(x) for x in r] for r in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    pivots = []
+    rank_ = 0
+    for col in range(nc):
+        piv = next((r for r in range(rank_, nr) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank_], m[piv] = m[piv], m[rank_]
+        m[rank_] = [x / m[rank_][col] for x in m[rank_]]
+        for r in range(nr):
+            if r != rank_ and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank_])]
+        pivots.append(col)
+        rank_ += 1
+        if rank_ == nr:
+            break
+    return m, pivots
+
+
+def _rref_mod(rows, p: int):
+    m = [[x % p for x in r] for r in rows]
+    nr, nc = len(m), len(m[0]) if m else 0
+    pivots = []
+    rank_ = 0
+    for col in range(nc):
+        piv = next((r for r in range(rank_, nr) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank_], m[piv] = m[piv], m[rank_]
+        inv = pow(m[rank_][col], -1, p)
+        m[rank_] = [(x * inv) % p for x in m[rank_]]
+        for r in range(nr):
+            if r != rank_ and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank_])]
+        pivots.append(col)
+        rank_ += 1
+        if rank_ == nr:
+            break
+    return m, pivots
+
+
+def oracle_nullspace(rows, domain: Domain) -> list[tuple]:
+    """Nullspace basis read off a normalised RREF, one vector per free column.
+
+    Fraction RREF over the rationals (vectors scaled by
+    ``primitive_integer``), modular RREF over GF(p).
+    """
+    nc = len(rows[0]) if rows else 0
+    if domain.is_rational:
+        m, pivots = _rref_fraction(rows)
+    else:
+        m, pivots = _rref_mod(rows, domain.char)
+    basis = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        vec = [Fraction(0)] * nc if domain.is_rational else [0] * nc
+        vec[fc] = Fraction(1) if domain.is_rational else 1
+        for r, pc in enumerate(pivots):
+            if domain.is_rational:
+                vec[pc] = -m[r][fc]
+            else:
+                vec[pc] = (-m[r][fc]) % domain.char
+        basis.append(primitive_integer(vec) if domain.is_rational
+                     else tuple(vec))
+    return basis
+
+
+def _oracle_dependent(g: OrientedHypergraph, edges, domain: Domain) -> bool:
+    m = incidence_matrix(g, domain)
+    pos = {e: k for k, e in enumerate(m.cols)}
+    rows = [[row[pos[e]] for e in edges] for row in m.entries]
+    if not rows:
+        return True
+    if domain.is_rational:
+        return oracle_rank_int(rows) < len(edges)
+    return len(_rref_mod(rows, domain.char)[1]) < len(edges)
+
+
+def oracle_circuit_minimal(g: OrientedHypergraph, edges,
+                           domain: Domain) -> bool:
+    """Dependent, with every one-smaller nonempty subset independent."""
+    chosen = tuple(sorted(set(edges)))
+    if not _oracle_dependent(g, chosen, domain):
+        return False
+    return not any(_oracle_dependent(g, smaller, domain)
+                   for smaller in combinations(chosen, len(chosen) - 1)
+                   if smaller)

@@ -13,6 +13,8 @@ from ohg.cli import main
 from ohg.model import OrientedHypergraph, dump, load, make_Lk
 from ohg.shunting import generate_optimal_shunting
 
+from instances import hypertree, plant_trap
+
 
 def write(tmp_path, name, g):
     path = tmp_path / name
@@ -67,6 +69,22 @@ class TestValidateInfo:
         assert payload["cyclomatic_number"] == 1
         assert payload["balanced"] is False
         assert payload["balanceable"] is True
+
+    def test_info_runs_one_theta_scan(self, capsys, tmp_path, monkeypatch):
+        scans = []
+        scan = ohg.balance.detect_theta
+
+        def counted(*args, **kwargs):
+            scans.append(args[0])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(ohg.balance, "detect_theta", counted)
+        trapped = write(tmp_path, "trapped.json", plant_trap(hypertree(20)))
+        code, out, _ = run(capsys, "info", trapped)
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["balanced"], payload["balanceable"]) == (False, False)
+        assert len(scans) == 1
 
     def test_info_human(self, capsys, triangle_file):
         code, out, _ = run(capsys, "info", triangle_file, "--human")

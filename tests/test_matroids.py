@@ -1,5 +1,7 @@
 """Rank, circuits, sign-profile dependencies, and the census demo."""
 
+from itertools import combinations
+
 import pytest
 
 from ohg.errors import InputError, ResourceError
@@ -23,7 +25,15 @@ from ohg.model import (
 )
 
 from instances import random_hypergraph, random_signed_graph
-from oracles import oracle_circuits, oracle_rank
+from oracles import (
+    oracle_circuit_minimal,
+    oracle_circuits,
+    oracle_nullspace,
+    oracle_rank,
+)
+
+FIELDS = (Domain.rationals(), Domain.prime_field(2), Domain.prime_field(3),
+          Domain.prime_field(5))
 
 
 def triangle(last_sign=-1):
@@ -81,6 +91,38 @@ class TestIsCircuit:
         assert payload["edges"] == ["e1", "e2", "e3"]
         assert payload["dependent"] is True
         assert all(isinstance(x, str) for x in payload["witness"])
+
+
+    def test_minimal_matches_one_smaller_subsets(self):
+        """One nullspace decides minimality as the old loop over every
+        one-smaller subset did, and gives the same witness."""
+        loose = OrientedHypergraph.build([], ["e1", "e2", "e3"], [])
+        graphs = [random_hypergraph(seed, max_incidences=10)
+                  for seed in range(30)] + [loose]
+        for g in graphs:
+            for domain in FIELDS:
+                m = incidence_matrix(g, domain)
+                for size in range(1, len(g.edges) + 1):
+                    for edges in combinations(sorted(g.edges), size):
+                        rep = is_circuit(g, edges, domain)
+                        assert rep.minimal == oracle_circuit_minimal(
+                            g, edges, domain), (g, edges, domain)
+                        if m.rows and rep.dependent:
+                            pos = {e: i for i, e in enumerate(m.cols)}
+                            rows = [[row[pos[e]] for e in edges]
+                                    for row in m.entries]
+                            assert rep.witness == oracle_nullspace(
+                                rows, domain)[0]
+
+    def test_no_vertices_every_single_edge_is_a_circuit(self):
+        loose = OrientedHypergraph.build([], ["e1", "e2"], [])
+        one = is_circuit(loose, ("e1",))
+        both = is_circuit(loose, ("e1", "e2"), 3)
+        assert (one.dependent, one.minimal, one.witness) == (True, True, (1,))
+        assert (both.dependent, both.minimal, both.witness) == (
+            True, False, (1, 1))
+        assert [r.edges for r in enumerate_circuits(loose)] == [
+            ("e1",), ("e2",)]
 
 
 class TestEnumerate:

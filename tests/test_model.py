@@ -1,5 +1,7 @@
 """Core model: construction, serialization, views, and gamma utilities."""
 
+from itertools import combinations, islice
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,7 @@ from ohg.model import (
     make_Lk,
     make_complete_hypergraph,
     matrix_csv,
+    minimal_subsets,
     parse,
     reverse_incidences,
     serialize,
@@ -286,3 +289,52 @@ def test_to_dot_mentions_every_node():
     text = to_dot(triangle())
     for name in ("v1", "v2", "v3", "e1", "e2", "e3"):
         assert name in text
+
+
+def _all_subsets(n):
+    return [c for size in range(n + 1) for c in combinations(range(n), size)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_minimal_subsets_monotone_are_the_minimal_accepted_sets(n, data):
+    """Closed under supersets: the yield is every minimal accepted set."""
+    subsets = _all_subsets(n)
+    generators = data.draw(st.lists(st.sampled_from(subsets), max_size=4))
+
+    def accept(combo):
+        return any(set(gen) <= set(combo) for gen in generators)
+
+    want = [s for s in subsets if accept(s)
+            and not any(accept(t) for t in subsets
+                        if set(t) < set(s))]
+    assert list(minimal_subsets(range(n), accept, range(n + 1))) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_minimal_subsets_any_predicate_filters_by_earlier_yields(n, data):
+    subsets = _all_subsets(n)
+    accepted = data.draw(st.sets(st.sampled_from(subsets)))
+    sizes = data.draw(st.lists(st.integers(0, n), max_size=n + 2))
+    candidates = [c for size in sizes for c in combinations(range(n), size)]
+    want = []
+    for c in candidates:
+        if c in accepted and not any(set(w) <= set(c) for w in want):
+            want.append(c)
+    got = list(minimal_subsets(range(n), accepted.__contains__, sizes))
+    assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_minimal_subsets_visits_each_candidate_once_until_stopped(n, data):
+    subsets = _all_subsets(n)
+    accepted = data.draw(st.sets(st.sampled_from(subsets), min_size=1))
+    take = data.draw(st.integers(1, 4))
+    visited = []
+    got = list(islice(minimal_subsets(range(n), accepted.__contains__,
+                                      range(n + 1), visited.append), take))
+    # Every candidate up to the last one taken, pruned or not, once each.
+    stop = subsets.index(got[-1]) + 1 if len(got) == take else len(subsets)
+    assert visited == subsets[:stop]
