@@ -102,13 +102,13 @@ class TestIsCircuit:
         for g in graphs:
             for domain in FIELDS:
                 m = incidence_matrix(g, domain)
+                pos = {e: i for i, e in enumerate(m.cols)}
                 for size in range(1, len(g.edges) + 1):
                     for edges in combinations(sorted(g.edges), size):
                         rep = is_circuit(g, edges, domain)
                         assert rep.minimal == oracle_circuit_minimal(
                             g, edges, domain), (g, edges, domain)
                         if m.rows and rep.dependent:
-                            pos = {e: i for i, e in enumerate(m.cols)}
                             rows = [[row[pos[e]] for e in edges]
                                     for row in m.entries]
                             assert rep.witness == oracle_nullspace(
