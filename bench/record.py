@@ -4,12 +4,13 @@
 
 Both revisions are unpacked with ``git archive`` into temporary
 directories, so the working tree is never benchmarked.  For each
-workload, ``--pairs`` pairs of ``perfbench/run.py --trace 0`` runs use
-seed ``--seed + k`` for pair k, one run at a time; even pairs run the
-base first and odd pairs the head first, so drift in the machine's load
-falls on both sides.  The output keeps every
-result line as printed, the seeds, both commit ids, the machine, and the
-per-metric medians of each side.
+workload that ``perfbench/workloads.py`` lists, ``--pairs`` pairs of
+``perfbench/run.py --trace 0`` runs use seed 101 + k for pair k, one run
+at a time and at the benchmark's own run length; even pairs run the base
+first and odd pairs the head first, so drift in the machine's load falls
+on both sides.  The output keeps every result line as printed, the
+seeds, both commit ids, the machine, and the per-metric medians of each
+side.
 """
 
 from __future__ import annotations
@@ -25,7 +26,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("cli_ladder", "signed_census", "field_circuits")
+FIRST_SEED = 101
+
+
+def _workloads() -> list[str]:
+    """The benchmark's workload names, read from perfbench/workloads.py."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    return list(workloads.WORKLOADS)
 
 
 def _git(*args: str) -> str:
@@ -40,11 +49,11 @@ def _unpack(commit: str, into: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> str:
+def _run(checkout: Path, workload: str, seed: int) -> str:
     """The last stdout line of one untraced benchmark run."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -67,16 +76,13 @@ def main(argv=None) -> int:
     ap.add_argument("--head", default="HEAD", help="changed revision")
     ap.add_argument("--label", required=True, help="names BENCH_<label>.json")
     ap.add_argument("--pairs", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=101, help="seed of pair 0")
-    ap.add_argument("--seconds", type=float, default=25.0)
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="repeatable; all workloads when omitted")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
     sides = {"base": _git("rev-parse", args.base + "^{commit}"),
              "head": _git("rev-parse", args.head + "^{commit}")}
+    seeds = [FIRST_SEED + k for k in range(args.pairs)]
     runs = []
     medians = {}
     with tempfile.TemporaryDirectory(prefix="ohg-bench-") as tmp:
@@ -84,13 +90,12 @@ def main(argv=None) -> int:
         for side, commit in sides.items():
             checkouts[side] = Path(tmp) / side
             _unpack(commit, checkouts[side])
-        for workload in args.workload or WORKLOADS:
+        for workload in _workloads():
             lines = {"base": [], "head": []}
-            for k in range(args.pairs):
-                seed = args.seed + k
+            for k, seed in enumerate(seeds):
                 order = ("base", "head") if k % 2 == 0 else ("head", "base")
                 for side in order:
-                    line = _run(checkouts[side], workload, seed, args.seconds)
+                    line = _run(checkouts[side], workload, seed)
                     lines[side].append(line)
                     runs.append({"workload": workload, "pair": k, "seed": seed,
                                  "side": side, "result": line})
@@ -103,10 +108,9 @@ def main(argv=None) -> int:
         "label": args.label,
         "base": sides["base"],
         "head": sides["head"],
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "pairs": args.pairs,
-        "seeds": [args.seed + k for k in range(args.pairs)],
+        "seeds": seeds,
         "machine": {"platform": platform.platform(),
                     "nproc": os.cpu_count(),
                     "python": platform.python_version()},

@@ -96,20 +96,23 @@ class CircuitReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _report(matrix: IncidenceMatrix, edges: tuple[str, ...]) -> CircuitReport:
-    """Dependency report for the columns ``edges`` of ``matrix``.
-
-    Dependent columns have a nonzero nullspace; they form a circuit
-    exactly when that nullspace has dimension 1 and is spanned by a vector
-    with no zero entry (Oxley, Matroid Theory, section 1.1).  Without
-    vertex rows every column is zero, so only single edges are circuits.
-    """
-    domain = matrix.domain
+def _submatrix(matrix: IncidenceMatrix, pos: dict, edges) -> list | None:
+    """Columns ``edges`` of ``matrix``; None without vertex rows, where
+    every column is zero and every nonempty set is dependent."""
     if not matrix.rows:
+        return None
+    return [[row[pos[e]] for e in edges] for row in matrix.entries]
+
+
+def _report(matrix: IncidenceMatrix, pos: dict, edges) -> CircuitReport:
+    """Dependency report for the columns ``edges`` of ``matrix``, by the
+    circuit rule of the module docstring (Oxley, Matroid Theory, 1.1);
+    without vertex rows only single edges are circuits."""
+    domain = matrix.domain
+    rows = _submatrix(matrix, pos, edges)
+    if rows is None:
         return CircuitReport(edges, domain, True, len(edges) == 1,
                              tuple(domain.reduce(1) for _ in edges))
-    pos = {e: i for i, e in enumerate(matrix.cols)}
-    rows = [[row[pos[e]] for e in edges] for row in matrix.entries]
     basis = nullspace(rows, domain)
     if not basis:
         return CircuitReport(edges, domain, False, False, None)
@@ -135,7 +138,8 @@ def is_circuit(g: OrientedHypergraph, edges, domain=None) -> CircuitReport:
     for e in chosen:
         if e not in g.edges:
             raise InputError(f"unknown edge {e!r}")
-    return _report(incidence_matrix(g, domain), chosen)
+    matrix = incidence_matrix(g, domain)
+    return _report(matrix, {e: i for i, e in enumerate(matrix.cols)}, chosen)
 
 
 def enumerate_circuits(g: OrientedHypergraph, domain=None,
@@ -160,14 +164,12 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
     pos = {e: i for i, e in enumerate(matrix.cols)}
 
     def dependent(combo: tuple[str, ...]) -> bool:
-        if not matrix.rows:
-            return True
-        rows = [[row[pos[e]] for e in combo] for row in matrix.entries]
-        return _nullity_rows(rows, domain) >= 1
+        rows = _submatrix(matrix, pos, combo)
+        return rows is None or _nullity_rows(rows, domain) >= 1
 
     found = []
     for combo in minimal_subsets(ids, dependent, range(1, top + 1)):
-        report = _report(matrix, combo)
+        report = _report(matrix, pos, combo)
         if not report.minimal:
             raise RuntimeError(
                 f"ascending enumeration reached the non-circuit {combo}")
