@@ -101,15 +101,16 @@ class Circle:
         nodes, incs = tuple(nodes), tuple(incidences)
         if len(nodes) != len(incs) or len(incs) < 2:
             raise InputError("a circle needs equally many nodes and incidences, two at least")
+        # Only a rotation that starts at the least id can be least, so the
+        # candidates are those rotations in both directions; the reverse
+        # traversal keeps nodes[0] first and walks the links backwards.
+        first = min(incs)
         best = None
-        for direction in range(2):
-            if direction:
-                # Reverse traversal keeps nodes[0] first, walks links backwards.
-                nodes_d = (nodes[0],) + nodes[:0:-1]
-                incs_d = incs[::-1]
-            else:
-                nodes_d, incs_d = nodes, incs
-            for r in range(len(incs_d)):
+        for nodes_d, incs_d in ((nodes, incs),
+                                ((nodes[0],) + nodes[:0:-1], incs[::-1])):
+            for r, inc in enumerate(incs_d):
+                if inc != first:
+                    continue
                 cand = (incs_d[r:] + incs_d[:r], nodes_d[r:] + nodes_d[:r])
                 if best is None or cand < best:
                     best = cand
@@ -156,13 +157,35 @@ def enumerate_circles(g: OrientedHypergraph,
     incidences already close one.  Raises ResourceError past the cap.
     """
     adj = sorted_adjacency(g)
-    order = {node: i for i, node in enumerate(sorted_nodes(g))}
+    # Nodes still alive and their links to live nodes.  A node with fewer
+    # than two live links lies on no circle among the live nodes, and
+    # neither does a finished root, so both are stripped as they appear:
+    # every circle through a later root stays inside the live 2-core.
+    alive = set(adj)
+    degree = {node: len(links) for node, links in adj.items()}
+
+    def strip(doomed: list) -> None:
+        while doomed:
+            node = doomed.pop()
+            if node not in alive:
+                continue
+            alive.remove(node)
+            for _, other in adj[node]:
+                if other in alive:
+                    degree[other] -= 1
+                    if degree[other] < 2:
+                        doomed.append(other)
+
     found: set[Circle] = set()
-    # Depth-first from each root through nodes ordered after it, with an
-    # explicit stack of neighbour iterators so long circles cannot exhaust
-    # the recursion limit.  The path's nodes and links grow and shrink with
-    # the stack; a link back to the root other than the first closes a circle.
+    strip([node for node, d in degree.items() if d < 2])
+    # Depth-first from each live root through live nodes, with an explicit
+    # stack of neighbour iterators so long circles cannot exhaust the
+    # recursion limit.  The path's nodes and links grow and shrink with
+    # the stack; a link back to the root other than the first closes a
+    # circle.
     for root in sorted_nodes(g):
+        if root not in alive:
+            continue
         path_nodes, path_incs, on_path = [root], [], {root}
         stack = [iter(adj[root])]
         while stack:
@@ -180,11 +203,12 @@ def enumerate_circles(g: OrientedHypergraph,
                     if len(found) > cap:
                         raise ResourceError(
                             f"more than {cap} circles; raise the cap to continue")
-            elif other not in on_path and order[other] > order[root]:
+            elif other in alive and other not in on_path:
                 path_nodes.append(other)
                 path_incs.append(inc)
                 on_path.add(other)
                 stack.append(iter(adj[other]))
+        strip([root])
     return sorted(found, key=lambda c: (len(c.incidences), c.incidences))
 
 

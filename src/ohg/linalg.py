@@ -3,7 +3,9 @@
 One fraction-free Gauss-Jordan elimination serves every domain: rank,
 nullity and nullspace all read its reduced rows.  Rational rows stay
 arbitrary-precision integers, kept small by dividing out each row's gcd;
-prime-field rows are reduced modulo p.  No floating point anywhere.
+prime-field rows are reduced modulo p.  ``echelon_extend`` grows a
+forward-echelon basis one vector at a time with the same row update, for
+callers that test many sets sharing a prefix.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -115,16 +117,43 @@ def _eliminate(rows, domain: Domain) -> tuple[list[list[int]], list[int]]:
         d = pivot_row[col]
         for r in range(nr):
             f = m[r][col]
-            if r == top or not f:
-                continue
-            if p:
-                m[r] = [(d * a - f * b) % p for a, b in zip(m[r], pivot_row)]
-            else:
-                row = [d * a - f * b for a, b in zip(m[r], pivot_row)]
-                g = gcd(*row)
-                m[r] = [x // g for x in row] if g > 1 else row
+            if r != top and f:
+                m[r] = _cancel(m[r], pivot_row, d, f, p)
         pivots.append(col)
     return m, pivots
+
+
+def _cancel(x, y, d, f, p) -> list[int]:
+    """The one row update of every elimination here: ``d*x - f*y``, which
+    clears the entry where ``x`` holds f and ``y`` holds d.  Over the
+    rationals (p = 0) the result is divided by the gcd of its entries;
+    over GF(p) every entry is reduced modulo p."""
+    if p:
+        return [(d * a - f * b) % p for a, b in zip(x, y)]
+    row = [d * a - f * b for a, b in zip(x, y)]
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def echelon_extend(basis: tuple, vec, domain: Domain) -> tuple | None:
+    """Add ``vec`` to a forward-echelon basis, or None if it is in the span.
+
+    ``basis`` is a tuple of (pivot, vector) pairs, each vector zero at the
+    pivots before its own.  ``vec`` is cleared at each pivot in turn by
+    ``_cancel``, with no back substitution; a nonzero remainder joins a
+    new basis, pivoting at its first nonzero entry.  The input basis is
+    left as it is, so extensions of one prefix share its pairs.
+    """
+    p = domain.char
+    x = [a % p for a in vec] if p else list(vec)
+    for pc, y in basis:
+        f = x[pc]
+        if f:
+            x = _cancel(x, y, y[pc], f, p)
+    lead = next((i for i, a in enumerate(x) if a), None)
+    if lead is None:
+        return None
+    return basis + ((lead, x),)
 
 
 def rank(rows, domain: Domain) -> int:

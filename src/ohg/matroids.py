@@ -9,7 +9,10 @@ demonstration whose circuits realize the Fano and non-Fano matroids.
 Each query builds the incidence matrix once.  A column set is a circuit
 exactly when its nullspace has dimension 1 and is spanned by a vector
 with no zero entry, so one nullspace settles both dependency and
-minimality.
+minimality.  Enumeration stops at size rank + 1, the largest a circuit
+can have, and counts its subset cap up to there; it tests each candidate
+by reducing one column against the echelon basis of its prefix, and
+takes a nullspace only for the circuits it returns.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import comb
 
 from .balance import Circle, circle_sign, enumerate_circles
 from .errors import InputError, ResourceError
-from .linalg import Domain, is_prime, mat_vec, nullspace
+from .linalg import Domain, echelon_extend, is_prime, mat_vec, nullspace
 from .linalg import nullity as _nullity_rows
 from .linalg import rank as _rank_rows
 from .model import (
@@ -96,23 +99,16 @@ class CircuitReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _submatrix(matrix: IncidenceMatrix, pos: dict, edges) -> list | None:
-    """Columns ``edges`` of ``matrix``; None without vertex rows, where
-    every column is zero and every nonempty set is dependent."""
-    if not matrix.rows:
-        return None
-    return [[row[pos[e]] for e in edges] for row in matrix.entries]
-
-
 def _report(matrix: IncidenceMatrix, pos: dict, edges) -> CircuitReport:
     """Dependency report for the columns ``edges`` of ``matrix``, by the
     circuit rule of the module docstring (Oxley, Matroid Theory, 1.1);
-    without vertex rows only single edges are circuits."""
+    without vertex rows every column is zero, so every nonempty set is
+    dependent and only single edges are circuits."""
     domain = matrix.domain
-    rows = _submatrix(matrix, pos, edges)
-    if rows is None:
+    if not matrix.rows:
         return CircuitReport(edges, domain, True, len(edges) == 1,
                              tuple(domain.reduce(1) for _ in edges))
+    rows = [[row[pos[e]] for e in edges] for row in matrix.entries]
     basis = nullspace(rows, domain)
     if not basis:
         return CircuitReport(edges, domain, False, False, None)
@@ -146,26 +142,49 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
                        max_size: int | None = None) -> list[CircuitReport]:
     """All circuits, ascending by size then lexicographic edge ids.
 
-    Candidates containing an already-found circuit are pruned, so in
-    ascending order every surviving dependent subset is itself a circuit.
-    The total candidate count must stay under the subset cap (default
-    2^20, overridable through OHG_MAX_SUBSETS).
+    A circuit C has rank |C| - 1, so none is larger than the rank of the
+    whole matrix plus one, and candidates stop there (at ``max_size`` if
+    that is smaller).  Candidates containing an already-found circuit
+    are pruned, so in ascending order every surviving dependent subset
+    is itself a circuit.  A surviving candidate's prefix without its
+    last edge is then independent, and the candidate is tested by
+    reducing only that edge's column against the prefix's echelon basis.
+    The candidate count up to that size must stay under the subset cap
+    (default 2^20, overridable through OHG_MAX_SUBSETS).
     """
     domain = Domain.coerce(domain)
     ids = sorted(g.edges)
-    top = len(ids) if max_size is None else min(max_size, len(ids))
+    matrix = incidence_matrix(g, domain)
+    top = min(len(ids), _rank_rows(matrix.entries, domain) + 1)
+    if max_size is not None:
+        top = min(top, max_size)
     total = sum(comb(len(ids), k) for k in range(1, top + 1))
     cap = _subset_cap()
     if total > cap:
         raise ResourceError(
             f"circuit enumeration over {len(ids)} edges needs {total} "
             f"subsets; the cap is {cap} (set {SUBSET_CAP_ENV} to raise it)")
-    matrix = incidence_matrix(g, domain)
     pos = {e: i for i, e in enumerate(matrix.cols)}
+    column = {e: [row[pos[e]] for row in matrix.entries] for e in ids}
+    # Echelon bases of the independent sets of the previous size
+    # (``prefixes``) and of the current one, which is ``size``.
+    prefixes: dict = {(): ()}
+    bases: dict = {}
+    size = 1
 
     def dependent(combo: tuple[str, ...]) -> bool:
-        rows = _submatrix(matrix, pos, combo)
-        return rows is None or _nullity_rows(rows, domain) >= 1
+        nonlocal prefixes, bases, size
+        if len(combo) != size:
+            prefixes, bases, size = bases, {}, len(combo)
+        basis = prefixes.get(combo[:-1])
+        if basis is None:
+            raise RuntimeError(f"no echelon basis for the prefix of {combo}")
+        extended = echelon_extend(basis, column[combo[-1]], domain)
+        if extended is None:
+            return True
+        if size < top:
+            bases[combo] = extended
+        return False
 
     found = []
     for combo in minimal_subsets(ids, dependent, range(1, top + 1)):

@@ -481,27 +481,39 @@ def weak_delete(g: OrientedHypergraph, vertices: Iterable[str] = (),
 
 
 def minimal_subsets(items: Sequence, accept: Callable[[tuple], bool],
-                    sizes: Iterable[int], visit=None) -> Iterator[tuple]:
+                    sizes: range, visit=None) -> Iterator[tuple]:
     """Accepted subsets that contain no subset yielded before them.
 
-    Candidates come size by size in the order of ``sizes``, each size in
-    ``itertools.combinations`` order over ``items``; ``visit`` sees every
-    candidate before the containment check.  With ascending sizes and an
+    ``sizes`` is one ascending run ``range(a, b)``.  Candidates come size
+    by size, each size in ``itertools.combinations`` order over ``items``;
+    ``visit`` sees every candidate before the containment check.  With an
     ``accept`` closed under supersets, the yield is exactly the minimal
     accepted subsets, in ascending order.
+
+    A candidate of size k > a contains an earlier yield exactly when one
+    of its k one-smaller subsets was yielded or pruned itself, so the
+    check is k lookups among the previous size's bitmasks that were
+    neither; only that size's masks are kept.
     """
-    found: list[frozenset] = []
+    if not isinstance(sizes, range) or sizes.step != 1:
+        raise ValueError("sizes must be a range of consecutive sizes")
+    bits = [1 << i for i in range(len(items))]
+    alive = None  # previous size's masks neither yielded nor pruned
     for size in sizes:
-        for combo in combinations(items, size):
+        survivors = set()
+        for combo, combo_bits in zip(combinations(items, size),
+                                     combinations(bits, size)):
             if visit is not None:
                 visit(combo)
-            if found:
-                as_set = frozenset(combo)
-                if any(prev <= as_set for prev in found):
-                    continue
+            mask = sum(combo_bits)
+            if alive is not None and not alive.issuperset(
+                    [mask - b for b in combo_bits]):
+                continue
             if accept(combo):
-                found.append(frozenset(combo))
                 yield combo
+            else:
+                survivors.add(mask)
+        alive = survivors
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,21 @@ class TestCircleForm:
         assert base == rotated == reversed_
         validate_circle(g, base)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from("abcde"), min_size=2, max_size=7),
+           st.data())
+    def test_canonical_form_is_the_least_rotation(self, incs, data):
+        """The stored form is the least (incidences, nodes) pair over every
+        rotation in both directions, repeated ids included."""
+        nodes = data.draw(st.lists(st.sampled_from("uvwxyz"),
+                                   min_size=len(incs), max_size=len(incs)))
+        rev_nodes, rev_incs = [nodes[0]] + nodes[:0:-1], incs[::-1]
+        least = min((tuple(i[r:] + i[:r]), tuple(n[r:] + n[:r]))
+                    for n, i in ((nodes, incs), (rev_nodes, rev_incs))
+                    for r in range(len(incs)))
+        circle = Circle.from_sequence(nodes, incs)
+        assert (circle.incidences, circle.nodes) == least
+
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
             Circle.from_sequence([(VERTEX, "a")], ["p"])
@@ -111,20 +126,46 @@ class TestEnumeration:
         with pytest.raises(ResourceError):
             enumerate_circles(g, cap=3)
 
-    def test_long_circle_stays_below_recursion_limit(self):
-        # 700 2-edges in a ring: 1,400 links, deeper than Python's default
-        # recursion limit; the last incidence makes the circle negative.
-        n = 700
-        g = OrientedHypergraph.build(
+    @staticmethod
+    def ring(n):
+        """n 2-edges in a ring; the last incidence makes the circle negative."""
+        return OrientedHypergraph.build(
             [f"v{k}" for k in range(n)], [f"e{k}" for k in range(n)],
             [(f"a{k}", f"v{k}", f"e{k}", 1) for k in range(n)]
             + [(f"b{k}", f"v{(k + 1) % n}", f"e{k}", 1 if k else -1)
                for k in range(n)])
+
+    def test_long_circle_stays_below_recursion_limit(self):
+        # 700 edges: 1,400 links, deeper than Python's default recursion
+        # limit.
+        n = 700
+        g = self.ring(n)
         circles = enumerate_circles(g)
         assert len(circles) == 1
         assert len(circles[0].incidences) == 2 * n
         balanced, witness = is_balanced(g, method="enumerate")
         assert not balanced and witness == circles[0]
+
+    def test_one_ring_takes_linear_adjacency_lookups(self, monkeypatch):
+        """Finished roots and nodes left with one live link are stripped,
+        so no root re-walks the ring: lookups stay linear in its length."""
+        lookups = 0
+
+        class Counting(dict):
+            def __getitem__(self, node):
+                nonlocal lookups
+                lookups += 1
+                return super().__getitem__(node)
+
+        sorted_adjacency = ohg.balance.sorted_adjacency
+        monkeypatch.setattr(ohg.balance, "sorted_adjacency",
+                            lambda g: Counting(sorted_adjacency(g)))
+        for n in (175, 350, 700):
+            lookups = 0
+            assert len(enumerate_circles(self.ring(n))) == 1
+            # Two walks around the ring from the first root, then one
+            # lookup per stripped node: about 6n for the ring's 2n nodes.
+            assert lookups <= 8 * n
 
 
 class TestSigns:

@@ -2,7 +2,14 @@
 
 from hypothesis import example, given, settings, strategies as st
 
-from ohg.linalg import Domain, mat_vec, nullity, nullspace, rank
+from ohg.linalg import (
+    Domain,
+    echelon_extend,
+    mat_vec,
+    nullity,
+    nullspace,
+    rank,
+)
 
 from oracles import oracle_nullspace, oracle_rank, oracle_rank_int
 
@@ -43,3 +50,23 @@ def test_nullspace_matches_rref_oracle(rows, char):
     for vec in basis:
         assert not any(mat_vec(rows, vec, domain))
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.sampled_from(FIELDS))
+@example([[3, 6, 1]], 3)
+@example([[0, 0], [0, 0]], 0)
+def test_echelon_extend_tracks_the_rank(rows, char):
+    """Adding the columns one at a time, a column extends the basis
+    exactly when it raises the rank of the columns so far."""
+    domain = Domain(char)
+    basis = ()
+    for c in range(len(rows[0])):
+        prefix = [row[:c + 1] for row in rows]
+        extended = echelon_extend(basis, [row[c] for row in rows], domain)
+        assert (extended is None) == (
+            rank(prefix, domain) == len(basis)), (c, basis)
+        if extended is not None:
+            assert extended[:-1] == basis
+            basis = extended
+    assert len(basis) == oracle_rank(rows, char or None)

@@ -1,8 +1,13 @@
 """Rank, circuits, sign-profile dependencies, and the census demo."""
 
+from collections import Counter
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import ohg.matroids
 
 from ohg.errors import InputError, ResourceError
 from ohg.linalg import Domain
@@ -162,11 +167,99 @@ class TestEnumerate:
             enumerate_circuits(g, Domain.prime_field(2))
         assert "OHG_MAX_SUBSETS" in str(err.value)
 
+    def test_cap_counts_candidates_up_to_rank_plus_one(self, monkeypatch):
+        # K5 has 31 edges and rank 5: sizes 1..6 give 942,648 candidates.
+        monkeypatch.setenv("OHG_MAX_SUBSETS", "1000")
+        with pytest.raises(ResourceError) as err:
+            enumerate_circuits(make_complete_hypergraph(5, 1),
+                               Domain.prime_field(2))
+        assert "needs 942648 subsets" in str(err.value)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(FIELDS),
+           st.sampled_from((-1, 0, 1, None)), st.booleans())
+    def test_matches_oracle_past_rank_plus_one(self, seed, domain, offset,
+                                               vanishing):
+        """More edges than rank + 1, with max_size below, at or above
+        rank + 1, and optionally one column that vanishes in the domain."""
+        g = random_hypergraph(seed, max_incidences=16, extra_range=(0, 6),
+                              nv_range=(1, 3), ne_range=(3, 7))
+        if vanishing:
+            g = with_vanishing_column(g, domain)
+        r = rank(incidence_matrix(g, domain))
+        assume(len(g.edges) > r + 1)
+        max_size = None if offset is None else r + 1 + offset
+        self.assert_matches_oracle(g, domain, max_size)
+
+    def test_no_vertices_with_every_max_size(self):
+        loose = OrientedHypergraph.build([], ["e1", "e2", "e3"], [])
+        for domain in FIELDS:
+            for max_size in (None, 0, 1, 2, 5):
+                self.assert_matches_oracle(loose, domain, max_size)
+
+    def test_candidate_without_prefix_basis_raises(self, monkeypatch):
+        """A candidate whose prefix was never found independent has no
+        basis to extend; there is no fallback to a full elimination."""
+        def pairs_first(items, accept, sizes, visit=None):
+            return (c for c in combinations(items, 2) if accept(c))
+
+        monkeypatch.setattr(ohg.matroids, "minimal_subsets", pairs_first)
+        with pytest.raises(RuntimeError, match="no echelon basis"):
+            enumerate_circuits(triangle(1))
+
+    @staticmethod
+    def assert_matches_oracle(g, domain, max_size):
+        got = enumerate_circuits(g, domain, max_size)
+        p = None if domain.is_rational else domain.char
+        want = sorted((tuple(sorted(c)) for c in oracle_circuits(g, p)
+                       if max_size is None or len(c) <= max_size),
+                      key=lambda c: (len(c), c))
+        assert [rep.edges for rep in got] == want
+        assert all(rep.dependent and rep.minimal for rep in got)
+
     def test_max_size_restricts(self):
         g = make_complete_hypergraph(3, 1)
         small = enumerate_circuits(g, Domain.prime_field(3), max_size=3)
         assert all(len(r.edges) <= 3 for r in small)
         assert len(small) == 6
+
+
+def with_vanishing_column(g, domain):
+    """g plus an edge ``z`` at its first vertex whose column is zero in
+    the domain: entrant and salient over Q, p entrant incidences over
+    GF(p)."""
+    v = g.vertices[0]
+    signs = (1, -1) if domain.is_rational else (1,) * domain.char
+    return OrientedHypergraph.build(
+        list(g.vertices), list(g.edges) + ["z"],
+        [(i.id, i.vertex, i.edge, i.sign) for i in g.incidences]
+        + [(f"z{k}", v, "z", s) for k, s in enumerate(signs)])
+
+
+def pg_circuit_counts(n):
+    """Circuits of PG(n-1, 2) by size: k independent points and their sum
+    make a circuit of size k + 1, each one counted (k + 1)! times."""
+    return {k + 1: prod(2**n - 2**i for i in range(k)) // factorial(k + 1)
+            for k in range(2, n + 1)}
+
+
+class TestProjectiveGeometry:
+    """The all-positive K_n over GF(2) has every nonzero vector of
+    GF(2)^n as a column: its matroid is PG(n - 1, 2)."""
+
+    def census(self, n):
+        circuits = enumerate_circuits(make_complete_hypergraph(n, 1),
+                                      Domain.prime_field(2))
+        return dict(Counter(len(rep.edges) for rep in circuits))
+
+    def test_k4(self):
+        assert pg_circuit_counts(4) == {3: 35, 4: 105, 5: 168}
+        assert self.census(4) == pg_circuit_counts(4)
+
+    @pytest.mark.slow
+    def test_k5_in_full(self):
+        assert pg_circuit_counts(5) == {3: 155, 4: 1085, 5: 5208, 6: 13888}
+        assert self.census(5) == pg_circuit_counts(5)
 
 
 class TestLkMinimum:

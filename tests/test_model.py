@@ -1,5 +1,6 @@
 """Core model: construction, serialization, views, and gamma utilities."""
 
+import random
 from itertools import combinations, islice
 
 import networkx as nx
@@ -314,16 +315,44 @@ def test_minimal_subsets_monotone_are_the_minimal_accepted_sets(n, data):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 6), st.data())
 def test_minimal_subsets_any_predicate_filters_by_earlier_yields(n, data):
+    """Any predicate over any run of sizes: the yield is the accepted
+    candidates filtered by containment of an earlier yield."""
     subsets = _all_subsets(n)
     accepted = data.draw(st.sets(st.sampled_from(subsets)))
-    sizes = data.draw(st.lists(st.integers(0, n), max_size=n + 2))
-    candidates = [c for size in sizes for c in combinations(range(n), size)]
+    lo = data.draw(st.integers(0, n + 1))
+    sizes = range(lo, data.draw(st.integers(lo, n + 2)))
+    assert list(minimal_subsets(range(n), accepted.__contains__, sizes)) \
+        == _filtered_by_earlier_yields(n, accepted, sizes)
+
+
+def _filtered_by_earlier_yields(n, accepted, sizes):
     want = []
-    for c in candidates:
+    for c in (c for size in sizes for c in combinations(range(n), size)):
         if c in accepted and not any(set(w) <= set(c) for w in want):
             want.append(c)
-    got = list(minimal_subsets(range(n), accepted.__contains__, sizes))
-    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("lo", [0, 1])
+def test_minimal_subsets_runs_from_zero_and_one(lo):
+    """Runs from size 0 (the empty set is a candidate) and from size 1."""
+    n = 5
+    subsets = _all_subsets(n)
+    rng = random.Random(lo)
+    for _ in range(200):
+        accepted = {s for s in subsets if rng.random() < 0.2}
+        if rng.random() < 0.2:
+            accepted.add(())
+        sizes = range(lo, n + 1)
+        assert list(minimal_subsets(range(n), accepted.__contains__,
+                                    sizes)) == _filtered_by_earlier_yields(
+            n, accepted, sizes)
+
+
+def test_minimal_subsets_takes_one_ascending_run():
+    for sizes in ([1, 2, 3], range(3, 0, -1), range(0, 5, 2)):
+        with pytest.raises(ValueError):
+            next(minimal_subsets(range(4), bool, sizes), None)
 
 
 @settings(max_examples=100, deadline=None)
