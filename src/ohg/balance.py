@@ -286,9 +286,9 @@ def _block_view(g: OrientedHypergraph,
     incidence order."""
     vs = {inc.vertex for inc in incidences}
     es = {inc.edge for inc in incidences}
-    return OrientedHypergraph(tuple(v for v in g.vertices if v in vs),
-                              tuple(e for e in g.edges if e in es),
-                              tuple(incidences))
+    return OrientedHypergraph._trusted(tuple(v for v in g.vertices if v in vs),
+                                       tuple(e for e in g.edges if e in es),
+                                       tuple(incidences))
 
 
 def detect_theta(g: OrientedHypergraph, kind: str = "cross",

@@ -10,6 +10,14 @@ The one components traversal of the bipartite representation,
 ``gamma_components``, lives here beside ``gamma_adjacency``; spanning
 forests, blocks, flows and the one union-find (``DisjointSets``) live in
 ``gamma``, and the one walk-sign rule (``walk_sign``) lives in ``balance``.
+
+Validation happens where data enters: the ``OrientedHypergraph``
+constructor (and so ``build``), ``parse`` and the CLI check ids, references
+and signs.  Views derived from a valid hypergraph (``edge_induced``,
+``weak_delete``, ``with_signs``, ``reverse_incidences``,
+``contract_degree2_vertex`` and the block views of ``balance``) check only
+the arguments they are given, such as unknown ids or new sign values, and
+are then built without re-validating what they keep.
 """
 
 from __future__ import annotations
@@ -83,6 +91,20 @@ class OrientedHypergraph:
                      for i in incidences)
         return cls(tuple(vertices), tuple(edges), incs)
 
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], edges: tuple[str, ...],
+                 incidences: tuple[Incidence, ...]) -> OrientedHypergraph:
+        """Construct without validation.
+
+        Only for views that library code derives from a valid hypergraph:
+        they keep a subset of its ids, in its order, with every incidence's
+        vertex and edge kept too.  Outside data goes through ``build``,
+        ``parse`` or the constructor, which validate.
+        """
+        g = object.__new__(cls)
+        g.__dict__.update(vertices=vertices, edges=edges, incidences=incidences)
+        return g
+
     @cached_property
     def _incidence_by_id(self) -> dict[str, Incidence]:
         # Built on first lookup; a frozen dataclass without slots keeps it
@@ -111,14 +133,18 @@ class OrientedHypergraph:
         return self.incidence(incidence_id).sign
 
     def with_signs(self, new_signs: Mapping[str, int]) -> OrientedHypergraph:
-        """Copy with the listed incidence signs replaced."""
+        """Copy with the listed incidence signs replaced; each new sign
+        must be 1 or -1."""
         unknown = set(new_signs) - {i.id for i in self.incidences}
         if unknown:
             raise InputError(f"unknown incidence ids {sorted(unknown)}")
-        incs = tuple(
-            Incidence(i.id, i.vertex, i.edge, new_signs.get(i.id, i.sign))
-            for i in self.incidences)
-        return OrientedHypergraph(self.vertices, self.edges, incs)
+        incs = []
+        for i in self.incidences:
+            sign = new_signs.get(i.id, i.sign)
+            if isinstance(sign, bool) or sign not in (1, -1):
+                raise InputError(f"incidence {i.id!r} has sign {sign!r}")
+            incs.append(Incidence(i.id, i.vertex, i.edge, sign))
+        return OrientedHypergraph._trusted(self.vertices, self.edges, tuple(incs))
 
     def is_two_uniform(self) -> bool:
         """True when every edge has exactly two incidences (signed graph)."""
@@ -441,7 +467,7 @@ def contract_degree2_vertex(g: OrientedHypergraph, w: str) -> OrientedHypergraph
         Incidence(i.id, i.vertex, merged if i.edge in (e1, e2) else i.edge, i.sign)
         for i in g.incidences if i.id not in (i1.id, i2.id))
     vertices = tuple(v for v in g.vertices if v != w)
-    return OrientedHypergraph(vertices, edges, incs)
+    return OrientedHypergraph._trusted(vertices, edges, incs)
 
 
 def edge_induced(g: OrientedHypergraph, edges: Iterable[str],
@@ -451,9 +477,13 @@ def edge_induced(g: OrientedHypergraph, edges: Iterable[str],
     unknown = keep_e - set(g.edges)
     if unknown:
         raise InputError(f"unknown edge ids {sorted(unknown)}")
+    keep_v = set(keep_vertices)
+    unknown = keep_v - set(g.vertices)
+    if unknown:
+        raise InputError(f"unknown vertex ids {sorted(unknown)}")
     incs = tuple(i for i in g.incidences if i.edge in keep_e)
-    keep_v = {i.vertex for i in incs} | set(keep_vertices)
-    return OrientedHypergraph(
+    keep_v.update(i.vertex for i in incs)
+    return OrientedHypergraph._trusted(
         tuple(v for v in g.vertices if v in keep_v),
         tuple(e for e in g.edges if e in keep_e), incs)
 
@@ -469,7 +499,7 @@ def weak_delete(g: OrientedHypergraph, vertices: Iterable[str] = (),
     unknown = (del_v - set(g.vertices)) | (del_e - set(g.edges))
     if unknown:
         raise InputError(f"unknown ids {sorted(unknown)}")
-    return OrientedHypergraph(
+    return OrientedHypergraph._trusted(
         tuple(v for v in g.vertices if v not in del_v),
         tuple(e for e in g.edges if e not in del_e),
         tuple(i for i in g.incidences

@@ -53,8 +53,11 @@ def is_inseparable(g: OrientedHypergraph) -> bool:
     """
     if not g.incidences:
         return len(g.vertices) + len(g.edges) <= 1
-    if len(g.incidences) == 1:
-        return False
+    # A node on fewer than two incidences is cut off or hangs on a bridge.
+    for ends in (Counter(i.vertex for i in g.incidences),
+                 Counter(i.edge for i in g.incidences)):
+        if 1 in ends.values():
+            return False
     if len(gamma_components(g)) != 1:
         return False
     return len(blocks(g)) == 1
@@ -87,30 +90,18 @@ def is_flower(g: OrientedHypergraph,
     flower.  Checking is exhaustive, so inputs with more than ``max_edges``
     edges are rejected.
     """
-    if not g.edges:
-        return False
-    if not is_inseparable(g):
-        return False
-    if len(g.edges) > max_edges:
-        raise ResourceError(
-            f"flower minimality check needs 2^{len(g.edges)} edge subsets; "
-            f"the cap is {max_edges} edges")
-    # Sizes start at 1: the empty edge-induced view counts as inseparable.
-    smaller = minimal_subsets(
-        sorted(g.edges), lambda sub: is_inseparable(edge_induced(g, sub)),
-        range(1, len(g.edges)))
-    return next(smaller, None) is None
+    facts, whole = _facts_on_whole(g, max_edges)
+    return facts.flower(whole)
 
 
 def find_thorns(g: OrientedHypergraph) -> frozenset[str]:
     """Monovalent vertices whose incident edge lies on some circle."""
+    degree = Counter(i.vertex for i in g.incidences)
+    monovalent = [i for i in g.incidences if degree[i.vertex] == 1]
+    if not monovalent:
+        return frozenset()
     on_circle = _circle_edges(g)
-    out = set()
-    for v in g.vertices:
-        incs = g.incidences_at(v)
-        if len(incs) == 1 and incs[0].edge in on_circle:
-            out.add(v)
-    return frozenset(out)
+    return frozenset(i.vertex for i in monovalent if i.edge in on_circle)
 
 
 def _is_one_edge(g: OrientedHypergraph) -> bool:
@@ -129,17 +120,164 @@ def is_pseudo_flower(g: OrientedHypergraph, allow_one_edges: bool = True,
     """
     if _is_one_edge(g):
         return allow_one_edges
-    thorns = find_thorns(g)
-    if not thorns:
-        return False
-    return is_flower(weak_delete(g, thorns, ()), max_edges=max_edges)
+    facts, whole = _facts_on_whole(g, max_edges)
+    return facts.pseudo_flower(whole)
 
 
 def part_thorns(g: OrientedHypergraph) -> frozenset[str]:
     """Thorns of a decomposition part; a 1-edge contributes its vertex."""
-    if _is_one_edge(g):
-        return frozenset(g.vertices)
-    return find_thorns(g)
+    facts, whole = _facts_on_whole(g)
+    return facts.part_thorns(whole)
+
+
+_NO_VERTICES: frozenset[str] = frozenset()
+
+
+class _PartFacts:
+    """Facts about the parts of one hypergraph, each computed once.
+
+    A part is a frozen set of edges of ``g``; its view is
+    ``edge_induced(g, edges)``.  The pseudo-flower test also asks about a
+    part with its thorns weak-deleted, so facts that can concern such a
+    view are keyed by the deleted vertices too.  One memo serves one call
+    of ``find_shunting_decomposition``, ``validate_shunting`` or a public
+    recognizer and is dropped with it: nothing is kept between calls.
+    """
+
+    def __init__(self, g: OrientedHypergraph,
+                 max_edges: int = DEFAULT_MAX_FLOWER_EDGES):
+        self.g = g
+        self.max_edges = max_edges
+        self.views: dict[tuple[frozenset, frozenset], OrientedHypergraph] = {}
+        self._facts: dict[tuple, object] = {}
+
+    def _memo(self, key: tuple, compute):
+        try:
+            return self._facts[key]
+        except KeyError:
+            value = self._facts[key] = compute()
+            return value
+
+    def view(self, edges: frozenset[str],
+             deleted: frozenset[str] = _NO_VERTICES) -> OrientedHypergraph:
+        key = (edges, deleted)
+        if key not in self.views:
+            if deleted:
+                whole = self.view(edges)
+                self.views[key] = weak_delete(
+                    whole, deleted.intersection(whole.vertices))
+            else:
+                self.views[key] = edge_induced(self.g, edges)
+        return self.views[key]
+
+    def inseparable(self, edges: frozenset[str],
+                    deleted: frozenset[str] = _NO_VERTICES) -> bool:
+        return self._memo(("inseparable", edges, deleted),
+                          lambda: is_inseparable(self.view(edges, deleted)))
+
+    def flower(self, edges: frozenset[str],
+               deleted: frozenset[str] = _NO_VERTICES) -> bool:
+        """The one flower rule: the view is inseparable, and no view on a
+        proper nonempty subset of its edges is."""
+        return self._memo(("flower", edges, deleted),
+                          lambda: self._flower(edges, deleted))
+
+    def _flower(self, edges, deleted) -> bool:
+        if not edges or not self.inseparable(edges, deleted):
+            return False
+        if len(edges) > self.max_edges:
+            raise ResourceError(
+                f"flower minimality check needs 2^{len(edges)} edge subsets; "
+                f"the cap is {self.max_edges} edges")
+        # Sizes start at 1: the empty edge-induced view counts as inseparable.
+        ordered = sorted(edges)
+        return not any(self.inseparable(frozenset(sub), deleted)
+                       for size in range(1, len(ordered))
+                       for sub in combinations(ordered, size))
+
+    def thorns(self, edges: frozenset[str]) -> frozenset[str]:
+        return self._memo(("thorns", edges),
+                          lambda: find_thorns(self.view(edges)))
+
+    def part_thorns(self, edges: frozenset[str]) -> frozenset[str]:
+        view = self.view(edges)
+        if _is_one_edge(view):
+            return frozenset(view.vertices)
+        return self.thorns(edges)
+
+    def pseudo_flower(self, edges: frozenset[str]) -> bool:
+        """Pseudo-flower with 1-edges allowed, as decompositions use it."""
+        if _is_one_edge(self.view(edges)):
+            return True
+        thorns = self.thorns(edges)
+        return bool(thorns) and self.flower(edges, thorns)
+
+    def balanceable(self, edges: frozenset[str]) -> bool:
+        return self._memo(("balanceable", edges),
+                          lambda: is_balanceable(self.view(edges))[0])
+
+    def balanced(self, edges: frozenset[str]) -> bool:
+        return self._memo(("balanced", edges),
+                          lambda: is_balanced(self.view(edges))[0])
+
+    def balancing(self, edges: frozenset[str], ids: Iterable[str]) -> bool:
+        ids = frozenset(ids)
+        return self._memo(("balancing", edges, ids),
+                          lambda: is_balancing_set(self.view(edges), ids))
+
+    def part_notes(self, edges: frozenset[str]) -> list[str]:
+        """Why the part cannot be a flower part of a decomposition: it must
+        be a balanceable flower or pseudo-flower, not a balanced plain
+        flower.  Empty when it can."""
+        flower, pseudo = self.flower(edges), self.pseudo_flower(edges)
+        if not flower and not pseudo:
+            return ["is neither flower nor pseudo-flower"]
+        notes = []
+        if not self.balanceable(edges):
+            notes.append("is not balanceable")
+        if flower and not pseudo and self.balanced(edges):
+            notes.append("is a balanced flower")
+        return notes
+
+    def minimal_balancing_sets(self, edges: frozenset[str], spend,
+                               cap: int = 128) -> list[frozenset[str]]:
+        """All minimal balancing sets of one part, ascending by size.
+
+        ``spend`` is called once per candidate set visited.  A part met
+        again replays the same number of calls, so the budget runs out at
+        the same point as if the sets were enumerated anew.
+        """
+        key = ("minimal-balancing-sets", edges)
+        if key in self._facts:
+            sets, visited = self._facts[key]
+            for _ in range(visited):
+                spend()
+            return sets
+        visited = 0
+
+        def visit(combo):
+            nonlocal visited
+            visited += 1
+            spend()
+
+        ids = sorted(i.id for i in self.view(edges).incidences)
+        found = minimal_subsets(ids, lambda combo: self.balancing(edges, combo),
+                                range(len(ids) + 1), visit)
+        sets = [frozenset(combo) for combo in islice(found, cap)]
+        self._facts[key] = (sets, visited)
+        return sets
+
+
+def _facts_on_whole(g: OrientedHypergraph,
+                    max_edges: int = DEFAULT_MAX_FLOWER_EDGES
+                    ) -> tuple[_PartFacts, frozenset[str]]:
+    """A fresh memo on ``g`` and the part made of all its edges, whose view
+    is ``g`` itself: a vertex on no edge stays, as a public recognizer
+    given ``g`` must see it."""
+    facts = _PartFacts(g, max_edges)
+    whole = frozenset(g.edges)
+    facts.views[(whole, _NO_VERTICES)] = g
+    return facts, whole
 
 
 def is_artery(g: OrientedHypergraph) -> bool:
@@ -238,9 +376,28 @@ class ShuntingDecomposition:
             if extra:
                 parts.append(f"unknown keys {sorted(extra)}")
             raise InputError("decomposition JSON: " + "; ".join(parts))
-        return cls.build(payload["flowers"], payload["arteries"],
-                         payload["vertex_arteries"], payload["balancing_set"],
-                         payload["thorns"], payload["pairing"])
+
+        def ids(value, what: str) -> list[str]:
+            if not (isinstance(value, list)
+                    and all(isinstance(x, str) for x in value)):
+                raise InputError(
+                    f"decomposition JSON: {what} must be a list of ids")
+            return value
+
+        def id_lists(key: str) -> list[list[str]]:
+            if not isinstance(payload[key], list):
+                raise InputError(
+                    f"decomposition JSON: {key!r} must be a list of id lists")
+            return [ids(part, f"each entry of {key!r}") for part in payload[key]]
+
+        pairing = payload["pairing"]
+        if not (isinstance(pairing, dict)
+                and all(isinstance(v, str) for v in pairing.values())):
+            raise InputError("decomposition JSON: 'pairing' must map ids to ids")
+        return cls.build(id_lists("flowers"), id_lists("arteries"),
+                         ids(payload["vertex_arteries"], "'vertex_arteries'"),
+                         ids(payload["balancing_set"], "'balancing_set'"),
+                         ids(payload["thorns"], "'thorns'"), pairing)
 
 
 @dataclass(frozen=True)
@@ -307,12 +464,23 @@ def validate_shunting(d: ShuntingDecomposition,
     the hypergraph, each flower part really is a balanceable flower or
     pseudo-flower with no balanced plain flower, each artery really is an
     artery, and the declared balancing set and thorns are what they claim.
+
+    Every id the decomposition names is checked against ``g`` first; the
+    parts are then read as trusted views of ``g``.  Facts about one part
+    (flower, thorns, balance, balancing sets) are computed once per call.
     """
+    return _validate(d, g, _PartFacts(g))
+
+
+def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
+              facts: _PartFacts) -> ShuntingReport:
+    """``validate_shunting`` with part facts read from a memo on ``g``."""
     _check_ids(d, g)
     checks: list[Check] = []
 
-    flower_subs = _flower_subs(d, g)
-    artery_subs = _artery_subs(d, g)
+    flowers = [frozenset(part) for part in d.flowers]
+    flower_subs = [facts.view(part) for part in flowers]
+    artery_subs = [facts.view(frozenset(part)) for part in d.arteries]
 
     # Disjointness: flower parts share no edges; vertices are shared only
     # at declared single-vertex arteries; edge-arteries meet parts only at
@@ -370,17 +538,8 @@ def validate_shunting(d: ShuntingDecomposition,
     checks.append(Check("coverage", not cover_notes, "; ".join(cover_notes)))
 
     # Part recognition.
-    notes = []
-    for idx, sub in enumerate(flower_subs):
-        flower = is_flower(sub)
-        pseudo = is_pseudo_flower(sub)
-        if not flower and not pseudo:
-            notes.append(f"part {idx} is neither flower nor pseudo-flower")
-            continue
-        if not is_balanceable(sub)[0]:
-            notes.append(f"part {idx} is not balanceable")
-        if flower and not pseudo and is_balanced(sub)[0]:
-            notes.append(f"part {idx} is a balanced flower")
+    notes = [f"part {idx} {note}" for idx, part in enumerate(flowers)
+             for note in facts.part_notes(part)]
     checks.append(Check("flower-parts", not notes, "; ".join(notes)))
 
     notes = []
@@ -391,8 +550,8 @@ def validate_shunting(d: ShuntingDecomposition,
 
     # Declared thorns match the computed ones.
     computed_thorns: set[str] = set()
-    for sub in flower_subs:
-        computed_thorns |= part_thorns(sub)
+    for part in flowers:
+        computed_thorns |= facts.part_thorns(part)
     thorns_ok = computed_thorns == set(d.thorns)
     checks.append(Check(
         "thorns", thorns_ok,
@@ -409,9 +568,9 @@ def validate_shunting(d: ShuntingDecomposition,
         notes.append(f"balancing incidence(s) {sorted(outside)} "
                      f"outside flower parts")
     else:
-        for idx, sub in enumerate(flower_subs):
+        for idx, (part, sub) in enumerate(zip(flowers, flower_subs)):
             part_ids = {i.id for i in sub.incidences}
-            if not is_balancing_set(sub, d.balancing_set & part_ids):
+            if not facts.balancing(part, d.balancing_set & part_ids):
                 notes.append(f"declared set does not balance part {idx}")
     checks.append(Check("balancing-set", not notes, "; ".join(notes)))
 
@@ -691,47 +850,74 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _flower_part_candidates(g: OrientedHypergraph, spend,
+def _flower_part_candidates(g: OrientedHypergraph, spend, facts: _PartFacts,
                             max_part_edges: int) -> list[frozenset[str]]:
     """Edge subsets that could serve as flower parts, ascending by size.
 
     Balanceable flower or pseudo-flower, with no balanced plain flower
     admitted.  Every vertex of such a part has degree at most 2, which
-    prunes most subsets before the expensive recognizers run.
+    prunes most subsets, read off the edges' vertex lists, before any view
+    is built.
     """
     ids = sorted(g.edges)
+    ends: dict[str, list[str]] = {e: [] for e in ids}
+    for inc in g.incidences:
+        ends[inc.edge].append(inc.vertex)
     out: list[frozenset[str]] = []
     for size in range(1, min(len(ids), max_part_edges) + 1):
         for combo in combinations(ids, size):
             spend()
-            sub = edge_induced(g, combo)
-            if any(sub.degree(v) > 2 for v in sub.vertices):
+            degree = Counter(v for e in combo for v in ends[e])
+            if degree and max(degree.values()) > 2:
                 continue
-            if len(gamma_components(sub)) != 1:
+            edges = frozenset(combo)
+            if len(gamma_components(facts.view(edges))) != 1:
                 continue
-            if not is_balanceable(sub)[0]:
-                continue
-            flower = is_flower(sub)
-            pseudo = is_pseudo_flower(sub)
-            if not flower and not pseudo:
-                continue
-            if flower and not pseudo and is_balanced(sub)[0]:
-                continue
-            out.append(frozenset(combo))
+            if facts.balanceable(edges) and not facts.part_notes(edges):
+                out.append(edges)
     return out
 
 
-def _minimal_balancing_sets(sub: OrientedHypergraph, spend,
-                            cap: int = 128) -> list[frozenset[str]]:
-    """All minimal balancing sets of one part, ascending by size.
-
-    Ascending enumeration makes minimality a containment check against
-    the sets already found.
-    """
-    ids = sorted(i.id for i in sub.incidences)
-    sets = minimal_subsets(ids, lambda combo: is_balancing_set(sub, combo),
-                           range(len(ids) + 1), lambda combo: spend())
-    return [frozenset(combo) for combo in islice(sets, cap)]
+def _covers(g: OrientedHypergraph, ids: list[str],
+            part_candidates: list[frozenset[str]], facts: _PartFacts, spend,
+            parts: list[frozenset[str]], artery_edges: set[str]):
+    """Yield (flower parts, artery components) for each full cover of the
+    edges ``ids`` by disjoint candidate parts plus artery leftovers."""
+    spend()
+    free = next((e for e in ids
+                 if e not in artery_edges
+                 and all(e not in p for p in parts)), None)
+    if free is None:
+        if not parts:
+            return
+        if artery_edges:
+            rest = edge_induced(g, artery_edges)
+            comps = []
+            for comp in gamma_components(rest):
+                comp_edges = tuple(sorted(
+                    nid for kind, nid in comp if kind == EDGE))
+                if not comp_edges:
+                    return
+                spend()
+                if not is_artery(facts.view(frozenset(comp_edges))):
+                    return
+                comps.append(comp_edges)
+            yield parts, comps
+        else:
+            yield parts, []
+        return
+    for cand in part_candidates:
+        if free not in cand:
+            continue
+        if any(e in artery_edges or any(e in p for p in parts)
+               for e in cand):
+            continue
+        yield from _covers(g, ids, part_candidates, facts, spend,
+                           parts + [cand], artery_edges)
+    artery_edges.add(free)
+    yield from _covers(g, ids, part_candidates, facts, spend, parts,
+                       artery_edges)
+    artery_edges.discard(free)
 
 
 def _match_pairing(g: OrientedHypergraph, bal_ids: list[str],
@@ -758,7 +944,7 @@ def _match_pairing(g: OrientedHypergraph, bal_ids: list[str],
     return extend(0, set())
 
 
-def _assemble_candidate(g: OrientedHypergraph,
+def _assemble_candidate(g: OrientedHypergraph, facts: _PartFacts,
                         flower_parts: list[frozenset[str]],
                         arteries: list[tuple[str, ...]],
                         balancing: frozenset[str],
@@ -767,7 +953,7 @@ def _assemble_candidate(g: OrientedHypergraph,
     vb = {g.incidence(b).vertex for b in balancing}
     externals: set[str] = set()
     for part in arteries:
-        externals |= artery_external_vertices(edge_induced(g, part))
+        externals |= artery_external_vertices(facts.view(frozenset(part)))
     vertex_arteries = sorted((vb | thorns) - externals)
 
     part_of_edge = {e: k for k, part in enumerate(flower_parts) for e in part}
@@ -807,6 +993,12 @@ def find_shunting_decomposition(
     is optimal).  Every subset inspected and candidate assembled draws
     down the budget; running out is reported as a miss, never as proof
     that no decomposition exists.
+
+    Facts about one part (its view, flower and pseudo-flower verdicts,
+    thorns, balance, minimal balancing sets) are memoised for the length
+    of the call; a part met again draws down the budget as it did the
+    first time.  A decomposition is returned only after a fresh
+    ``validate_shunting`` accepts it too.
     """
     if len(gamma_components(g)) != 1:
         return DecompositionSearch(
@@ -819,65 +1011,37 @@ def find_shunting_decomposition(
             raise _BudgetExhausted
 
     ids = sorted(g.edges)
-
-    def covers(parts: list[frozenset[str]], artery_edges: set[str]):
-        """Yield (flower parts, artery components) for each full cover."""
-        spend()
-        free = next((e for e in ids
-                     if e not in artery_edges
-                     and all(e not in p for p in parts)), None)
-        if free is None:
-            if not parts:
-                return
-            if artery_edges:
-                rest = edge_induced(g, artery_edges)
-                comps = []
-                for comp in gamma_components(rest):
-                    comp_edges = tuple(sorted(
-                        nid for kind, nid in comp if kind == EDGE))
-                    if not comp_edges:
-                        return
-                    spend()
-                    if not is_artery(edge_induced(g, comp_edges)):
-                        return
-                    comps.append(comp_edges)
-                yield parts, comps
-            else:
-                yield parts, []
-            return
-        for cand in part_candidates:
-            if free not in cand:
-                continue
-            if any(e in artery_edges or any(e in p for p in parts)
-                   for e in cand):
-                continue
-            yield from covers(parts + [cand], artery_edges)
-        artery_edges.add(free)
-        yield from covers(parts, artery_edges)
-        artery_edges.discard(free)
+    facts = _PartFacts(g)
 
     try:
-        part_candidates = _flower_part_candidates(g, spend, max_part_edges)
-        for flower_parts, arteries in covers([], set()):
-            subs = [edge_induced(g, p) for p in flower_parts]
-            thorns = frozenset().union(*[part_thorns(s) for s in subs])
+        part_candidates = _flower_part_candidates(g, spend, facts,
+                                                  max_part_edges)
+        for flower_parts, arteries in _covers(g, ids, part_candidates, facts,
+                                              spend, [], set()):
+            thorns = frozenset().union(*[facts.part_thorns(p)
+                                         for p in flower_parts])
             artery_edges = {e for part in arteries for e in part}
-            choices = [_minimal_balancing_sets(s, spend) for s in subs]
+            choices = [facts.minimal_balancing_sets(p, spend)
+                       for p in flower_parts]
             if any(not c for c in choices):
                 continue
             for combo in product(*choices):
                 spend()
                 balancing = frozenset().union(*combo)
-                d = _assemble_candidate(g, flower_parts, list(arteries),
+                d = _assemble_candidate(g, facts, flower_parts, list(arteries),
                                         balancing, thorns, artery_edges)
                 if d is None:
                     continue
                 spend(10)
-                if not validate_shunting(d, g).ok:
+                if not _validate(d, g, facts).ok:
                     continue
                 if require_optimal and not (is_F_maximal(d, g)
                                             and is_S_minimal(d, g)):
                     continue
+                if not validate_shunting(d, g).ok:
+                    raise RuntimeError(
+                        "memoised and fresh validation disagree on the "
+                        f"decomposition found for edges {ids}")
                 return DecompositionSearch(d, counter["spent"], "found")
         return DecompositionSearch(
             None, counter["spent"],

@@ -8,7 +8,7 @@ ranging over the co-tree sign patterns.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from ohg.model import OrientedHypergraph
 
@@ -128,11 +128,32 @@ def subset_connected(edges: tuple[Edge, ...], subset: tuple[int, ...]) -> bool:
 
 def signed_subgraph_key(edges: tuple[Edge, ...], eps: tuple[int, ...],
                         subset: tuple[int, ...]):
-    """Canonical form of an edge subset with its signs, for caching."""
-    verts = sorted({w for k in subset for w in edges[k]})
+    """Canonical form of an edge subset with its signs, for caching.
+
+    Vertices are split into classes by degree, loop count and signed
+    degree, and the classes take consecutive blocks of labels in the
+    order of those invariants.  The key is the least sorted signed edge
+    list over the relabelings that keep every class on its own block.
+    Isomorphism preserves the invariants, so isomorphic subsets reach the
+    same key; a key is a relabeled copy of its subset, so subsets with
+    one key are isomorphic.
+    """
+    invariant: dict[int, list[int]] = {}
+    for k in subset:
+        u, v = edges[k]
+        for w in (u, v):  # degree, loop count, signed degree
+            counts = invariant.setdefault(w, [0, 0, 0])
+            counts[0] += 1
+            counts[2] += eps[k]
+        if u == v:
+            invariant[u][1] += 1
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for w in sorted(invariant):
+        classes.setdefault(tuple(invariant[w]), []).append(w)
+    blocks = [classes[c] for c in sorted(classes)]
     best = None
-    for perm in permutations(range(len(verts))):
-        relabel = {v: perm[i] for i, v in enumerate(verts)}
+    for orders in product(*(permutations(b) for b in blocks)):
+        relabel = {w: label for label, w in enumerate(chain.from_iterable(orders))}
         signed = tuple(sorted(
             (min(relabel[edges[k][0]], relabel[edges[k][1]]),
              max(relabel[edges[k][0]], relabel[edges[k][1]]),

@@ -12,7 +12,7 @@ Slow on purpose; only run at desk scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
@@ -280,3 +280,20 @@ def oracle_circuit_minimal(g: OrientedHypergraph, edges,
     return not any(_oracle_dependent(g, smaller, domain)
                    for smaller in combinations(chosen, len(chosen) - 1)
                    if smaller)
+
+
+def oracle_signed_subgraph_key(edges, eps, subset):
+    """Canonical form of a signed edge subset by trying every relabeling
+    of its vertices: the least sorted signed edge list."""
+    verts = sorted({w for k in subset for w in edges[k]})
+    best = None
+    for perm in permutations(range(len(verts))):
+        relabel = {v: perm[i] for i, v in enumerate(verts)}
+        signed = tuple(sorted(
+            (min(relabel[edges[k][0]], relabel[edges[k][1]]),
+             max(relabel[edges[k][0]], relabel[edges[k][1]]),
+             eps[k])
+            for k in subset))
+        if best is None or signed < best:
+            best = signed
+    return best

@@ -1,19 +1,23 @@
 """Command-line interface: exit codes, JSON output, file side effects."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ohg
 from ohg.cli import main
-from ohg.model import OrientedHypergraph, dump, load, make_Lk
+from ohg.model import OrientedHypergraph, dump, load, make_Lk, serialize
 from ohg.shunting import generate_optimal_shunting
 
-from instances import hypertree, plant_trap
+from instances import hypertree, plant_trap, random_hypergraph
 
 
 def write(tmp_path, name, g):
@@ -305,3 +309,112 @@ class TestRepeatedCalls:
                                    capture_output=True, text=True, env=env)
             assert (code, out.out, out.err) == (
                 fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every subcommand on degenerate and malformed input files.
+
+_IDS = st.sampled_from(["a", "b", "c", "e", "f", ""])
+_SIGNS = st.sampled_from([1, -1, 0, 2, True, "1", None, 1.0])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _hypergraph_docs(draw):
+    """Hypergraph-shaped JSON: small, often valid, often subtly wrong."""
+    vertices = draw(st.lists(_IDS, max_size=3))
+    edges = draw(st.lists(_IDS, max_size=3))
+    incidences = draw(st.lists(st.fixed_dictionaries({
+        "id": st.sampled_from(["i1", "i2", "i3", "i4", 7]),
+        "vertex": _IDS, "edge": _IDS, "sign": _SIGNS}), max_size=5))
+    doc = {"vertices": vertices, "edges": edges, "incidences": incidences}
+    drop = draw(st.sampled_from([None, "vertices", "edges", "incidences"]))
+    if drop is not None:
+        doc[drop] = draw(_JSON)
+    return json.dumps(doc)
+
+
+@st.composite
+def _decomposition_docs(draw):
+    """A generated shunting's decomposition with one entry replaced."""
+    doc = json.loads(generate_optimal_shunting(draw(st.integers(0, 3)))[1]
+                     .to_json())
+    key = draw(st.sampled_from(sorted(doc)))
+    doc[key] = draw(_JSON | st.lists(st.lists(_IDS, max_size=2), max_size=2))
+    return json.dumps(doc)
+
+
+_VALID_GRAPHS = st.integers(0, 500).map(
+    lambda seed: serialize(random_hypergraph(seed, max_incidences=8)))
+_FILE_TEXT = (_hypergraph_docs() | _VALID_GRAPHS | _JSON.map(json.dumps)
+              | st.text(max_size=20)
+              | _hypergraph_docs().map(lambda text: text[:len(text) // 2]))
+_DECOMPOSITION_TEXT = (_decomposition_docs() | _JSON.map(json.dumps)
+                       | st.text(max_size=20))
+
+_COMMANDS = st.sampled_from([
+    ["validate"], ["info"], ["info", "--human"], ["matrix"],
+    ["matrix", "--field", "2", "--csv", "{dir}/m.csv"], ["matrix", "--field", "x"],
+    ["gamma", "--dot", "{dir}/g.dot"], ["balance", "--certificate"],
+    ["balanceable", "--certificate"], ["camion", "--out", "{dir}/c.json"],
+    ["camion", "--tree", "random", "--seed", "3"],
+    ["frustration", "--mode", "exact"], ["frustration", "--mode", "trees"],
+    ["frustration", "--mode", "local-search", "--budget", "5"],
+    ["circuits", "--field", "q"], ["circuits", "--field", "3", "--max-size", "2"],
+    ["shunt-verify", "{decomposition}"],
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COMMANDS, _FILE_TEXT, _DECOMPOSITION_TEXT)
+def test_fuzzed_files_keep_the_exit_code_contract(command, text, decomposition):
+    """Whatever the files hold, every subcommand exits 0, 1, 2 or 3, and
+    stderr is empty or one JSON error object."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path = Path(tmp) / "g.json"
+        graph_path.write_text(text, encoding="utf-8")
+        decomposition_path = Path(tmp) / "d.json"
+        decomposition_path.write_text(decomposition, encoding="utf-8")
+        argv = [command[0], str(graph_path)] + [
+            arg.format(dir=tmp, decomposition=decomposition_path)
+            for arg in command[1:]]
+        _assert_contract(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["fano", "lk"]), st.integers(-2, 6), st.integers(-2, 7),
+       st.booleans())
+def test_fuzzed_demo_arguments_keep_the_exit_code_contract(what, k, entrant,
+                                                           human):
+    argv = ["demo", what, f"--k={k}", f"--entrant={entrant}"]
+    _assert_contract(argv + ["--human"] if human else argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), _DECOMPOSITION_TEXT)
+def test_fuzzed_decompositions_keep_the_exit_code_contract(seed, decomposition):
+    g, _ = generate_optimal_shunting(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path = Path(tmp) / "g.json"
+        graph_path.write_text(serialize(g), encoding="utf-8")
+        decomposition_path = Path(tmp) / "d.json"
+        decomposition_path.write_text(decomposition, encoding="utf-8")
+        _assert_contract(["shunt-verify", str(graph_path),
+                          str(decomposition_path)])
+
+
+def _assert_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if err.getvalue():
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        payload = json.loads(lines[0])
+        assert set(payload) == {"error", "kind"}, argv
+        assert code in (2, 3), argv

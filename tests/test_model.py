@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ohg.balance import _block_view
 from ohg.errors import InputError
 from ohg.gamma import (
     blocks,
@@ -41,7 +42,7 @@ from ohg.model import (
     to_dot,
     weak_delete,
 )
-from instances import random_hypergraph
+from instances import plant_obstruction, random_balanceable, random_hypergraph
 
 
 def triangle(last_sign=-1):
@@ -148,6 +149,21 @@ class TestViews:
         sub = edge_induced(triangle(), ["e1"])
         assert set(sub.vertices) == {"v1", "v2"}
         assert len(sub.incidences) == 2
+
+    def test_edge_induced_keeps_and_checks_extra_vertices(self):
+        sub = edge_induced(triangle(), ["e1"], keep_vertices=["v3"])
+        assert sub.vertices == ("v1", "v2", "v3")
+        assert sub.incidences_at("v3") == ()
+        with pytest.raises(InputError, match=r"unknown vertex ids \['zzz'\]"):
+            edge_induced(triangle(), ["e1"], keep_vertices=["zzz"])
+
+    def test_with_signs_rejects_bad_signs(self):
+        for sign in (0, True, 2):
+            with pytest.raises(InputError) as err:
+                triangle().with_signs({"i1": sign})
+            assert str(err.value) == f"incidence 'i1' has sign {sign!r}"
+        with pytest.raises(InputError, match="unknown incidence ids"):
+            triangle().with_signs({"nope": 1})
 
     def test_weak_delete_keeps_edge_identity(self):
         g = weak_delete(triangle(), vertices=["v1"])
@@ -367,3 +383,38 @@ def test_minimal_subsets_visits_each_candidate_once_until_stopped(n, data):
     # Every candidate up to the last one taken, pruned or not, once each.
     stop = subsets.index(got[-1]) + 1 if len(got) == take else len(subsets)
     assert visited == subsets[:stop]
+
+
+FAMILIES = {"random_hypergraph": random_hypergraph,
+            "random_balanceable": random_balanceable,
+            "plant_obstruction": plant_obstruction}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(0, 300), st.data())
+def test_derived_views_pass_the_checking_constructor(family, seed, data):
+    """Views are built without validation; each must be a hypergraph the
+    validating constructor accepts, equal to what it builds."""
+    g = FAMILIES[family](seed)
+
+    def some(items):
+        return data.draw(st.lists(st.sampled_from(items), unique=True)
+                         if items else st.just([]))
+
+    ids = [i.id for i in g.incidences]
+    views = [
+        edge_induced(g, some(g.edges), keep_vertices=some(g.vertices)),
+        weak_delete(g, some(g.vertices), some(g.edges)),
+        g.with_signs({i: data.draw(st.sampled_from((1, -1)))
+                      for i in some(ids)}),
+        reverse_incidences(g, some(ids)),
+    ]
+    for w in g.vertices:
+        at = g.incidences_at(w)
+        if len(at) == 2 and at[0].edge != at[1].edge:
+            views.append(contract_degree2_vertex(g, w))
+    for block in blocks(g):
+        views.append(_block_view(g, [i for i in g.incidences if i.id in block]))
+    for view in views:
+        assert OrientedHypergraph(view.vertices, view.edges,
+                                  view.incidences) == view

@@ -1,16 +1,24 @@
 """Flower and artery recognition, decomposition validation, search."""
 
+import gc
 import json
+import weakref
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
+from ohg.balance import is_balanceable, is_balanced
+from ohg.camion import is_balancing_set
 from ohg.errors import InputError
 from ohg.linalg import Domain
 from ohg.matroids import nullity
-from ohg.model import OrientedHypergraph, incidence_matrix, make_Lk
+from ohg import shunting
+from ohg.model import OrientedHypergraph, edge_induced, incidence_matrix, make_Lk
 from ohg.shunting import (
     ShuntingDecomposition,
+    ShuntingReport,
+    _PartFacts,
     artery_external_vertices,
     build_arterial_connection,
     classify_shunt_paths,
@@ -32,6 +40,8 @@ from ohg.shunting import (
 )
 
 from census import connected_multigraphs, realize, switching_patterns
+from instances import random_hypergraph
+from oracles import oracle_minimal_balancing_sets
 
 EXHAUSTED = "no decomposition found: bounded search space exhausted"
 OUT_OF_BUDGET = "no decomposition found within budget"
@@ -230,6 +240,16 @@ class TestDecompositionIO:
     def test_non_object(self):
         with pytest.raises(InputError):
             ShuntingDecomposition.from_json("[1, 2]")
+
+    def test_wrong_shapes(self):
+        payload = json.loads(generate_optimal_shunting(4)[1].to_json())
+        for key, value in (("flowers", 3), ("flowers", [[["e"]]]),
+                           ("arteries", [[1]]), ("thorns", "x"),
+                           ("balancing_set", None), ("pairing", []),
+                           ("pairing", {"a": 1})):
+            with pytest.raises(InputError, match=key):
+                ShuntingDecomposition.from_json(
+                    json.dumps(dict(payload, **{key: value})))
 
 
 class TestValidation:
@@ -437,9 +457,79 @@ class TestSearch:
             assert seen_reasons == reasons
             assert seen_found == found
 
+    def test_found_decomposition_must_pass_fresh_validation(self, monkeypatch):
+        g, _ = generate_optimal_shunting(2)
+        monkeypatch.setattr(shunting, "validate_shunting",
+                            lambda d, g: ShuntingReport(False, ()))
+        with pytest.raises(RuntimeError, match="fresh validation"):
+            find_shunting_decomposition(g)
+
+    def test_search_leaves_no_memo_for_the_collector(self, monkeypatch):
+        """A finished search frees its part memo by reference counting
+        alone; a memo held in a reference cycle would pile up between
+        collector runs and raise peak memory."""
+        made = []
+
+        class Tracked(_PartFacts):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(shunting, "_PartFacts", Tracked)
+        g, _ = generate_optimal_shunting(0)
+        gc.disable()
+        try:
+            for budget in (20, 200, 20_000):
+                find_shunting_decomposition(g, budget=budget)
+            alive = sum(ref() is not None for ref in made)
+        finally:
+            gc.enable()
+        assert made and alive == 0
+
     def test_disconnected_miss(self):
         g = build(["a", "b"], ["e", "f"],
                   [("i1", "a", "e", 1), ("i2", "b", "f", 1)])
         result = find_shunting_decomposition(g)
         assert result.found is None
         assert "connected" in result.reason
+
+
+def _assert_facts_match_recognizers(g):
+    """Every fact the search memo holds about every edge subset of g equals
+    the public recognizer run on the edge-induced view."""
+    facts = _PartFacts(g)
+    for size in range(len(g.edges) + 1):
+        for sub in combinations(g.edges, size):
+            edges = frozenset(sub)
+            view = edge_induced(g, sub)
+            assert facts.view(edges) == view
+            assert facts.inseparable(edges) == is_inseparable(view)
+            assert facts.flower(edges) == is_flower(view)
+            assert facts.pseudo_flower(edges) == is_pseudo_flower(view)
+            assert facts.thorns(edges) == find_thorns(view)
+            assert facts.part_thorns(edges) == part_thorns(view)
+            assert facts.balanceable(edges) == is_balanceable(view)[0]
+            assert facts.balanced(edges) == is_balanced(view)[0]
+            ids = sorted(i.id for i in view.incidences)
+            for chosen in [()] + [(i,) for i in ids]:
+                assert (facts.balancing(edges, chosen)
+                        == is_balancing_set(view, chosen))
+            if not facts.balanceable(edges) or len(ids) > 6:
+                continue
+            spent = []
+            first = facts.minimal_balancing_sets(edges, lambda: spent.append(1))
+            once = len(spent)
+            again = facts.minimal_balancing_sets(edges, lambda: spent.append(1))
+            assert again == first and len(spent) == 2 * once
+            assert set(first) == oracle_minimal_balancing_sets(view)
+
+
+def test_part_facts_match_recognizers_on_signed_census():
+    for n, edges in connected_multigraphs(4):
+        for eps in switching_patterns(n, edges):
+            _assert_facts_match_recognizers(realize(n, edges, eps))
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 10))
+def test_part_facts_match_recognizers_on_random_hypergraphs(seed):
+    _assert_facts_match_recognizers(random_hypergraph(seed))
