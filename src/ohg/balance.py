@@ -20,8 +20,9 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceError
-from .gamma import (Node, blocks, internally_disjoint_paths, sorted_adjacency,
-                    sorted_nodes, spanning_forest, fundamental_cycle)
+from .gamma import (Node, blocks, fundamental_circle_signs, fundamental_cycle,
+                    internally_disjoint_paths, sorted_adjacency, sorted_nodes,
+                    spanning_forest)
 from .model import EDGE, VERTEX, Incidence, OrientedHypergraph
 
 DEFAULT_CIRCLE_CAP = 1_000_000
@@ -68,7 +69,9 @@ def walk_sign(g: OrientedHypergraph, incidence_ids: Sequence[str]) -> int:
     """(-1)^floor(n/2) times the product of the signs of n incidences.
 
     The sign of any walk or circle through exactly these incidences; the
-    sequence is not checked to be one.
+    sequence is not checked to be one.  ``gamma.fundamental_circle_signs``
+    is its incremental form: the same rule for every fundamental circle of
+    a spanning forest at once, from sign products along root paths.
     """
     sign = -1 if len(incidence_ids) // 2 % 2 else 1
     for inc_id in incidence_ids:
@@ -395,17 +398,21 @@ def is_balanced(g: OrientedHypergraph, method: str = "fast",
 def negative_fundamental_circle(g: OrientedHypergraph) -> Circle | None:
     """First negative fundamental circle of the BFS spanning forest.
 
-    On a balanceable input, None means balanced: positive fundamental
-    circles force every circle positive.
+    The signs of all fundamental circles come from one pass over the forest
+    (``gamma.fundamental_circle_signs``); only the circle returned is built,
+    put into canonical form and re-checked with ``circle_sign``.  On a
+    balanceable input, None means balanced: positive fundamental circles
+    force every circle positive.
     """
     forest = spanning_forest(g, "bfs")
-    for inc in g.incidences:
-        if inc.id in forest.incidences:
+    for inc, sign in fundamental_circle_signs(g, forest):
+        if sign == 1:
             continue
-        nodes, incs = fundamental_cycle(g, forest, inc.id)
-        circle = Circle.from_sequence(nodes, incs)
-        if circle_sign(g, circle) == -1:
-            return circle
+        circle = Circle.from_sequence(*fundamental_cycle(g, forest, inc.id))
+        if circle_sign(g, circle) != -1:
+            raise RuntimeError(f"the forest pass and circle_sign disagree on "
+                               f"the fundamental circle of {inc.id!r}")
+        return circle
     return None
 
 

@@ -14,14 +14,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .balance import is_balanceable, is_balanced, walk_sign
+from .balance import is_balanceable, is_balanced
 from .errors import InputError, ResourceError
 from .gamma import (
     DisjointSets,
     Node,
     SpanningForest,
+    _grow_forest,
     component_count,
+    fundamental_circle_signs,
     fundamental_cycle,
+    sorted_adjacency,
+    sorted_nodes,
     spanning_forest,
 )
 from .model import (
@@ -77,9 +81,8 @@ def _negative_fundamental_circles(g: OrientedHypergraph,
                                   forest: SpanningForest) -> list[str]:
     """Non-forest incidences among ``incidences`` whose fundamental circle
     is negative: exactly those a reorientation along the forest flips."""
-    return [inc.id for inc in incidences
-            if inc.id not in forest
-            and walk_sign(g, fundamental_cycle(g, forest, inc.id)[1]) == -1]
+    signs = fundamental_circle_signs(g, forest, incidences)
+    return [inc.id for inc, sign in signs if sign == -1]
 
 
 def signed_graph_balance(g: OrientedHypergraph,
@@ -206,13 +209,8 @@ def _fundamental_circle_data(
         g: OrientedHypergraph,
         forest: SpanningForest) -> list[tuple[frozenset[str], int]]:
     """(incidence set, sign) for each fundamental circle of the forest."""
-    data = []
-    for inc in g.incidences:
-        if inc.id in forest:
-            continue
-        nodes, incs = fundamental_cycle(g, forest, inc.id)
-        data.append((frozenset(incs), walk_sign(g, incs)))
-    return data
+    return [(frozenset(fundamental_cycle(g, forest, inc.id)[1]), sign)
+            for inc, sign in fundamental_circle_signs(g, forest)]
 
 
 def _balancing_by_circles(candidate: frozenset[str],
@@ -273,6 +271,7 @@ def _frustration_trees(g: OrientedHypergraph,
     exact = True
     total = 0
     witness: list[str] = []
+    position = {inc.id: k for k, inc in enumerate(g.incidences)}
     for nodes, incs in _component_partition(g):
         best: list[str] | None = None
         seen_any = False
@@ -289,7 +288,10 @@ def _frustration_trees(g: OrientedHypergraph,
                 continue
             inspected += 1
             seen_any = True
-            tree = OrientedHypergraph(g.vertices, g.edges, combo)
+            # A trusted view keeps its parent's incidence order.
+            tree = OrientedHypergraph._trusted(
+                g.vertices, g.edges,
+                tuple(sorted(combo, key=lambda i: position[i.id])))
             changed = _negative_fundamental_circles(
                 g, incs, spanning_forest(tree))
             if best is None or len(changed) < len(best):
@@ -308,12 +310,12 @@ def _frustration_trees(g: OrientedHypergraph,
 
 def _star_sets(g: OrientedHypergraph) -> list[tuple[str, frozenset[str]]]:
     """Incidence stars of vertices then edges, each a switching move."""
-    stars = []
-    for v in sorted(g.vertices):
-        stars.append((f"v:{v}", frozenset(i.id for i in g.incidences_at(v))))
-    for e in sorted(g.edges):
-        stars.append((f"e:{e}", frozenset(i.id for i in g.incidences_of(e))))
-    return stars
+    at = {(VERTEX, v): [] for v in sorted(g.vertices)}
+    at.update({(EDGE, e): [] for e in sorted(g.edges)})
+    for inc in g.incidences:
+        at[(VERTEX, inc.vertex)].append(inc.id)
+        at[(EDGE, inc.edge)].append(inc.id)
+    return [(f"{kind}:{name}", frozenset(ids)) for (kind, name), ids in at.items()]
 
 
 def _hill_climb(start: frozenset[str],
@@ -340,13 +342,16 @@ def _frustration_local(g: OrientedHypergraph, budget: int | None,
     cap = 10_000 if budget is None else budget
     stars = _star_sets(g)
     # Each start is the change set a reorientation along a forest would
-    # make; the reoriented hypergraph itself is not needed.
-    base = _negative_fundamental_circles(g, g.incidences, spanning_forest(g, "bfs"))
+    # make; the reoriented hypergraph itself is not needed.  Every forest
+    # grows from one sorted adjacency.
+    order, adj = sorted_nodes(g), sorted_adjacency(g)
+    base = _negative_fundamental_circles(g, g.incidences,
+                                         _grow_forest(order, adj, "bfs", 0))
     best, evaluations = _hill_climb(frozenset(base), stars, 0, cap)
     restart = 0
     while evaluations < cap and best:
         restart += 1
-        forest = spanning_forest(g, "random", seed=seed + restart)
+        forest = _grow_forest(order, adj, "random", seed + restart)
         start = frozenset(_negative_fundamental_circles(g, g.incidences, forest))
         found, evaluations = _hill_climb(start, stars, evaluations, cap)
         if len(found) < len(best):

@@ -6,7 +6,8 @@ incidences.  This module supplies deterministic spanning forests, biconnected
 blocks, internally disjoint path searches on that multigraph, and the one
 union-find (``DisjointSets``) of the package.  Connected components come
 from ``model.gamma_components``; every walk and circle sign comes from
-``balance.walk_sign``.
+``balance.walk_sign``, and the signs of all fundamental circles of a forest
+from its one-pass form here, ``fundamental_circle_signs``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError
-from .model import (EDGE, VERTEX, OrientedHypergraph, gamma_adjacency,
-                    gamma_components)
+from .model import (EDGE, VERTEX, Incidence, OrientedHypergraph,
+                    gamma_adjacency, gamma_components)
 
 Node = tuple[str, str]
 
@@ -90,9 +91,13 @@ def spanning_forest(g: OrientedHypergraph, strategy: str = "bfs",
     """
     if strategy not in ("bfs", "dfs", "random"):
         raise InputError(f"unknown forest strategy {strategy!r}")
-    order = sorted_nodes(g)
-    adj = sorted_adjacency(g)
-    rng = None
+    return _grow_forest(sorted_nodes(g), sorted_adjacency(g), strategy, seed)
+
+
+def _grow_forest(order: list[Node], adj: dict[Node, list[tuple[str, Node]]],
+                 strategy: str, seed: int) -> SpanningForest:
+    """``spanning_forest`` on a hypergraph's sorted nodes and adjacency,
+    both left unchanged: a random forest shuffles copies."""
     if strategy == "random":
         rng = random.Random(seed)
         order = order[:]
@@ -121,18 +126,18 @@ def spanning_forest(g: OrientedHypergraph, strategy: str = "bfs",
                     chosen.add(inc)
                     queue.append(other)
         else:
-            stack = [[root, 0]]
+            # Each frame resumes its node's neighbour iterator, so the
+            # forest is that of a recursive depth-first search.
+            stack = [(root, iter(adj[root]))]
             while stack:
-                node, ptr = stack[-1]
-                nbrs = adj[node]
-                if ptr < len(nbrs):
-                    stack[-1][1] += 1
-                    inc, other = nbrs[ptr]
+                node, nbrs = stack[-1]
+                for inc, other in nbrs:
                     if other not in depth:
                         parent[other] = (inc, node)
                         depth[other] = depth[node] + 1
                         chosen.add(inc)
-                        stack.append([other, 0])
+                        stack.append((other, iter(adj[other])))
+                        break
                 else:
                     stack.pop()
     seed_out = seed if strategy == "random" else None
@@ -158,6 +163,48 @@ def fundamental_cycle(g: OrientedHypergraph, forest: SpanningForest,
         raise InputError(f"incidence {incidence_id!r} belongs to the forest")
     nodes, incs = forest.path_between((VERTEX, inc.vertex), (EDGE, inc.edge))
     return nodes, incs + [incidence_id]
+
+
+def fundamental_circle_signs(g: OrientedHypergraph, forest: SpanningForest,
+                             incidences: Iterable[Incidence] | None = None
+                             ) -> Iterator[tuple[Incidence, int]]:
+    """(incidence, sign of its fundamental circle) for each non-forest
+    incidence, in the order given (all of ``g``'s by default).
+
+    The incremental form of ``balance.walk_sign``, in one pass over a forest
+    that ``spanning_forest`` grew on ``g``.  With P(x) the sign product on
+    x's root path, a non-forest incidence of sign s joining a and b closes
+    n = depth(a) + depth(b) - 2 depth(lca) + 1 incidences of sign
+    (-1)^(n/2) P(a) P(b) s: the path above the lca counts twice.  On a
+    depth-first forest the lca is the shallower end, an ancestor of the
+    other; on a breadth-first one both ends climb to it.
+    """
+    parent, depth = forest.parent, forest.depth
+    potential: dict[Node, int] = {}
+    ancestral = forest.strategy != "bfs"
+    for inc in g.incidences if incidences is None else incidences:
+        if inc.id in forest.incidences:
+            continue
+        if not potential:  # filled at the first circle, parents first
+            for node, step in parent.items():
+                potential[node] = 1 if step is None else (
+                    potential[step[1]] * g.sign_of(step[0]))
+        a, b = (VERTEX, inc.vertex), (EDGE, inc.edge)
+        if a not in depth or b not in depth:
+            raise InputError(f"node {a!r} or {b!r} not spanned by the forest")
+        if ancestral:
+            top = min(depth[a], depth[b])
+        else:
+            x, y = a, b
+            while x != y:
+                if depth[x] < depth[y]:
+                    x, y = y, x
+                if parent[x] is None:
+                    raise InputError(f"{a!r} and {b!r} lie in different components")
+                x = parent[x][1]
+            top = depth[x]
+        half = (depth[a] + depth[b] + 1) // 2 - top
+        yield inc, (-1 if half % 2 else 1) * potential[a] * potential[b] * inc.sign
 
 
 def component_count(g: OrientedHypergraph,

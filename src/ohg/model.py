@@ -13,11 +13,13 @@ forests, blocks, flows and the one union-find (``DisjointSets``) live in
 
 Validation happens where data enters: the ``OrientedHypergraph``
 constructor (and so ``build``), ``parse`` and the CLI check ids, references
-and signs.  Views derived from a valid hypergraph (``edge_induced``,
-``weak_delete``, ``with_signs``, ``reverse_incidences``,
-``contract_degree2_vertex`` and the block views of ``balance``) check only
-the arguments they are given, such as unknown ids or new sign values, and
-are then built without re-validating what they keep.
+and signs; ``parse`` makes every check itself, naming source lines, and
+then builds without validating again.  Views derived from a valid
+hypergraph (``edge_induced``, ``weak_delete``, ``with_signs``,
+``reverse_incidences``, ``contract_degree2_vertex`` and the block views of
+``balance``) check only the arguments they are given, such as unknown ids
+or new sign values, and are then built without re-validating what they
+keep.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceError
@@ -180,6 +183,9 @@ def _located(text: str, token_value, occurrence: int = 1) -> str:
     return f" (line {line})" if line is not None else ""
 
 
+_INCIDENCE_FIELDS = frozenset(("id", "vertex", "edge", "sign"))
+
+
 def parse(text: str) -> OrientedHypergraph:
     """Parse the JSON interchange form.
 
@@ -218,10 +224,9 @@ def parse(text: str) -> OrientedHypergraph:
     for raw in data["incidences"]:
         if not isinstance(raw, dict):
             raise InputError(f"incidence entry {raw!r} must be an object")
-        keys = set(raw)
-        if keys != {"id", "vertex", "edge", "sign"}:
+        if raw.keys() != _INCIDENCE_FIELDS:
             raise InputError(
-                f"incidence entry must have exactly id/vertex/edge/sign, got {sorted(keys)}")
+                f"incidence entry must have exactly id/vertex/edge/sign, got {sorted(raw)}")
         iid = raw["id"]
         if not isinstance(iid, str):
             raise InputError(f"incidence id {iid!r} must be a string")
@@ -243,20 +248,30 @@ def parse(text: str) -> OrientedHypergraph:
                 f"incidence {iid!r} has sign {sign!r}, expected 1 or -1"
                 f"{_located(text, iid)}")
         incs.append(Incidence(iid, raw["vertex"], raw["edge"], sign))
-    return OrientedHypergraph(tuple(data["vertices"]), tuple(data["edges"]),
-                              tuple(incs))
+    return OrientedHypergraph._trusted(tuple(data["vertices"]),
+                                       tuple(data["edges"]), tuple(incs))
 
 
 def serialize(g: OrientedHypergraph) -> str:
-    """Emit the JSON interchange form; parse(serialize(g)) == g exactly."""
-    doc = {
-        "vertices": list(g.vertices),
-        "edges": list(g.edges),
-        "incidences": [
-            {"id": i.id, "vertex": i.vertex, "edge": i.edge, "sign": i.sign}
-            for i in g.incidences],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Emit the JSON interchange form; parse(serialize(g)) == g exactly.
+
+    The text of ``json.dumps(doc, indent=2)`` and a newline, joined from one
+    quoted string per id: ``indent`` would force the pure-Python encoder.
+    A sign that is not an int (1.0 parses as one) goes through ``json.dumps``.
+    """
+    def items(lines: list[str]) -> str:
+        return "[\n" + ",\n".join(lines) + "\n  ]" if lines else "[]"
+
+    q = _quote
+    vertices = items([f"    {q(v)}" for v in g.vertices])
+    edges = items([f"    {q(e)}" for e in g.edges])
+    incidences = items([
+        f'    {{\n      "id": {q(i.id)},\n      "vertex": {q(i.vertex)},\n'
+        f'      "edge": {q(i.edge)},\n      "sign": '
+        f'{i.sign if type(i.sign) is int else json.dumps(i.sign)}\n    }}'
+        for i in g.incidences])
+    return (f'{{\n  "vertices": {vertices},\n  "edges": {edges},\n'
+            f'  "incidences": {incidences}\n}}\n')
 
 
 def load(path) -> OrientedHypergraph:

@@ -14,6 +14,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, islice, product
 from typing import Iterable, Sequence
 
@@ -54,12 +55,12 @@ def is_inseparable(g: OrientedHypergraph) -> bool:
     if not g.incidences:
         return len(g.vertices) + len(g.edges) <= 1
     # A node on fewer than two incidences is cut off or hangs on a bridge.
-    for ends in (Counter(i.vertex for i in g.incidences),
-                 Counter(i.edge for i in g.incidences)):
-        if 1 in ends.values():
+    # Once every node is on two or more, each component holds a block, so
+    # one block also means one component: no separate traversal is needed.
+    for ends, nodes in ((Counter(i.vertex for i in g.incidences), g.vertices),
+                        (Counter(i.edge for i in g.incidences), g.edges)):
+        if len(ends) != len(nodes) or 1 in ends.values():
             return False
-    if len(gamma_components(g)) != 1:
-        return False
     return len(blocks(g)) == 1
 
 
@@ -151,6 +152,11 @@ class _PartFacts:
         self.views: dict[tuple[frozenset, frozenset], OrientedHypergraph] = {}
         self._facts: dict[tuple, object] = {}
 
+    @cached_property
+    def components(self) -> int:
+        """Number of components of ``g``, counted once per memo."""
+        return len(gamma_components(self.g))
+
     def _memo(self, key: tuple, compute):
         try:
             return self._facts[key]
@@ -194,6 +200,14 @@ class _PartFacts:
         return not any(self.inseparable(frozenset(sub), deleted)
                        for size in range(1, len(ordered))
                        for sub in combinations(ordered, size))
+
+    def connected(self, edges: frozenset[str]) -> bool:
+        return self._memo(("connected", edges),
+                          lambda: len(gamma_components(self.view(edges))) == 1)
+
+    def artery(self, edges: frozenset[str]) -> bool:
+        return self._memo(("artery", edges), lambda: _is_artery(
+            self.view(edges), lambda: self.connected(edges)))
 
     def thorns(self, edges: frozenset[str]) -> frozenset[str]:
         return self._memo(("thorns", edges),
@@ -286,11 +300,17 @@ def is_artery(g: OrientedHypergraph) -> bool:
     Equivalently: the bipartite representation is a tree, every vertex has
     degree 1 or 2, and every edge has at least two incidences.
     """
+    return _is_artery(g, lambda: len(gamma_components(g)) == 1)
+
+
+def _is_artery(g: OrientedHypergraph, connected) -> bool:
+    """``is_artery`` with the connectivity of ``g`` asked of ``connected``."""
     if len(g.vertices) == 1 and not g.edges and not g.incidences:
         return True
     if not g.edges or not g.vertices:
         return False
-    if len(gamma_components(g)) != 1 or cyclomatic_number(g) != 0:
+    # A tree: |I| = |V| + |E| - 1 links, all in one component.
+    if len(g.incidences) != len(g.vertices) + len(g.edges) - 1 or not connected():
         return False
     for v in g.vertices:
         if g.degree(v) not in (1, 2):
@@ -542,10 +562,9 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
              for note in facts.part_notes(part)]
     checks.append(Check("flower-parts", not notes, "; ".join(notes)))
 
-    notes = []
-    for idx, sub in enumerate(artery_subs):
-        if not is_artery(sub):
-            notes.append(f"artery {idx} is not an artery")
+    notes = [f"artery {idx} is not an artery"
+             for idx, part in enumerate(d.arteries)
+             if not facts.artery(frozenset(part))]
     checks.append(Check("arteries", not notes, "; ".join(notes)))
 
     # Declared thorns match the computed ones.
@@ -582,8 +601,8 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
     # between the same two parts, would let the union count as connected
     # while the shunt wiring is not a tree.
     cond1_notes = []
-    if len(gamma_components(g)) != 1:
-        cond1_notes.append(f"{len(gamma_components(g))} components")
+    if facts.components != 1:
+        cond1_notes.append(f"{facts.components} components")
     attachment_vertices = sorted(
         {g.incidence(i).vertex for i in d.balancing_set} | set(d.thorns))
     parts_at: dict[str, list[str]] = {u: [] for u in attachment_vertices}
@@ -871,7 +890,7 @@ def _flower_part_candidates(g: OrientedHypergraph, spend, facts: _PartFacts,
             if degree and max(degree.values()) > 2:
                 continue
             edges = frozenset(combo)
-            if len(gamma_components(facts.view(edges))) != 1:
+            if not facts.connected(edges):
                 continue
             if facts.balanceable(edges) and not facts.part_notes(edges):
                 out.append(edges)
@@ -899,7 +918,7 @@ def _covers(g: OrientedHypergraph, ids: list[str],
                 if not comp_edges:
                     return
                 spend()
-                if not is_artery(facts.view(frozenset(comp_edges))):
+                if not facts.artery(frozenset(comp_edges)):
                     return
                 comps.append(comp_edges)
             yield parts, comps
@@ -1000,7 +1019,8 @@ def find_shunting_decomposition(
     first time.  A decomposition is returned only after a fresh
     ``validate_shunting`` accepts it too.
     """
-    if len(gamma_components(g)) != 1:
+    facts = _PartFacts(g)
+    if facts.components != 1:
         return DecompositionSearch(
             None, 0, "no decomposition found (the union must be connected)")
     counter = {"spent": 0}
@@ -1011,7 +1031,6 @@ def find_shunting_decomposition(
             raise _BudgetExhausted
 
     ids = sorted(g.edges)
-    facts = _PartFacts(g)
 
     try:
         part_candidates = _flower_part_candidates(g, spend, facts,

@@ -3,8 +3,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ohg.balance import circle_sign, enumerate_circles, is_balanced
+import ohg.balance
+import ohg.camion
+import ohg.gamma
+from ohg.balance import circle_sign, enumerate_circles, is_balanced, walk_sign
 from ohg.camion import (
     UnbalanceableError,
     balancing_set_difference,
@@ -15,7 +19,7 @@ from ohg.camion import (
     signed_graph_balance,
 )
 from ohg.errors import InputError, ResourceError
-from ohg.gamma import spanning_forest
+from ohg.gamma import fundamental_circle_signs, fundamental_cycle, spanning_forest
 from ohg.model import OrientedHypergraph, make_Lk
 
 from instances import random_balanceable, random_hypergraph, random_signed_graph
@@ -285,3 +289,116 @@ class TestFrustration:
     def test_unknown_mode(self):
         with pytest.raises(InputError):
             frustration(unbalanced_triangle(), mode="simulated-annealing")
+
+
+# ---------------------------------------------------------------------------
+# Fundamental-circle signs in one pass
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4000), st.integers(0, 4000), st.data())
+def test_forest_pass_matches_walk_sign(seed, other, data):
+    """Several components, a loop edge, parallel incidences and a bare
+    vertex: on every forest strategy the pass gives, for each non-forest
+    incidence in order, the walk sign of its fundamental circle."""
+    g = disjoint_union(random_hypergraph(seed, max_incidences=14,
+                                         extra_range=(0, 5)),
+                       random_signed_graph(other))
+    incs = [(i.id, i.vertex, i.edge, i.sign) for i in g.incidences]
+    for k, inc in enumerate(data.draw(st.lists(st.sampled_from(g.incidences),
+                                               max_size=3))):
+        incs.append((f"p{k}", inc.vertex, inc.edge,
+                     data.draw(st.sampled_from((1, -1)))))
+    g = OrientedHypergraph.build(g.vertices + ("bare",), g.edges, incs)
+    for strategy in ("bfs", "dfs", "random"):
+        forest = spanning_forest(g, strategy, seed=seed)
+        want = [(i, walk_sign(g, fundamental_cycle(g, forest, i.id)[1]))
+                for i in g.incidences if i.id not in forest]
+        assert list(fundamental_circle_signs(g, forest)) == want
+        some = data.draw(st.lists(st.sampled_from(g.incidences), unique=True))
+        signs = dict(want)
+        assert list(fundamental_circle_signs(g, forest, some)) == [
+            (i, signs[i]) for i in some if i in signs]
+
+
+def test_forest_pass_rejects_a_forest_that_does_not_span_the_circle():
+    g = unbalanced_triangle()
+    bare = OrientedHypergraph.build(["v1"], [], [])
+    with pytest.raises(InputError):
+        list(fundamental_circle_signs(g, spanning_forest(bare)))
+    # Without i1 and i6, v1 is cut off from the rest of the forest.
+    cut = OrientedHypergraph.build(
+        g.vertices, g.edges,
+        [(i.id, i.vertex, i.edge, i.sign) for i in g.incidences
+         if i.id not in ("i1", "i6")])
+    with pytest.raises(InputError):
+        list(fundamental_circle_signs(g, spanning_forest(cut)))
+
+
+def wheel(n):
+    """A signed ring of n 2-edges and a hub joined to each ring vertex by a
+    spoke.  A dfs forest runs round the ring and then out along the spokes,
+    so the n fundamental circles of the spokes have lengths 4 .. 2n + 2."""
+    return OrientedHypergraph.build(
+        [f"v{k}" for k in range(n)] + ["w"],
+        [f"e{k}" for k in range(n)] + [f"s{k}" for k in range(n)],
+        [(f"a{k}", f"v{k}", f"e{k}", 1) for k in range(n)]
+        + [(f"b{k}", f"v{(k + 1) % n}", f"e{k}", 1 if k else -1)
+           for k in range(n)]
+        + [(f"c{k}", "w", f"s{k}", 1) for k in range(n)]
+        + [(f"d{k}", f"v{k}", f"s{k}", -1 if k % 3 else 1) for k in range(n)])
+
+
+def test_camion_takes_linear_sign_lookups_on_a_dfs_forest(monkeypatch):
+    """Signs are read once per forest node, not once per incidence of every
+    fundamental circle, whose lengths sum to about n^2 here."""
+    lookups = 0
+    sign_of = OrientedHypergraph.sign_of
+
+    def counting(self, incidence_id):
+        nonlocal lookups
+        lookups += 1
+        return sign_of(self, incidence_id)
+
+    g = wheel(175)
+    forest = spanning_forest(g, "dfs")
+    circles = [fundamental_cycle(g, forest, i.id)[1]
+               for i in g.incidences if i.id not in forest]
+    assert sum(map(len, circles)) > 175 ** 2
+    want = {incs[-1] for incs in circles if walk_sign(g, incs) == -1}
+    assert camion_reorient(g, forest).changed == want
+
+    monkeypatch.setattr(OrientedHypergraph, "sign_of", counting)
+    for n in (175, 350, 700):
+        g = wheel(n)
+        forest = spanning_forest(g, "dfs")
+        lookups = 0
+        assert camion_reorient(g, forest).balanced
+        # 3n + 1 nodes, each read once by the pass and once more by the
+        # balance check of the output.
+        assert lookups <= 8 * n
+
+
+def test_local_search_sorts_the_adjacency_once(monkeypatch):
+    """One sorted adjacency serves the bfs start and every random restart."""
+    sorts = 0
+    sorted_adjacency = ohg.gamma.sorted_adjacency
+
+    def counting(g):
+        nonlocal sorts
+        sorts += 1
+        return sorted_adjacency(g)
+
+    for module in (ohg.gamma, ohg.camion, ohg.balance):
+        if hasattr(module, "sorted_adjacency"):
+            monkeypatch.setattr(module, "sorted_adjacency", counting)
+    # The random restarts decide seed 5 of the pins.  The hypergraph's
+    # theta scan sorts on its own, so it is counted apart.
+    g = random_balanceable(5, max_incidences=20, extra_range=(4, 8),
+                           nv_range=(3, 7), ne_range=(3, 7))
+    sorts = 0
+    ohg.camion.is_balanceable(g)
+    scan, sorts = sorts, 0
+    result = frustration(g, mode="local_search", budget=400, seed=5)
+    assert (result.witness, result.evaluations) == LOCAL_SEARCH_PINS[5]
+    assert sorts == scan + 1

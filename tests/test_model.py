@@ -1,5 +1,6 @@
 """Core model: construction, serialization, views, and gamma utilities."""
 
+import json
 import random
 from itertools import combinations, islice
 
@@ -19,6 +20,7 @@ from ohg.gamma import (
 )
 from ohg.linalg import Domain
 from ohg.model import (
+    Incidence,
     OrientedHypergraph,
     SwitchingFunction,
     contract_degree2_vertex,
@@ -241,6 +243,67 @@ class TestGamma:
 @given(st.integers(min_value=0, max_value=4000))
 def test_serialize_parse_identity(seed):
     g = random_hypergraph(seed)
+    assert parse(serialize(g)) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_rejects_what_the_constructor_rejects(data):
+    """parse builds without re-validating, so its own checks must reject
+    every document whose fields the checking constructor rejects.  A valid
+    document gets up to two fields replaced by odd values: wrong types,
+    bad signs, dangling references and duplicate ids."""
+    names = st.lists(st.sampled_from(["a", "b", "c"]), unique=True, max_size=3)
+    doc = {"vertices": data.draw(names), "edges": data.draw(names),
+           "incidences": []}
+    if doc["vertices"] and doc["edges"]:
+        doc["incidences"] = [
+            {"id": f"i{k}",
+             "vertex": data.draw(st.sampled_from(doc["vertices"])),
+             "edge": data.draw(st.sampled_from(doc["edges"])),
+             "sign": data.draw(st.sampled_from([1, -1, 1.0]))}
+            for k in range(data.draw(st.integers(2, 3)))]
+    slots = ([(doc["vertices"], k) for k in range(len(doc["vertices"]))]
+             + [(doc["edges"], k) for k in range(len(doc["edges"]))]
+             + [(raw, field) for raw in doc["incidences"]
+                for field in ("id", "vertex", "edge", "sign")])
+    odd = st.sampled_from([None, 0, True, 2, -1, 1.5, "z", "a", "b", "i0", "i1"])
+    for _ in range(data.draw(st.integers(0, 2)) if slots else 0):
+        where, key = data.draw(st.sampled_from(slots))
+        where[key] = data.draw(odd)
+    try:
+        want = OrientedHypergraph(
+            tuple(doc["vertices"]), tuple(doc["edges"]),
+            tuple(Incidence(**raw) for raw in doc["incidences"]))
+    except InputError:
+        with pytest.raises(InputError):
+            parse(json.dumps(doc, indent=2))
+    else:
+        assert parse(json.dumps(doc, indent=2)) == want
+
+
+_TRICKY_IDS = st.text(alphabet=st.sampled_from('ab"\\/\n\x00\x7féß☃\U0001d11e'),
+                      max_size=4) | st.text(max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TRICKY_IDS, unique=True, max_size=4),
+       st.lists(_TRICKY_IDS, unique=True, max_size=4), st.data())
+def test_serialize_matches_the_indenting_encoder(vertices, edges, data):
+    """Byte for byte the text of json.dumps(doc, indent=2), empty lists,
+    escapes, non-ASCII ids and float signs included."""
+    incidences = []
+    if vertices and edges:
+        ids = data.draw(st.lists(_TRICKY_IDS, unique=True, max_size=5))
+        incidences = [Incidence(i, data.draw(st.sampled_from(vertices)),
+                                data.draw(st.sampled_from(edges)),
+                                data.draw(st.sampled_from((1, -1, 1.0, -1.0))))
+                      for i in ids]
+    g = OrientedHypergraph(tuple(vertices), tuple(edges), tuple(incidences))
+    doc = {"vertices": vertices, "edges": edges,
+           "incidences": [{"id": i.id, "vertex": i.vertex, "edge": i.edge,
+                           "sign": i.sign} for i in incidences]}
+    assert serialize(g) == json.dumps(doc, indent=2) + "\n"
     assert parse(serialize(g)) == g
 
 
