@@ -150,8 +150,14 @@ class OrientedHypergraph:
         return OrientedHypergraph._trusted(self.vertices, self.edges, tuple(incs))
 
     def is_two_uniform(self) -> bool:
-        """True when every edge has exactly two incidences (signed graph)."""
-        return all(self.edge_size(e) == 2 for e in self.edges)
+        """True when every edge has exactly two incidences (signed graph).
+
+        Counts in one pass: each ``edge_size`` call scans every incidence.
+        """
+        size = dict.fromkeys(self.edges, 0)
+        for inc in self.incidences:
+            size[inc.edge] += 1
+        return all(n == 2 for n in size.values())
 
 
 def reverse_incidences(g: OrientedHypergraph,

@@ -44,7 +44,8 @@ from ohg.model import (
     to_dot,
     weak_delete,
 )
-from instances import plant_obstruction, random_balanceable, random_hypergraph
+from instances import (plant_obstruction, random_balanceable, random_hypergraph,
+                       random_signed_graph)
 
 
 def triangle(last_sign=-1):
@@ -322,6 +323,19 @@ def test_cyclomatic_matches_component_formula(seed):
     nodes = len(g.vertices) + len(g.edges)
     assert phi == len(g.incidences) - nodes + len(gamma_components(g))
     assert phi >= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["hypergraph", "signed"]), st.integers(0, 4000),
+       st.booleans())
+def test_two_uniform_means_every_edge_size_is_two(family, seed, bare_edge):
+    g = (random_hypergraph(seed) if family == "hypergraph"
+         else random_signed_graph(seed))
+    if bare_edge:  # an edge without incidences has size 0
+        g = OrientedHypergraph(g.vertices, g.edges + ("bare",), g.incidences)
+    assert g.is_two_uniform() == all(g.edge_size(e) == 2 for e in g.edges)
+    if family == "signed" and not bare_edge:
+        assert g.is_two_uniform()
 
 
 def _nx_multigraph(g, exclude=frozenset()):
