@@ -21,7 +21,6 @@ from .errors import InputError, ResourceError
 from .linalg import Domain
 from .matroids import enumerate_circuits, fano_demo, lk_negative_circle_minimum
 from .model import (
-    cyclomatic_number,
     dump,
     gamma_components,
     incidence_matrix,
@@ -100,13 +99,15 @@ def _cmd_info(args) -> int:
     g = load(args.file)
     balanceable, _ = is_balanceable(g)
     balanced = balanceable and negative_fundamental_circle(g) is None
+    components = len(gamma_components(g))
     _emit({
         "command": "info",
         "vertices": len(g.vertices),
         "edges": len(g.edges),
         "incidences": len(g.incidences),
-        "components": len(gamma_components(g)),
-        "cyclomatic_number": cyclomatic_number(g),
+        "components": components,
+        "cyclomatic_number": len(g.incidences) - len(g.vertices)
+        - len(g.edges) + components,
         "two_uniform": g.is_two_uniform(),
         "balanced": balanced,
         "balanceable": balanceable,

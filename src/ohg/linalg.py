@@ -5,13 +5,16 @@ nullity and nullspace all read its reduced rows.  Rational rows stay
 arbitrary-precision integers, kept small by dividing out each row's gcd;
 prime-field rows are reduced modulo p.  ``echelon_extend`` grows a
 forward-echelon basis one vector at a time with the same row update, for
-callers that test many sets sharing a prefix.  No floating point anywhere.
+callers that test many sets sharing a prefix, and reads the dependency
+off the reduction when a vector falls in the span.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 from .errors import InputError
@@ -125,35 +128,55 @@ def _eliminate(rows, domain: Domain) -> tuple[list[list[int]], list[int]]:
 
 def _cancel(x, y, d, f, p) -> list[int]:
     """The one row update of every elimination here: ``d*x - f*y``, which
-    clears the entry where ``x`` holds f and ``y`` holds d.  Over the
-    rationals (p = 0) the result is divided by the gcd of its entries;
-    over GF(p) every entry is reduced modulo p."""
+    clears the entry where ``x`` holds f and ``y`` holds d; a ``y`` shorter
+    than ``x`` reads as zeros past its end.  Over the rationals (p = 0)
+    the result is divided by the gcd of its entries; over GF(p) every
+    entry is reduced modulo p."""
     if p:
-        return [(d * a - f * b) % p for a, b in zip(x, y)]
-    row = [d * a - f * b for a, b in zip(x, y)]
+        return [(d * a - f * b) % p
+                for a, b in zip_longest(x, y, fillvalue=0)]
+    row = [d * a - f * b for a, b in zip_longest(x, y, fillvalue=0)]
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
 
 
-def echelon_extend(basis: tuple, vec, domain: Domain) -> tuple | None:
-    """Add ``vec`` to a forward-echelon basis, or None if it is in the span.
+def echelon_extend(basis: tuple, vec, domain: Domain) -> tuple:
+    """Add ``vec`` to a forward-echelon basis, or read off its dependency.
 
     ``basis`` is a tuple of (pivot, vector) pairs, each vector zero at the
-    pivots before its own.  ``vec`` is cleared at each pivot in turn by
-    ``_cancel``, with no back substitution; a nonzero remainder joins a
-    new basis, pivoting at its first nonzero entry.  The input basis is
-    left as it is, so extensions of one prefix share its pairs.
+    pivots before its own.  After the entries of ``vec`` every vector
+    carries its coefficients over the columns added so far, one slot per
+    position, so that it equals that combination of them; ``vec`` itself
+    takes slot ``len(basis)`` with coefficient 1.  It is cleared at each
+    pivot in turn by ``_cancel``, which updates both parts, with no back
+    substitution.  Pivots lie among the first ``len(vec)`` entries only.
+
+    Returns ``(extended basis, None)`` when a nonzero entry remains there;
+    the new pair pivots at the first one.  Otherwise the coefficients are
+    a dependency of the columns, nonzero at the new slot, and as the basis
+    is independent they span the columns' nullspace: ``(None,
+    dependency)`` comes back normalised as ``nullspace`` normalises, to a
+    primitive integer tuple with positive leading entry over the
+    rationals and to last entry 1 over GF(p).  The input basis is left as
+    it is, so extensions of one prefix share its pairs.
     """
     p = domain.char
+    n = len(vec)
     x = [a % p for a in vec] if p else list(vec)
+    x += [0] * len(basis)
+    x.append(1)
     for pc, y in basis:
         f = x[pc]
         if f:
             x = _cancel(x, y, y[pc], f, p)
-    lead = next((i for i, a in enumerate(x) if a), None)
-    if lead is None:
-        return None
-    return basis + ((lead, x),)
+    lead = next((i for i in range(n) if x[i]), None)
+    if lead is not None:
+        return basis + ((lead, x),), None
+    coeffs = x[n:]
+    if p:
+        inv = pow(coeffs[-1], -1, p)
+        return None, tuple(a * inv % p for a in coeffs)
+    return None, _primitive(coeffs)
 
 
 def rank(rows, domain: Domain) -> int:
@@ -169,8 +192,9 @@ def nullspace(rows, domain: Domain) -> list[tuple]:
     """Basis of the right nullspace, one vector per free column.
 
     Rational vectors are scaled to primitive integer tuples with positive
-    leading entry; prime-field vectors take values in 0..p-1 with leading
-    entry 1.
+    leading entry; prime-field vectors take values in 0..p-1, with entry 1
+    at their own free column and 0 at the other free columns (over GF(3),
+    ``nullspace([[1, 1]])`` is ``[(2, 1)]``).
     """
     _, nc = _check_rect(rows)
     m, pivots = _eliminate(rows, domain)
@@ -194,16 +218,18 @@ def primitive_integer(vec) -> tuple[int, ...]:
     denom = 1
     for f in fracs:
         denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    return _primitive([int(f * denom) for f in fracs])
+
+
+def _primitive(ints) -> tuple[int, ...]:
+    """Divide integers by their gcd, signed so the leading nonzero entry
+    is positive; a zero vector stays as it is."""
+    g = gcd(*ints)
+    if not g:
+        return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def mat_vec(rows, vec, domain: Domain) -> tuple:

@@ -9,10 +9,11 @@ demonstration whose circuits realize the Fano and non-Fano matroids.
 Each query builds the incidence matrix once.  A column set is a circuit
 exactly when its nullspace has dimension 1 and is spanned by a vector
 with no zero entry, so one nullspace settles both dependency and
-minimality.  Enumeration stops at size rank + 1, the largest a circuit
-can have, and counts its subset cap up to there; it tests each candidate
-by reducing one column against the echelon basis of its prefix, and
-takes a nullspace only for the circuits it returns.
+minimality for ``is_circuit``.  Enumeration stops at size rank + 1, the
+largest a circuit can have, and counts its subset cap up to there; it
+tests each candidate by reducing one column against the echelon basis of
+its prefix, and reads each circuit's witness off the coefficients that
+reduction carries, so it runs no second elimination.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 from dataclasses import dataclass
 from itertools import product
 from math import comb
+from operator import mul
 
 from .balance import Circle, circle_sign, enumerate_circles
 from .errors import InputError, ResourceError
@@ -74,9 +76,11 @@ class CircuitReport:
     """Dependency verdict for one edge subset over one domain.
 
     ``witness`` is a nullspace vector of the column submatrix, aligned
-    with ``edges``; integral and primitive over the rationals, reduced
-    representatives over a prime field.  Present exactly when the subset
-    is dependent.
+    with ``edges``, normalised as ``linalg.nullspace`` normalises its
+    first vector: over the rationals a primitive integer tuple with
+    positive leading entry; over GF(p) values in 0..p-1 with entry 1 at
+    the first free column, which for a circuit is its last edge.  Present
+    exactly when the subset is dependent.
     """
 
     edges: tuple[str, ...]
@@ -149,6 +153,9 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
     is itself a circuit.  A surviving candidate's prefix without its
     last edge is then independent, and the candidate is tested by
     reducing only that edge's column against the prefix's echelon basis.
+    When the column falls in the span, the coefficients the reduction
+    carried span the candidate's one-dimensional nullspace and are its
+    witness; it must have no zero entry and must map the columns to zero.
     The candidate count up to that size must stay under the subset cap
     (default 2^20, overridable through OHG_MAX_SUBSETS).
     """
@@ -171,6 +178,7 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
     prefixes: dict = {(): ()}
     bases: dict = {}
     size = 1
+    witnesses: dict = {}
 
     def dependent(combo: tuple[str, ...]) -> bool:
         nonlocal prefixes, bases, size
@@ -179,8 +187,9 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
         basis = prefixes.get(combo[:-1])
         if basis is None:
             raise RuntimeError(f"no echelon basis for the prefix of {combo}")
-        extended = echelon_extend(basis, column[combo[-1]], domain)
-        if extended is None:
+        extended, witness = echelon_extend(basis, column[combo[-1]], domain)
+        if witness is not None:
+            witnesses[combo] = witness
             return True
         if size < top:
             bases[combo] = extended
@@ -188,11 +197,14 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
 
     found = []
     for combo in minimal_subsets(ids, dependent, range(1, top + 1)):
-        report = _report(matrix, pos, combo)
-        if not report.minimal:
+        witness = witnesses.pop(combo)
+        if not all(witness):
             raise RuntimeError(
                 f"ascending enumeration reached the non-circuit {combo}")
-        found.append(report)
+        if any(domain.reduce(sum(map(mul, row, witness)))
+               for row in zip(*(column[e] for e in combo))):
+            raise RuntimeError("dependency witness failed verification")
+        found.append(CircuitReport(combo, domain, True, True, witness))
     return found
 
 

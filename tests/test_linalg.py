@@ -58,15 +58,26 @@ def test_nullspace_matches_rref_oracle(rows, char):
 @example([[0, 0], [0, 0]], 0)
 def test_echelon_extend_tracks_the_rank(rows, char):
     """Adding the columns one at a time, a column extends the basis
-    exactly when it raises the rank of the columns so far."""
+    exactly when it raises the rank of the columns so far; otherwise the
+    dependency read off the reduction is nonzero, maps the kept columns
+    and the new one to zero, and is normalised as ``nullspace`` is."""
     domain = Domain(char)
     basis = ()
+    kept = []
     for c in range(len(rows[0])):
         prefix = [row[:c + 1] for row in rows]
-        extended = echelon_extend(basis, [row[c] for row in rows], domain)
+        extended, dependency = echelon_extend(
+            basis, [row[c] for row in rows], domain)
         assert (extended is None) == (
             rank(prefix, domain) == len(basis)), (c, basis)
+        assert (extended is None) != (dependency is None)
         if extended is not None:
             assert extended[:-1] == basis
             basis = extended
+            kept.append(c)
+            continue
+        cols = [[row[k] for k in kept + [c]] for row in rows]
+        assert len(dependency) == len(kept) + 1 and any(dependency)
+        assert not any(mat_vec(cols, dependency, domain))
+        assert dependency == oracle_nullspace(cols, domain)[0]
     assert len(basis) == oracle_rank(rows, char or None)

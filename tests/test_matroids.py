@@ -207,6 +207,38 @@ class TestEnumerate:
         with pytest.raises(RuntimeError, match="no echelon basis"):
             enumerate_circuits(triangle(1))
 
+    def test_witnesses_need_no_second_elimination(self, monkeypatch):
+        """Every witness comes off the enumeration's own reduction."""
+        graphs = [make_complete_hypergraph(n, 1) for n in (3, 4)]
+        want = [[enumerate_circuits(g, domain) for domain in FIELDS]
+                for g in graphs]
+
+        def no_nullspace(rows, domain):
+            raise AssertionError("enumeration took a nullspace")
+
+        monkeypatch.setattr(ohg.matroids, "nullspace", no_nullspace)
+        got = [[enumerate_circuits(g, domain) for domain in FIELDS]
+               for g in graphs]
+        assert got == want
+
+    def test_witness_with_a_zero_entry_raises(self, monkeypatch):
+        """Without containment pruning the dependent {a, b, c}, with c
+        parallel to a, survives to the report, whose witness (1, 0, -1)
+        has a zero entry: the minimality check refuses it."""
+        def unpruned(items, accept, sizes, visit=None):
+            return (c for size in sizes for c in combinations(items, size)
+                    if accept(c))
+
+        g = OrientedHypergraph.build(
+            ["v1", "v2"], ["a", "b", "c"],
+            [("i1", "v1", "a", 1), ("i2", "v2", "b", 1),
+             ("i3", "v1", "c", 1)])
+        assert [r.edges for r in enumerate_circuits(g)] == [("a", "c")]
+        monkeypatch.setattr(ohg.matroids, "minimal_subsets", unpruned)
+        with pytest.raises(RuntimeError,
+                           match=r"non-circuit \('a', 'b', 'c'\)"):
+            enumerate_circuits(g)
+
     @staticmethod
     def assert_matches_oracle(g, domain, max_size):
         got = enumerate_circuits(g, domain, max_size)
@@ -216,6 +248,14 @@ class TestEnumerate:
                       key=lambda c: (len(c), c))
         assert [rep.edges for rep in got] == want
         assert all(rep.dependent and rep.minimal for rep in got)
+        m = incidence_matrix(g, domain)
+        pos = {e: i for i, e in enumerate(m.cols)}
+        for rep in got:
+            rows = [[row[pos[e]] for e in rep.edges] for row in m.entries]
+            # Without vertex rows only single edges are circuits, and
+            # the oracle cannot see the column count of an empty matrix.
+            assert rep.witness == (oracle_nullspace(rows, domain)[0]
+                                   if rows else (1,)), rep
 
     def test_max_size_restricts(self):
         g = make_complete_hypergraph(3, 1)
