@@ -9,8 +9,9 @@ workload that ``perfbench/workloads.py`` lists, ``--pairs`` pairs of
 at a time and at the benchmark's own run length; even pairs run the base
 first and odd pairs the head first, so drift in the machine's load falls
 on both sides.  The output keeps every result line as printed, the
-seeds, both commit ids, the machine, and the per-metric medians of each
-side.
+seeds, both commit ids, the machine, the per-metric medians of each
+side, and each side's library size as ``src_lines``: the lines of its
+``src/ohg/*.py``, counted as ``wc -l`` counts them.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ def _unpack(commit: str, into: Path) -> None:
                              cwd=ROOT, check=True, capture_output=True).stdout
     into.mkdir()
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+
+
+def _src_lines(checkout: Path) -> int:
+    return sum(f.read_bytes().count(b"\n")
+               for f in (checkout / "src" / "ohg").glob("*.py"))
 
 
 def _run(checkout: Path, workload: str, seed: int) -> str:
@@ -90,6 +96,7 @@ def main(argv=None) -> int:
         for side, commit in sides.items():
             checkouts[side] = Path(tmp) / side
             _unpack(commit, checkouts[side])
+        src_lines = {side: _src_lines(path) for side, path in checkouts.items()}
         for workload in _workloads():
             lines = {"base": [], "head": []}
             for k, seed in enumerate(seeds):
@@ -116,6 +123,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version()},
         "runs": runs,
         "medians": medians,
+        "src_lines": src_lines,
     }
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

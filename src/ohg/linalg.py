@@ -1,19 +1,19 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-One fraction-free Gauss-Jordan elimination serves every domain: rank,
-nullity and nullspace all read its reduced rows.  Rational rows stay
-arbitrary-precision integers, kept small by dividing out each row's gcd;
-prime-field rows are reduced modulo p.  ``echelon_extend`` grows a
-forward-echelon basis one vector at a time with the same row update, for
-callers that test many sets sharing a prefix, and reads the dependency
-off the reduction when a vector falls in the span.  No floating point
+One fraction-free elimination serves every domain: ``echelon_extend``
+reduces one column against a forward-echelon basis and either extends
+the basis or reads the column's dependency off the reduction.  Rank
+counts the columns that extend it, and the nullspace collects the
+dependencies of those that do not; circuit enumeration calls it
+directly, so that sets sharing a prefix share its basis.  Rational rows
+stay arbitrary-precision integers, kept small by dividing out each
+row's gcd; prime-field rows are reduced modulo p.  No floating point
 anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
@@ -94,41 +94,9 @@ def _check_rect(rows) -> tuple[int, int]:
     return nr, nc
 
 
-def _eliminate(rows, domain: Domain) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination: (reduced rows, pivot columns).
-
-    Each pivot clears its column in every other row, so the nonzero rows
-    are the reduced row echelon form up to one nonzero factor per row; as
-    that form is unique, every reading below is independent of the pivot
-    order.  Over the rationals a row becomes ``d*row - f*pivot_row`` and is
-    then divided by the gcd of its entries; over GF(p) every entry is
-    reduced modulo p.
-    """
-    nr, nc = _check_rect(rows)
-    p = domain.char
-    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
-    pivots: list[int] = []
-    for col in range(nc):
-        top = len(pivots)
-        if top == nr:
-            break
-        piv = next((r for r in range(top, nr) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[top], m[piv] = m[piv], m[top]
-        pivot_row = m[top]
-        d = pivot_row[col]
-        for r in range(nr):
-            f = m[r][col]
-            if r != top and f:
-                m[r] = _cancel(m[r], pivot_row, d, f, p)
-        pivots.append(col)
-    return m, pivots
-
-
 def _cancel(x, y, d, f, p) -> list[int]:
-    """The one row update of every elimination here: ``d*x - f*y``, which
-    clears the entry where ``x`` holds f and ``y`` holds d; a ``y`` shorter
+    """The row update of ``echelon_extend``: ``d*x - f*y``, which clears
+    the entry where ``x`` holds f and ``y`` holds d; a ``y`` shorter
     than ``x`` reads as zeros past its end.  Over the rationals (p = 0)
     the result is divided by the gcd of its entries; over GF(p) every
     entry is reduced modulo p."""
@@ -155,8 +123,8 @@ def echelon_extend(basis: tuple, vec, domain: Domain) -> tuple:
     the new pair pivots at the first one.  Otherwise the coefficients are
     a dependency of the columns, nonzero at the new slot, and as the basis
     is independent they span the columns' nullspace: ``(None,
-    dependency)`` comes back normalised as ``nullspace`` normalises, to a
-    primitive integer tuple with positive leading entry over the
+    dependency)`` comes back normalised, as ``nullspace`` returns it, to
+    a primitive integer tuple with positive leading entry over the
     rationals and to last entry 1 over GF(p).  The input basis is left as
     it is, so extensions of one prefix share its pairs.
     """
@@ -176,11 +144,22 @@ def echelon_extend(basis: tuple, vec, domain: Domain) -> tuple:
     if p:
         inv = pow(coeffs[-1], -1, p)
         return None, tuple(a * inv % p for a in coeffs)
-    return None, _primitive(coeffs)
+    g = gcd(*coeffs)
+    if next(a for a in coeffs if a) < 0:
+        g = -g
+    return None, tuple(a // g for a in coeffs)
 
 
 def rank(rows, domain: Domain) -> int:
-    return len(_eliminate(rows, domain)[1])
+    """The number of columns, fed left to right, that extend the basis.
+    Once it holds one vector per row every later column is dependent."""
+    nr, _ = _check_rect(rows)
+    basis = ()
+    for col in zip(*rows):
+        if len(basis) == nr:
+            break
+        basis = echelon_extend(basis, col, domain)[0] or basis
+    return len(basis)
 
 
 def nullity(rows, domain: Domain) -> int:
@@ -189,47 +168,26 @@ def nullity(rows, domain: Domain) -> int:
 
 
 def nullspace(rows, domain: Domain) -> list[tuple]:
-    """Basis of the right nullspace, one vector per free column.
-
-    Rational vectors are scaled to primitive integer tuples with positive
-    leading entry; prime-field vectors take values in 0..p-1, with entry 1
-    at their own free column and 0 at the other free columns (over GF(3),
-    ``nullspace([[1, 1]])`` is ``[(2, 1)]``).
-    """
+    """Basis of the right nullspace, one vector per free column: a column
+    in the span of those before it, fed left to right to
+    ``echelon_extend``.  Its vector is the dependency read off there, zero
+    at every other free column: over the rationals a primitive integer
+    tuple with positive leading entry, over GF(p) values in 0..p-1 with
+    entry 1 at its own free column (over GF(3), ``nullspace([[1, 1]])``
+    is ``[(2, 1)]``)."""
     _, nc = _check_rect(rows)
-    m, pivots = _eliminate(rows, domain)
-    p = domain.char
-    basis = []
-    for fc in (c for c in range(nc) if c not in pivots):
-        vec = [0] * nc
-        vec[fc] = 1
-        for r, pc in enumerate(pivots):
-            if p:
-                vec[pc] = -m[r][fc] * pow(m[r][pc], -1, p) % p
-            else:
-                vec[pc] = Fraction(-m[r][fc], m[r][pc])
-        basis.append(tuple(vec) if p else primitive_integer(vec))
-    return basis
-
-
-def primitive_integer(vec) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, leading entry positive."""
-    fracs = [Fraction(x) for x in vec]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    return _primitive([int(f * denom) for f in fracs])
-
-
-def _primitive(ints) -> tuple[int, ...]:
-    """Divide integers by their gcd, signed so the leading nonzero entry
-    is positive; a zero vector stays as it is."""
-    g = gcd(*ints)
-    if not g:
-        return tuple(ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(x // g for x in ints)
+    basis = ()
+    pivots: list[int] = []
+    out = []
+    for c, col in enumerate(zip(*rows)):
+        extended, dependency = echelon_extend(basis, col, domain)
+        if extended is not None:
+            basis = extended
+            pivots.append(c)
+            continue
+        entry = dict(zip(pivots + [c], dependency))
+        out.append(tuple(entry.get(k, 0) for k in range(nc)))
+    return out
 
 
 def mat_vec(rows, vec, domain: Domain) -> tuple:

@@ -9,11 +9,14 @@ demonstration whose circuits realize the Fano and non-Fano matroids.
 Each query builds the incidence matrix once.  A column set is a circuit
 exactly when its nullspace has dimension 1 and is spanned by a vector
 with no zero entry, so one nullspace settles both dependency and
-minimality for ``is_circuit``.  Enumeration stops at size rank + 1, the
-largest a circuit can have, and counts its subset cap up to there; it
-tests each candidate by reducing one column against the echelon basis of
-its prefix, and reads each circuit's witness off the coefficients that
-reduction carries, so it runs no second elimination.
+minimality for ``is_circuit``.  Every elimination is one column
+reduction, ``linalg.echelon_extend``: rank, nullity and nullspace feed
+it a matrix's columns in turn, and enumeration calls it directly.
+Enumeration stops at size rank + 1, the largest a circuit can have, and
+counts its subset cap up to there; it tests each candidate by reducing
+one column against the echelon basis of its prefix, and reads each
+circuit's witness off the coefficients that reduction carries, so it
+runs no second elimination.
 """
 
 from __future__ import annotations

@@ -141,8 +141,9 @@ class _PartFacts:
     ``edge_induced(g, edges)``.  The pseudo-flower test also asks about a
     part with its thorns weak-deleted, so facts that can concern such a
     view are keyed by the deleted vertices too.  One memo serves one call
-    of ``find_shunting_decomposition``, ``validate_shunting`` or a public
-    recognizer and is dropped with it: nothing is kept between calls.
+    of ``find_shunting_decomposition``, ``validate_shunting``,
+    ``is_optimal_shunting`` or a public recognizer and is dropped with
+    it: nothing is kept between calls.
     """
 
     def __init__(self, g: OrientedHypergraph,
@@ -808,6 +809,13 @@ def is_F_maximal(d: ShuntingDecomposition, g: OrientedHypergraph,
     nonempty subset of artery edges; single-vertex arteries contribute no
     edges so they never enter the union.
     """
+    return _is_F_maximal(d, _PartFacts(g), max_checks)
+
+
+def _is_F_maximal(d: ShuntingDecomposition, facts: _PartFacts,
+                  max_checks: int = 10_000) -> bool:
+    """``is_F_maximal`` with the verdicts on each union read from a memo
+    on ``g``."""
     artery_edges = sorted(e for part in d.arteries for e in part)
     if not artery_edges or not d.flowers:
         return True
@@ -817,16 +825,13 @@ def is_F_maximal(d: ShuntingDecomposition, g: OrientedHypergraph,
             f"F-maximality needs {total} subset pairs "
             f"({len(d.flowers)} parts, {len(artery_edges)} artery edges); "
             f"the cap is {max_checks}")
-    part_list = list(d.flowers)
-    for p_size in range(1, len(part_list) + 1):
-        for parts in combinations(range(len(part_list)), p_size):
-            base: set[str] = set()
-            for idx in parts:
-                base |= part_list[idx]
+    for p_size in range(1, len(d.flowers) + 1):
+        for parts in combinations(d.flowers, p_size):
+            base = frozenset().union(*parts)
             for a_size in range(1, len(artery_edges) + 1):
                 for extra in combinations(artery_edges, a_size):
-                    sub = edge_induced(g, base | set(extra))
-                    if is_flower(sub) or is_pseudo_flower(sub):
+                    edges = base.union(extra)
+                    if facts.flower(edges) or facts.pseudo_flower(edges):
                         return False
     return True
 
@@ -839,10 +844,10 @@ def is_S_minimal(d: ShuntingDecomposition, g: OrientedHypergraph) -> bool:
 def is_optimal_shunting(d: ShuntingDecomposition, g: OrientedHypergraph,
                         max_checks: int = 10_000) -> bool:
     """F-maximal and S-minimal at once, after validation."""
-    report = validate_shunting(d, g)
-    if not report.ok:
+    facts = _PartFacts(g)
+    if not _validate(d, g, facts).ok:
         return False
-    return is_F_maximal(d, g, max_checks=max_checks) and is_S_minimal(d, g)
+    return _is_F_maximal(d, facts, max_checks) and is_S_minimal(d, g)
 
 
 # ---------------------------------------------------------------------------
@@ -898,45 +903,54 @@ def _flower_part_candidates(g: OrientedHypergraph, spend, facts: _PartFacts,
 
 
 def _covers(g: OrientedHypergraph, ids: list[str],
-            part_candidates: list[frozenset[str]], facts: _PartFacts, spend,
-            parts: list[frozenset[str]], artery_edges: set[str]):
+            part_candidates: list[frozenset[str]], facts: _PartFacts, spend):
     """Yield (flower parts, artery components) for each full cover of the
-    edges ``ids`` by disjoint candidate parts plus artery leftovers."""
-    spend()
-    free = next((e for e in ids
-                 if e not in artery_edges
-                 and all(e not in p for p in parts)), None)
-    if free is None:
-        if not parts:
-            return
-        if artery_edges:
-            rest = edge_induced(g, artery_edges)
-            comps = []
-            for comp in gamma_components(rest):
-                comp_edges = tuple(sorted(
-                    nid for kind, nid in comp if kind == EDGE))
-                if not comp_edges:
-                    return
-                spend()
-                if not facts.artery(frozenset(comp_edges)):
-                    return
-                comps.append(comp_edges)
-            yield parts, comps
-        else:
-            yield parts, []
-        return
-    for cand in part_candidates:
-        if free not in cand:
+    edges ``ids`` by disjoint candidate parts plus artery leftovers.
+
+    Depth first, from an explicit stack so that no input meets the
+    recursion limit: a state spends one unit, then tries each candidate
+    part holding its first uncovered edge in turn and, last, that edge as
+    an artery edge.
+    """
+    stack: list[tuple[list[frozenset[str]], frozenset[str]]] = [
+        ([], frozenset())]
+    while stack:
+        parts, artery_edges = stack.pop()
+        spend()
+        free = next((e for e in ids
+                     if e not in artery_edges
+                     and all(e not in p for p in parts)), None)
+        if free is None:
+            comps = (_artery_components(g, facts, spend, artery_edges)
+                     if parts else None)
+            if comps is not None:
+                yield parts, comps
             continue
-        if any(e in artery_edges or any(e in p for p in parts)
-               for e in cand):
-            continue
-        yield from _covers(g, ids, part_candidates, facts, spend,
-                           parts + [cand], artery_edges)
-    artery_edges.add(free)
-    yield from _covers(g, ids, part_candidates, facts, spend, parts,
-                       artery_edges)
-    artery_edges.discard(free)
+        branches = [(parts + [cand], artery_edges) for cand in part_candidates
+                    if free in cand and not any(
+                        e in artery_edges or any(e in p for p in parts)
+                        for e in cand)]
+        branches.append((parts, artery_edges | {free}))
+        stack.extend(reversed(branches))
+
+
+def _artery_components(g: OrientedHypergraph, facts: _PartFacts, spend,
+                       artery_edges: frozenset[str]
+                       ) -> list[tuple[str, ...]] | None:
+    """The components of the artery edges, each as sorted edge ids, one
+    unit spent per component; None when one is edgeless or no artery."""
+    comps = []
+    if artery_edges:
+        for comp in gamma_components(edge_induced(g, artery_edges)):
+            comp_edges = tuple(sorted(
+                nid for kind, nid in comp if kind == EDGE))
+            if not comp_edges:
+                return None
+            spend()
+            if not facts.artery(frozenset(comp_edges)):
+                return None
+            comps.append(comp_edges)
+    return comps
 
 
 def _match_pairing(g: OrientedHypergraph, bal_ids: list[str],
@@ -1010,8 +1024,9 @@ def find_shunting_decomposition(
     parts plus artery leftovers, then tries per-part minimal balancing
     sets and pairings until a decomposition validates (and, by default,
     is optimal).  Every subset inspected and candidate assembled draws
-    down the budget; running out is reported as a miss, never as proof
-    that no decomposition exists.
+    down the budget; running out, like a flower or F-maximality check
+    past its cap, is reported as a miss, never as proof that no
+    decomposition exists.
 
     Facts about one part (its view, flower and pseudo-flower verdicts,
     thorns, balance, minimal balancing sets) are memoised for the length
@@ -1036,7 +1051,7 @@ def find_shunting_decomposition(
         part_candidates = _flower_part_candidates(g, spend, facts,
                                                   max_part_edges)
         for flower_parts, arteries in _covers(g, ids, part_candidates, facts,
-                                              spend, [], set()):
+                                              spend):
             thorns = frozenset().union(*[facts.part_thorns(p)
                                          for p in flower_parts])
             artery_edges = {e for part in arteries for e in part}
@@ -1054,7 +1069,7 @@ def find_shunting_decomposition(
                 spend(10)
                 if not _validate(d, g, facts).ok:
                     continue
-                if require_optimal and not (is_F_maximal(d, g)
+                if require_optimal and not (_is_F_maximal(d, facts)
                                             and is_S_minimal(d, g)):
                     continue
                 if not validate_shunting(d, g).ok:
@@ -1068,6 +1083,9 @@ def find_shunting_decomposition(
     except _BudgetExhausted:
         return DecompositionSearch(
             None, counter["spent"], "no decomposition found within budget")
+    except ResourceError as exc:
+        return DecompositionSearch(
+            None, counter["spent"], f"no decomposition found: {exc}")
 
 
 # ---------------------------------------------------------------------------

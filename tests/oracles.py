@@ -5,7 +5,8 @@ different algorithms: circles as 2-regular connected link subsets,
 balance by checking every circle, balancing sets by trying every
 incidence subset, and ranks through sympy.  The exact eliminations the
 library used before it kept one (Bareiss ranks, Fraction and modular
-RREF) and its one-smaller-subset circuit test live here as references.
+RREF, with their own primitive-integer scaling), its one-smaller-subset
+circuit test and its memo-free F-maximality loop live here as references.
 Slow on purpose; only run at desk scale.
 """
 
@@ -13,14 +14,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from ohg.balance import ThetaCertificate, Walk
 from ohg.gamma import internally_disjoint_paths
-from ohg.linalg import Domain, primitive_integer
-from ohg.model import EDGE, VERTEX, OrientedHypergraph, incidence_matrix
+from ohg.linalg import Domain
+from ohg.model import (EDGE, VERTEX, OrientedHypergraph, edge_induced,
+                       incidence_matrix)
+from ohg.shunting import is_flower, is_pseudo_flower
 
 
 def oracle_circles(g: OrientedHypergraph) -> set[frozenset[str]]:
@@ -235,6 +239,20 @@ def _rref_mod(rows, p: int):
     return m, pivots
 
 
+def primitive_integer(vec) -> tuple[int, ...]:
+    """Scale a rational vector to coprime integers, the leading nonzero
+    entry positive; a zero vector stays as it is."""
+    fracs = [Fraction(x) for x in vec]
+    denom = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * denom) for f in fracs]
+    g = gcd(*ints)
+    if not g:
+        return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
 def oracle_nullspace(rows, domain: Domain) -> list[tuple]:
     """Nullspace basis read off a normalised RREF, one vector per free column.
 
@@ -297,3 +315,20 @@ def oracle_signed_subgraph_key(edges, eps, subset):
         if best is None or signed < best:
             best = signed
     return best
+
+
+def oracle_is_F_maximal(d, g: OrientedHypergraph) -> bool:
+    """F-maximality as the library once checked it, with no cap and no
+    shared memo: every union of a nonempty set of flower parts with a
+    nonempty set of artery edges is built as a fresh edge-induced view
+    and put to the public flower and pseudo-flower recognizers."""
+    artery_edges = sorted(e for part in d.arteries for e in part)
+    for p_size in range(1, len(d.flowers) + 1):
+        for parts in combinations(d.flowers, p_size):
+            base = set().union(*parts)
+            for a_size in range(1, len(artery_edges) + 1):
+                for extra in combinations(artery_edges, a_size):
+                    sub = edge_induced(g, base | set(extra))
+                    if is_flower(sub) or is_pseudo_flower(sub):
+                        return False
+    return True

@@ -14,14 +14,18 @@ from ohg.linalg import (
 from oracles import oracle_nullspace, oracle_rank, oracle_rank_int
 
 FIELDS = (0, 2, 3, 5, 7)
+# Full row rank over every field by its second column, so ``rank`` stops
+# before the last three.
+WIDE = [[1, 0, 1, 1, 2], [0, 1, 1, 2, 1]]
 
 
 @st.composite
 def matrices(draw):
-    """Small integer matrices, 1xn and nx1 included, with rows and
-    columns zeroed out on request."""
+    """Small integer matrices, 1xn and nx1 included, up to 8 columns wide
+    so that many have full row rank before their last column, with rows
+    and columns zeroed out on request."""
     nr = draw(st.integers(1, 6))
-    nc = draw(st.integers(1, 6))
+    nc = draw(st.integers(1, 8))
     entry = st.one_of(st.just(0), st.integers(-9, 9))
     rows = [[draw(entry) for _ in range(nc)] for _ in range(nr)]
     for r in draw(st.sets(st.integers(0, nr - 1), max_size=2)):
@@ -39,6 +43,11 @@ def matrices(draw):
 @example([[2, 4, -6]], 0)
 @example([[3], [6], [0]], 3)
 @example([[1, 1], [1, 1]], 2)
+@example(WIDE, 0)
+@example(WIDE, 2)
+@example(WIDE, 3)
+@example(WIDE, 5)
+@example(WIDE, 7)
 def test_nullspace_matches_rref_oracle(rows, char):
     domain = Domain(char)
     basis = nullspace(rows, domain)
@@ -81,3 +90,20 @@ def test_echelon_extend_tracks_the_rank(rows, char):
         assert not any(mat_vec(cols, dependency, domain))
         assert dependency == oracle_nullspace(cols, domain)[0]
     assert len(basis) == oracle_rank(rows, char or None)
+
+
+def test_rank_stops_once_every_row_has_a_pivot(monkeypatch):
+    """Columns after full row rank are dependent and are never reduced."""
+    import ohg.linalg
+
+    calls = []
+
+    def counted(basis, vec, domain):
+        calls.append(vec)
+        return echelon_extend(basis, vec, domain)
+
+    monkeypatch.setattr(ohg.linalg, "echelon_extend", counted)
+    for char in FIELDS:
+        calls.clear()
+        assert rank(WIDE, Domain(char)) == 2
+        assert calls == [(1, 0), (0, 1)]

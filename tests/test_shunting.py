@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 import weakref
 from collections import Counter
 from itertools import combinations
@@ -10,7 +11,7 @@ import pytest
 
 from ohg.balance import is_balanceable, is_balanced
 from ohg.camion import is_balancing_set
-from ohg.errors import InputError
+from ohg.errors import InputError, ResourceError
 from ohg.linalg import Domain
 from ohg.matroids import nullity
 from ohg import shunting
@@ -41,7 +42,7 @@ from ohg.shunting import (
 
 from census import connected_multigraphs, realize, switching_patterns
 from instances import random_hypergraph
-from oracles import oracle_minimal_balancing_sets
+from oracles import oracle_is_F_maximal, oracle_minimal_balancing_sets
 
 EXHAUSTED = "no decomposition found: bounded search space exhausted"
 OUT_OF_BUDGET = "no decomposition found within budget"
@@ -115,6 +116,18 @@ def double_triple_edge():
                  [("p1", "a", "e", 1), ("p2", "b", "e", 1),
                   ("p3", "c", "e", 1), ("q1", "a", "f", -1),
                   ("q2", "b", "f", -1), ("q3", "c", "f", -1)])
+
+
+def path_or_circle(n, closed, sign=-1):
+    """n 2-edges c1..cn in a row, closed into a circle whose last
+    incidence has the given sign when ``closed``."""
+    vertices = [f"v{k}" for k in range(1, n + 1 + (not closed))]
+    incs = []
+    for k in range(1, n + 1):
+        tail = vertices[k % len(vertices)]
+        incs += [(f"i{k}a", f"v{k}", f"c{k}", 1),
+                 (f"i{k}b", tail, f"c{k}", sign if k == n else -1)]
+    return build(vertices, [f"c{k}" for k in range(1, n + 1)], incs)
 
 
 def thorned_triangle():
@@ -283,6 +296,7 @@ class TestValidation:
         report = validate_shunting(broken, g)
         assert not report.ok
         assert any(c.name == "coverage" for c in report.failed())
+        assert not is_optimal_shunting(broken, g)
 
     def test_scrambled_pairing_fails_condition_3(self):
         g, d = generate_optimal_shunting(1)
@@ -492,6 +506,94 @@ class TestSearch:
         result = find_shunting_decomposition(g)
         assert result.found is None
         assert "connected" in result.reason
+
+
+class TestSearchCaps:
+    """A cap met inside the search is a miss, as the budget is; long
+    inputs do not meet the recursion limit."""
+
+    def test_F_maximality_cap_is_a_miss(self):
+        circle, _ = shunting._negative_circle_part(random.Random(0))
+        g = build_arterial_connection(
+            [circle, one_edge()], [((0, "v1"), (1, "v"), 12)]).hypergraph
+        result = find_shunting_decomposition(g, budget=10**6,
+                                             max_part_edges=6)
+        assert result.found is None
+        assert result.reason == (
+            "no decomposition found: F-maximality needs 12285 subset pairs "
+            "(2 parts, 12 artery edges); the cap is 10000")
+        assert 0 < result.inspected <= 10**6
+
+    def test_flower_cap_is_a_miss(self):
+        g = path_or_circle(13, closed=True)
+        result = find_shunting_decomposition(g, max_part_edges=13)
+        assert result.found is None
+        assert result.reason == (
+            "no decomposition found: flower minimality check needs 2^13 "
+            "edge subsets; the cap is 12 edges")
+        # Every edge combination of the candidate phase, up to the whole
+        # circle, whose flower check meets the cap.
+        assert result.inspected == 2 ** 13 - 1
+
+    def test_long_path_is_searched_without_recursion(self):
+        g = path_or_circle(1200, closed=False)
+        result = find_shunting_decomposition(g, budget=10**7,
+                                             max_part_edges=1)
+        assert result.found is None
+        assert result.reason == EXHAUSTED
+        # One unit per single-edge combination, then one per cover state:
+        # no edge is a flower part, so the states are the 1201 prefixes
+        # of the path taken as artery edges.
+        assert result.inspected == 1200 + 1201
+
+
+def _F_verdict(check, d, g):
+    try:
+        return check(d, g)
+    except ResourceError as exc:
+        return str(exc)
+
+
+def _random_split(g, rng):
+    """Up to five edges of g as one artery, the rest as up to three
+    flower parts; no shunting condition is imposed."""
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    cut = rng.randint(1, min(5, len(edges) - 1))
+    rest, flowers = edges[cut:], []
+    while rest and len(flowers) < 3:
+        k = rng.randint(1, len(rest))
+        flowers.append(rest[:k])
+        rest = rest[k:]
+    return ShuntingDecomposition.build(flowers, [edges[:cut]])
+
+
+class TestFMaximal:
+    def test_a_flower_part_and_its_artery_closing_a_circle(self):
+        g = path_or_circle(4, closed=True)
+        d = ShuntingDecomposition.build([{"c1"}], [("c2", "c3", "c4")])
+        assert oracle_is_F_maximal(d, g) is False
+        assert is_F_maximal(d, g) is False
+
+    def test_matches_fresh_recognizers(self):
+        """One memo gives the verdicts that a fresh view and fresh
+        recognizers per union gave, on generated shuntings and on random
+        splits of generated and random hypergraphs into parts."""
+        rng = random.Random(11)
+        cases = []
+        for seed in range(12):
+            g, d = generate_optimal_shunting(seed)
+            cases += [(d, g), (_random_split(g, rng), g)]
+        for seed in range(40):
+            g = random_hypergraph(seed)
+            if len(g.edges) > 1:
+                cases.append((_random_split(g, rng), g))
+        seen = Counter()
+        for d, g in cases:
+            verdict = _F_verdict(is_F_maximal, d, g)
+            assert verdict == _F_verdict(oracle_is_F_maximal, d, g), d
+            seen[verdict] += 1
+        assert seen[True] and seen[False]
 
 
 def _assert_facts_match_recognizers(g):
