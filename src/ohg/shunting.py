@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice, product
+from math import comb
 from typing import Iterable, Sequence
 
 from .balance import is_balanceable, is_balanced
@@ -190,12 +191,27 @@ class _PartFacts:
                           lambda: self._flower(edges, deleted))
 
     def _flower(self, edges, deleted) -> bool:
+        """The flower rule, walking the proper edge subsets only when some
+        vertex of the view has degree 3 or more.
+
+        An inseparable view H whose vertices all have degree <= 2 is a
+        flower.  With no incidences, H is a single edge and has no proper
+        nonempty subset.  Otherwise H is connected and every node of H is
+        on an incidence, so for a proper nonempty edge subset S some vertex
+        v of H is on an edge in S and on an edge outside S.  The view on S,
+        which keeps the same deleted vertices, keeps v with one incidence
+        only, since v has degree <= 2 in H, and a node on one incidence
+        is never inseparable.  The cap check stays ahead of this rule.
+        """
         if not edges or not self.inseparable(edges, deleted):
             return False
         if len(edges) > self.max_edges:
             raise ResourceError(
                 f"flower minimality check needs 2^{len(edges)} edge subsets; "
                 f"the cap is {self.max_edges} edges")
+        degree = Counter(i.vertex for i in self.view(edges, deleted).incidences)
+        if max(degree.values(), default=0) <= 2:
+            return True
         # Sizes start at 1: the empty edge-induced view counts as inseparable.
         ordered = sorted(edges)
         return not any(self.inseparable(frozenset(sub), deleted)
@@ -258,15 +274,15 @@ class _PartFacts:
                                cap: int = 128) -> list[frozenset[str]]:
         """All minimal balancing sets of one part, ascending by size.
 
-        ``spend`` is called once per candidate set visited.  A part met
-        again replays the same number of calls, so the budget runs out at
-        the same point as if the sets were enumerated anew.
+        ``spend()`` is called once per candidate set visited.  A part met
+        again is charged ``spend(visited)`` in one call, which the search
+        counts as that many one-unit spends, so the budget runs out at the
+        same point as if the sets were enumerated anew.
         """
         key = ("minimal-balancing-sets", edges)
         if key in self._facts:
             sets, visited = self._facts[key]
-            for _ in range(visited):
-                spend()
+            spend(visited)
             return sets
         visited = 0
 
@@ -876,29 +892,88 @@ class _BudgetExhausted(Exception):
 
 def _flower_part_candidates(g: OrientedHypergraph, spend, facts: _PartFacts,
                             max_part_edges: int) -> list[frozenset[str]]:
-    """Edge subsets that could serve as flower parts, ascending by size.
+    """Edge subsets that could serve as flower parts, ascending by size and
+    then by sorted ids.
 
-    Balanceable flower or pseudo-flower, with no balanced plain flower
-    admitted.  Every vertex of such a part has degree at most 2, which
-    prunes most subsets, read off the edges' vertex lists, before any view
-    is built.
+    A candidate is a balanceable flower or pseudo-flower, with no balanced
+    plain flower admitted.  It is connected, and every vertex of it has
+    degree at most 2.  Both rules are hereditary for connected growth, so
+    the parts are grown one adjacent edge at a time, size by size, each
+    produced once (ESU: Wernicke, "Efficient detection of network motifs",
+    2006), and a part that breaks the degree rule is not grown further.
+
+    A part whose Γ is a tree (I = V + E - 1 incidences) is a candidate
+    only if it is a 1-edge (I = 1), so other tree parts are dropped
+    before any view is built.  Proof: with I = 0 the part is one edge
+    with no incidence, a balanced flower; with I >= 2 the tree has a leaf
+    on one incidence, so the part is not inseparable and not a flower,
+    and it has no circle, hence no thorns and no pseudo-flower.
+
+    The budget is charged as if every edge combination up to
+    ``max_part_edges`` were inspected in turn, one unit each: before a
+    part is judged, ``spend`` is charged up to the part's position in
+    that order, read off the combinatorial number system, and the rest
+    is charged at the end.
     """
     ids = sorted(g.edges)
-    ends: dict[str, list[str]] = {e: [] for e in ids}
+    m, top = len(ids), min(len(ids), max_part_edges)
+    index = {e: k for k, e in enumerate(ids)}
+    ends: list[list[str]] = [[] for _ in ids]
+    at: dict[str, set[int]] = {}
     for inc in g.incidences:
-        ends[inc.edge].append(inc.vertex)
+        ends[index[inc.edge]].append(inc.vertex)
+        at.setdefault(inc.vertex, set()).add(index[inc.edge])
+    near = [set().union(*(at[v] for v in ends[k])) - {k} for k in range(m)]
+
+    def grown(degree: dict[str, int], k: int) -> dict[str, int] | None:
+        """``degree`` with edge k added; None past degree 2."""
+        degree = dict(degree)
+        for v in ends[k]:
+            degree[v] = degree.get(v, 0) + 1
+            if degree[v] > 2:
+                return None
+        return degree
+
+    # An ESU state: the part's edges in order, its vertex degrees, the
+    # edges it may still grow by, the part with its neighbours, and its
+    # least edge.
+    def children(state):
+        part, degree, ext, closed, root = state
+        for n, w in enumerate(ext):
+            after = grown(degree, w)
+            if after is not None:
+                yield (tuple(sorted((*part, w))), after, ext[:n] + [
+                    u for u in near[w] if u > root and u not in closed],
+                       closed | near[w], root)
+
+    level = [((k,), start, [u for u in near[k] if u > k], near[k] | {k}, k)
+             for k in range(m) if (start := grown({}, k)) is not None]
     out: list[frozenset[str]] = []
-    for size in range(1, min(len(ids), max_part_edges) + 1):
-        for combo in combinations(ids, size):
-            spend()
-            degree = Counter(v for e in combo for v in ends[e])
-            if degree and max(degree.values()) > 2:
+    charged = through = 0
+    for size in range(1, top + 1):
+        # The first combination of this size is charged before the level
+        # is grown, so a spent budget stops the walk before it grows.
+        spend(through + 1 - charged)
+        charged = through + 1
+        if size > 1:
+            level = [child for state in level for child in children(state)]
+        if not level:
+            break
+        for part, degree, *_ in sorted(level, key=lambda state: state[0]):
+            # Combinations through this size, less those after the part.
+            rank = through + comb(m, size) - sum(
+                comb(m - 1 - k, size - n) for n, k in enumerate(part))
+            spend(rank - charged)
+            charged = rank
+            # A tree part other than a 1-edge is no candidate (above).
+            incidences = sum(degree.values())
+            if incidences == len(degree) + size - 1 and incidences != 1:
                 continue
-            edges = frozenset(combo)
-            if not facts.connected(edges):
-                continue
+            edges = frozenset(ids[k] for k in part)
             if facts.balanceable(edges) and not facts.part_notes(edges):
                 out.append(edges)
+        through += comb(m, size)
+    spend(sum(comb(m, size) for size in range(1, top + 1)) - charged)
     return out
 
 
@@ -953,28 +1028,36 @@ def _artery_components(g: OrientedHypergraph, facts: _PartFacts, spend,
     return comps
 
 
-def _match_pairing(g: OrientedHypergraph, bal_ids: list[str],
-                   candidates: dict[str, list[str]],
+def _match_pairing(bal_ids: list[str], candidates: dict[str, list[str]],
                    required: set[str]) -> dict[str, str] | None:
     """Injective assignment of a distinct partner incidence to each
-    balancing incidence, covering every required partner; None if stuck."""
+    balancing incidence, covering every required partner; None if stuck.
 
-    def extend(pos: int, used: set[str]) -> dict[str, str] | None:
-        if pos == len(bal_ids):
-            if required <= used:
-                return {}
-            return None
-        b = bal_ids[pos]
-        for key in candidates[b]:
-            if key in used:
-                continue
-            rest = extend(pos + 1, used | {key})
-            if rest is not None:
-                rest[key] = b
-                return rest
-        return None
-
-    return extend(0, set())
+    Depth first over ``bal_ids`` in order, each trying its candidates in
+    order, from an explicit stack so that no input meets the recursion
+    limit.  The first full assignment is returned, keyed from the last
+    balancing incidence to the first.
+    """
+    if not bal_ids:
+        return {} if not required else None
+    # trials[p] walks the candidates of bal_ids[p]; chosen holds the
+    # partners picked for the positions before the last trial.
+    chosen: list[str] = []
+    used: set[str] = set()
+    trials = [iter(candidates[bal_ids[0]])]
+    while trials:
+        key = next((k for k in trials[-1] if k not in used), None)
+        if key is None:
+            trials.pop()
+            if chosen:
+                used.discard(chosen.pop())
+        elif len(trials) < len(bal_ids):
+            chosen.append(key)
+            used.add(key)
+            trials.append(iter(candidates[bal_ids[len(trials)]]))
+        elif required <= used | {key}:
+            return dict(zip(reversed(chosen + [key]), reversed(bal_ids)))
+    return None
 
 
 def _assemble_candidate(g: OrientedHypergraph, facts: _PartFacts,
@@ -1006,7 +1089,7 @@ def _assemble_candidate(g: OrientedHypergraph, facts: _PartFacts,
         candidates[b] = opts
     required = {i.id for i in g.incidences
                 if i.edge in artery_edges and i.vertex in vb}
-    pairing = _match_pairing(g, sorted(balancing), candidates, required)
+    pairing = _match_pairing(sorted(balancing), candidates, required)
     if pairing is None:
         return None
     return ShuntingDecomposition.build(
@@ -1020,13 +1103,17 @@ def find_shunting_decomposition(
         max_part_edges: int = DEFAULT_MAX_FLOWER_EDGES) -> DecompositionSearch:
     """Bounded backtracking search for a shunting decomposition of g.
 
-    Enumerates candidate flower parts, covers the edge set with disjoint
-    parts plus artery leftovers, then tries per-part minimal balancing
-    sets and pairings until a decomposition validates (and, by default,
-    is optimal).  Every subset inspected and candidate assembled draws
-    down the budget; running out, like a flower or F-maximality check
-    past its cap, is reported as a miss, never as proof that no
-    decomposition exists.
+    Grows candidate flower parts (connected edge sets of vertex degree
+    at most 2, up to ``max_part_edges`` edges), covers the edge set with
+    disjoint parts plus artery leftovers, then tries per-part minimal
+    balancing sets and pairings until a decomposition validates (and, by
+    default, is optimal).  The candidate phase draws one unit per edge
+    combination up to ``max_part_edges``, as if each were inspected,
+    charged in closed form; every cover state, balancing-set candidate
+    and assembly draws more.  Running out of budget, like a flower or
+    F-maximality check past its cap, is reported as a miss, never as
+    proof that no decomposition exists; past the budget ``inspected``
+    reads budget + 1, or more after a validation's ten-unit lump.
 
     Facts about one part (its view, flower and pseudo-flower verdicts,
     thorns, balance, minimal balancing sets) are memoised for the length
@@ -1040,10 +1127,13 @@ def find_shunting_decomposition(
             None, 0, "no decomposition found (the union must be connected)")
     counter = {"spent": 0}
 
-    def spend(amount: int = 1) -> None:
-        counter["spent"] += amount
-        if counter["spent"] > budget:
+    def spend(units: int = 1) -> None:
+        """Charge ``units`` one-unit spends at once: past the budget the
+        count stops at budget + 1, where the first unit too many stops."""
+        if counter["spent"] + units > budget:
+            counter["spent"] = budget + 1
             raise _BudgetExhausted
+        counter["spent"] += units
 
     ids = sorted(g.edges)
 
@@ -1066,7 +1156,11 @@ def find_shunting_decomposition(
                                         balancing, thorns, artery_edges)
                 if d is None:
                     continue
-                spend(10)
+                # A validation costs ten units in one lump, which may pass
+                # the budget by more than one.
+                counter["spent"] += 10
+                if counter["spent"] > budget:
+                    raise _BudgetExhausted
                 if not _validate(d, g, facts).ok:
                     continue
                 if require_optimal and not (_is_F_maximal(d, facts)

@@ -6,7 +6,8 @@ balance by checking every circle, balancing sets by trying every
 incidence subset, and ranks through sympy.  The exact eliminations the
 library used before it kept one (Bareiss ranks, Fraction and modular
 RREF, with their own primitive-integer scaling), its one-smaller-subset
-circuit test and its memo-free F-maximality loop live here as references.
+circuit test, its memo-free F-maximality loop and its walk over every
+edge combination for flower-part candidates live here as references.
 Slow on purpose; only run at desk scale.
 """
 
@@ -19,12 +20,14 @@ from math import gcd, lcm
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
-from ohg.balance import ThetaCertificate, Walk
+from ohg.balance import ThetaCertificate, Walk, is_balanceable, is_balanced
+from ohg.errors import ResourceError
 from ohg.gamma import internally_disjoint_paths
 from ohg.linalg import Domain
 from ohg.model import (EDGE, VERTEX, OrientedHypergraph, edge_induced,
-                       incidence_matrix)
-from ohg.shunting import is_flower, is_pseudo_flower
+                       gamma_components, incidence_matrix, weak_delete)
+from ohg.shunting import (DEFAULT_MAX_FLOWER_EDGES, find_thorns, is_flower,
+                          is_inseparable, is_pseudo_flower)
 
 
 def oracle_circles(g: OrientedHypergraph) -> set[frozenset[str]]:
@@ -332,3 +335,56 @@ def oracle_is_F_maximal(d, g: OrientedHypergraph) -> bool:
                     if is_flower(sub) or is_pseudo_flower(sub):
                         return False
     return True
+
+
+def oracle_is_flower(g: OrientedHypergraph,
+                     max_edges: int = DEFAULT_MAX_FLOWER_EDGES) -> bool:
+    """The flower rule by the exhaustive walk: inseparable, and no
+    edge-induced view on a proper nonempty edge subset is.  An inseparable
+    input with more than ``max_edges`` edges raises ResourceError, as the
+    library's check does."""
+    if not g.edges or not is_inseparable(g):
+        return False
+    if len(g.edges) > max_edges:
+        raise ResourceError(f"flower check on {len(g.edges)} edges")
+    ordered = sorted(g.edges)
+    return not any(is_inseparable(edge_induced(g, sub))
+                   for size in range(1, len(ordered))
+                   for sub in combinations(ordered, size))
+
+
+def oracle_flower_part_candidates(g: OrientedHypergraph, spend,
+                                  max_part_edges: int,
+                                  max_edges: int = DEFAULT_MAX_FLOWER_EDGES
+                                  ) -> list[frozenset[str]]:
+    """The search's flower-part candidates by the old walk: every edge
+    combination up to ``max_part_edges`` in (size, sorted ids) order, one
+    ``spend()`` each, filtered by vertex degree <= 2, connectivity,
+    balanceability, and the flower-part rule on fresh views with the
+    exhaustive flower check, judged in the library's order so that a cap
+    is met at the same combination."""
+    ids = sorted(g.edges)
+    ends = {e: [i.vertex for i in g.incidences if i.edge == e] for e in ids}
+    out = []
+    for size in range(1, min(len(ids), max_part_edges) + 1):
+        for combo in combinations(ids, size):
+            spend()
+            degree: dict[str, int] = {}
+            for e in combo:
+                for v in ends[e]:
+                    degree[v] = degree.get(v, 0) + 1
+            if any(d > 2 for d in degree.values()):
+                continue
+            view = edge_induced(g, combo)
+            if len(gamma_components(view)) != 1 or not is_balanceable(view)[0]:
+                continue
+            flower = oracle_is_flower(view, max_edges)
+            one_edge = (len(view.vertices) == len(view.edges)
+                        == len(view.incidences) == 1)
+            thorns = find_thorns(view)
+            pseudo = one_edge or (bool(thorns) and oracle_is_flower(
+                weak_delete(view, thorns), max_edges))
+            if (flower or pseudo) and not (
+                    flower and not pseudo and is_balanced(view)[0]):
+                out.append(frozenset(combo))
+    return out

@@ -6,6 +6,7 @@ import random
 import weakref
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -15,10 +16,15 @@ from ohg.errors import InputError, ResourceError
 from ohg.linalg import Domain
 from ohg.matroids import nullity
 from ohg import shunting
-from ohg.model import OrientedHypergraph, edge_induced, incidence_matrix, make_Lk
+from ohg.model import (OrientedHypergraph, edge_induced, incidence_matrix,
+                       make_Lk, weak_delete)
 from ohg.shunting import (
+    DEFAULT_MAX_FLOWER_EDGES,
+    DEFAULT_SEARCH_BUDGET,
     ShuntingDecomposition,
     ShuntingReport,
+    _flower_part_candidates,
+    _match_pairing,
     _PartFacts,
     artery_external_vertices,
     build_arterial_connection,
@@ -42,7 +48,8 @@ from ohg.shunting import (
 
 from census import connected_multigraphs, realize, switching_patterns
 from instances import random_hypergraph
-from oracles import oracle_is_F_maximal, oracle_minimal_balancing_sets
+from oracles import (oracle_flower_part_candidates, oracle_is_F_maximal,
+                     oracle_is_flower, oracle_minimal_balancing_sets)
 
 EXHAUSTED = "no decomposition found: bounded search space exhausted"
 OUT_OF_BUDGET = "no decomposition found within budget"
@@ -546,6 +553,137 @@ class TestSearchCaps:
         # of the path taken as artery edges.
         assert result.inspected == 1200 + 1201
 
+    def test_flower_cap_met_mid_phase(self):
+        """The cap is met at the circle's own combination, before the
+        candidate phase has charged its last one."""
+        circle = path_or_circle(13, closed=True)
+        g = build(list(circle.vertices) + ["x"], list(circle.edges) + ["p"],
+                  [(i.id, i.vertex, i.edge, i.sign) for i in circle.incidences]
+                  + [("j1", "v1", "p", 1), ("j2", "x", "p", -1)])
+        result = find_shunting_decomposition(g, max_part_edges=13)
+        assert result.reason == (
+            "no decomposition found: flower minimality check needs 2^13 "
+            "edge subsets; the cap is 12 edges")
+        outcome, spent = _walk(
+            lambda spend: oracle_flower_part_candidates(g, spend, 13),
+            DEFAULT_SEARCH_BUDGET)
+        assert outcome == "cap"
+        assert result.inspected == spent < 2 ** 14 - 2
+
+    def test_pairing_backtracks_over_1500_ids_without_recursion(self):
+        """Every balancing incidence but the first can take s0 or its own
+        partner; the first must give s0 up for the required s1, which is
+        found only after the whole depth is backtracked."""
+        n = 1500
+        bal_ids = [f"b{k}" for k in range(n)]
+        candidates = {"b0": ["s0", "s1"]}
+        candidates.update({f"b{k}": ["s0", f"s{k + 1}"] for k in range(1, n)})
+        pairing = _match_pairing(bal_ids, candidates, {"s1"})
+        expected = ([(f"s{k + 1}", f"b{k}") for k in range(n - 1, 1, -1)]
+                    + [("s0", "b1"), ("s1", "b0")])
+        assert list(pairing.items()) == expected
+
+
+def _walk(walk, budget):
+    """Run a candidate walk against a budget counted as the search counts
+    it: (candidates, or how the walk stopped; units spent)."""
+    spent = [0]
+
+    class Exhausted(Exception):
+        pass
+
+    def spend(units=1):
+        if spent[0] + units > budget:
+            spent[0] = budget + 1
+            raise Exhausted
+        spent[0] += units
+
+    try:
+        return walk(spend), spent[0]
+    except Exhausted:
+        return "budget", spent[0]
+    except ResourceError:
+        return "cap", spent[0]
+
+
+def _with_loose_edge(g):
+    """g with one more edge e0, on no vertex, sorted before the others."""
+    return build(g.vertices, ("e0",) + tuple(g.edges),
+                 [(i.id, i.vertex, i.edge, i.sign) for i in g.incidences])
+
+
+def _candidate_instances():
+    for n, edges in connected_multigraphs(4):
+        for eps in switching_patterns(n, edges):
+            yield realize(n, edges, eps)
+    for seed in range(80):
+        g = random_hypergraph(seed)
+        yield g
+        if seed % 4 == 0:
+            yield _with_loose_edge(g)
+        yield random_hypergraph(seed, max_incidences=16, extra_range=(0, 5),
+                                ne_range=(3, 7))
+
+
+def test_flower_part_candidates_match_the_combination_walk():
+    """Grown candidates and their closed-form charges equal the walk over
+    every edge combination, one unit each, at budgets around the phase's
+    total and at the default."""
+    seen = Counter()
+    for g in _candidate_instances():
+        degree = Counter(i.vertex for i in g.incidences)
+        per_edge = Counter(i.edge for i in g.incidences)
+        seen["loop"] += any(len({i.vertex for i in g.incidences_of(e)})
+                            < per_edge[e] for e in g.edges)
+        seen["incidence-less edge"] += len(per_edge) < len(g.edges)
+        seen["degree > 2"] += any(d > 2 for d in degree.values())
+        for top in (DEFAULT_MAX_FLOWER_EDGES, 2):
+            total = sum(comb(len(g.edges), k)
+                        for k in range(1, min(len(g.edges), top) + 1))
+            for budget in (1, 5, total - 1, total, total + 1,
+                           DEFAULT_SEARCH_BUDGET):
+                grown = _walk(lambda spend: _flower_part_candidates(
+                    g, spend, _PartFacts(g), top), budget)
+                walked = _walk(lambda spend: oracle_flower_part_candidates(
+                    g, spend, top), budget)
+                assert grown == walked, (g, top, budget)
+                if isinstance(grown[0], list):
+                    seen["1-edge"] += any(
+                        len(edge_induced(g, part).incidences) == 1
+                        for part in grown[0])
+                    seen["larger part"] += any(len(part) > 1
+                                               for part in grown[0])
+                else:
+                    seen[grown[0]] += 1
+    assert all(seen[k] for k in ("loop", "incidence-less edge", "degree > 2",
+                                 "1-edge", "larger part", "budget")), seen
+
+
+def test_flower_rule_matches_the_subset_walk():
+    """The memo's flower verdict, which skips the subset walk on a part
+    whose vertices all have degree <= 2, equals the exhaustive walk on
+    every part, with and without the part's thorns weak-deleted."""
+    seen = Counter()
+    for g in _candidate_instances():
+        facts = _PartFacts(g)
+        for size in range(1, len(g.edges) + 1):
+            for sub in combinations(g.edges, size):
+                edges = frozenset(sub)
+                view = facts.view(edges)
+                thorns = facts.thorns(edges)
+                for deleted, expected in (
+                        (frozenset(), view),
+                        (thorns, weak_delete(view, thorns))):
+                    verdict = facts.flower(edges, deleted)
+                    assert verdict == oracle_is_flower(expected), (g, sub)
+                    low = all(d <= 2 for d in Counter(
+                        i.vertex for i in expected.incidences).values())
+                    seen[low, verdict, size > 1, bool(deleted)] += 1
+    # Flowers of several edges at degree <= 2, thorned or not, and the
+    # walk's verdicts above degree 2.
+    assert all(seen[True, True, True, thorned] for thorned in (False, True))
+    assert seen[False, True, True, False] and seen[False, False, True, False]
+
 
 def _F_verdict(check, d, g):
     try:
@@ -619,10 +757,15 @@ def _assert_facts_match_recognizers(g):
             if not facts.balanceable(edges) or len(ids) > 6:
                 continue
             spent = []
-            first = facts.minimal_balancing_sets(edges, lambda: spent.append(1))
+
+            def spend(units=1):
+                spent.append(units)
+
+            first = facts.minimal_balancing_sets(edges, spend)
             once = len(spent)
-            again = facts.minimal_balancing_sets(edges, lambda: spent.append(1))
-            assert again == first and len(spent) == 2 * once
+            again = facts.minimal_balancing_sets(edges, spend)
+            # Met again, the part is charged its whole count in one call.
+            assert again == first and spent[once:] == [once]
             assert set(first) == oracle_minimal_balancing_sets(view)
 
 
