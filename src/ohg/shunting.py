@@ -897,17 +897,19 @@ def _flower_part_candidates(g: OrientedHypergraph, spend, facts: _PartFacts,
 
     A candidate is a balanceable flower or pseudo-flower, with no balanced
     plain flower admitted.  It is connected, and every vertex of it has
-    degree at most 2.  Both rules are hereditary for connected growth, so
-    the parts are grown one adjacent edge at a time, size by size, each
-    produced once (ESU: Wernicke, "Efficient detection of network motifs",
-    2006), and a part that breaks the degree rule is not grown further.
+    degree at most 2.  So the parts are grown one adjacent edge at a time,
+    size by size, each produced once (ESU: Wernicke, "Efficient detection
+    of network motifs", 2006).  The degree rule is hereditary, as no
+    superset of a part that breaks it keeps it, so such a part is not
+    grown further.
 
-    A part whose Γ is a tree (I = V + E - 1 incidences) is a candidate
-    only if it is a 1-edge (I = 1), so other tree parts are dropped
-    before any view is built.  Proof: with I = 0 the part is one edge
-    with no incidence, a balanced flower; with I >= 2 the tree has a leaf
-    on one incidence, so the part is not inseparable and not a flower,
-    and it has no circle, hence no thorns and no pseudo-flower.
+    A part whose bipartite representation is a tree (I = V + E - 1
+    incidences) is a candidate only if it is a 1-edge (I = 1), so other
+    tree parts are dropped before any view is built.  Proof: with I = 0
+    the part is one edge with no incidence, a balanced flower; with
+    I >= 2 the tree has a leaf on one incidence, so the part is not
+    inseparable and not a flower, and it has no circle, hence no thorns
+    and no pseudo-flower.
 
     The budget is charged as if every edge combination up to
     ``max_part_edges`` were inspected in turn, one unit each: before a
