@@ -292,11 +292,6 @@ def blocks(g: OrientedHypergraph) -> list[frozenset[str]]:
     return out
 
 
-def bridges(g: OrientedHypergraph) -> set[str]:
-    """Incidences whose removal disconnects their component."""
-    return {next(iter(b)) for b in blocks(g) if len(b) == 1}
-
-
 # ---------------------------------------------------------------------------
 # Internally disjoint paths (unit vertex capacities)
 

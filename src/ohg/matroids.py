@@ -11,12 +11,12 @@ exactly when its nullspace has dimension 1 and is spanned by a vector
 with no zero entry, so one nullspace settles both dependency and
 minimality for ``is_circuit``.  Every elimination is one column
 reduction, ``linalg.echelon_extend``: rank, nullity and nullspace feed
-it a matrix's columns in turn, and enumeration calls it directly.
-Enumeration stops at size rank + 1, the largest a circuit can have, and
-counts its subset cap up to there; it tests each candidate by reducing
-one column against the echelon basis of its prefix, and reads each
-circuit's witness off the coefficients that reduction carries, so it
-runs no second elimination.
+it a matrix's columns in turn.  Enumeration stops at size rank + 1, the
+largest a circuit can have, and counts its subset cap up to there; it
+finishes each candidate's reduction from the residual its sibling
+reached (``linalg.extend_residual``, one row update at most), and reads
+each circuit's witness off the coefficients that reduction carries, so
+it runs no second elimination.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from operator import mul
 
 from .balance import Circle, circle_sign, enumerate_circles
 from .errors import InputError, ResourceError
-from .linalg import Domain, echelon_extend, is_prime, mat_vec, nullspace
+from .linalg import (Domain, echelon_extend, extend_residual, is_prime,
+                     mat_vec, nullspace)
 from .linalg import nullity as _nullity_rows
 from .linalg import rank as _rank_rows
 from .model import (
@@ -153,13 +154,18 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
     whole matrix plus one, and candidates stop there (at ``max_size`` if
     that is smaller).  Candidates containing an already-found circuit
     are pruned, so in ascending order every surviving dependent subset
-    is itself a circuit.  A surviving candidate's prefix without its
-    last edge is then independent, and the candidate is tested by
-    reducing only that edge's column against the prefix's echelon basis.
-    When the column falls in the span, the coefficients the reduction
-    carried span the candidate's one-dimensional nullspace and are its
-    witness; it must have no zero entry and must map the columns to zero.
-    The candidate count up to that size must stay under the subset cap
+    is itself a circuit, and each of its one-smaller subsets was tested
+    and found independent.  A candidate C = S + f + e (f, e its last two
+    edges) is tested by reducing e's column against the echelon basis of
+    its prefix S + f.  That reduction first repeats, step for step, the
+    one that left the residual r(e|S) when the sibling S + e was tested,
+    so only the last pair of each independent set is kept, and C takes
+    the sibling's residual through one more row update at most
+    (``linalg.extend_residual``, which proves the identity).  When the
+    column falls in the span, the coefficients the reduction carried
+    span the candidate's one-dimensional nullspace and are its witness;
+    it must have no zero entry and must map the columns to zero.  The
+    candidate count up to that size must stay under the subset cap
     (default 2^20, overridable through OHG_MAX_SUBSETS).
     """
     domain = Domain.coerce(domain)
@@ -176,26 +182,33 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
             f"subsets; the cap is {cap} (set {SUBSET_CAP_ENV} to raise it)")
     pos = {e: i for i, e in enumerate(matrix.cols)}
     column = {e: [row[pos[e]] for row in matrix.entries] for e in ids}
-    # Echelon bases of the independent sets of the previous size
+    n = len(matrix.rows)
+    # The last echelon pair of each independent set of the previous size
     # (``prefixes``) and of the current one, which is ``size``.
-    prefixes: dict = {(): ()}
-    bases: dict = {}
+    prefixes: dict = {}
+    pairs: dict = {}
     size = 1
     witnesses: dict = {}
 
     def dependent(combo: tuple[str, ...]) -> bool:
-        nonlocal prefixes, bases, size
+        nonlocal prefixes, pairs, size
         if len(combo) != size:
-            prefixes, bases, size = bases, {}, len(combo)
-        basis = prefixes.get(combo[:-1])
-        if basis is None:
-            raise RuntimeError(f"no echelon basis for the prefix of {combo}")
-        extended, witness = echelon_extend(basis, column[combo[-1]], domain)
+            prefixes, pairs, size = pairs, {}, len(combo)
+        if size == 1:
+            extended, witness = echelon_extend((), column[combo[0]], domain)
+            pair = extended and extended[0]
+        else:
+            last = prefixes.get(combo[:-1])
+            sibling = prefixes.get(combo[:-2] + combo[-1:])
+            if last is None or sibling is None:
+                raise RuntimeError(
+                    f"no echelon basis for the prefix or sibling of {combo}")
+            pair, witness = extend_residual(sibling, last, n, domain)
         if witness is not None:
             witnesses[combo] = witness
             return True
         if size < top:
-            bases[combo] = extended
+            pairs[combo] = pair
         return False
 
     found = []

@@ -6,8 +6,10 @@ balance by checking every circle, balancing sets by trying every
 incidence subset, and ranks through sympy.  The exact eliminations the
 library used before it kept one (Bareiss ranks, Fraction and modular
 RREF, with their own primitive-integer scaling), its one-smaller-subset
-circuit test, its memo-free F-maximality loop and its walk over every
-edge combination for flower-part candidates live here as references.
+circuit test, its circuit walk that reduces every candidate against its
+whole prefix basis, its memo-free F-maximality loop and its walk over
+every edge combination for flower-part candidates live here as
+references.
 Slow on purpose; only run at desk scale.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd, lcm
+from operator import mul
 
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
@@ -23,9 +26,11 @@ from sympy.polys.matrices import DomainMatrix
 from ohg.balance import ThetaCertificate, Walk, is_balanceable, is_balanced
 from ohg.errors import ResourceError
 from ohg.gamma import internally_disjoint_paths
-from ohg.linalg import Domain
+from ohg.linalg import Domain, echelon_extend, rank
+from ohg.matroids import CircuitReport
 from ohg.model import (EDGE, VERTEX, OrientedHypergraph, edge_induced,
-                       gamma_components, incidence_matrix, weak_delete)
+                       gamma_components, incidence_matrix, minimal_subsets,
+                       weak_delete)
 from ohg.shunting import (DEFAULT_MAX_FLOWER_EDGES, find_thorns, is_flower,
                           is_inseparable, is_pseudo_flower)
 
@@ -301,6 +306,53 @@ def oracle_circuit_minimal(g: OrientedHypergraph, edges,
     return not any(_oracle_dependent(g, smaller, domain)
                    for smaller in combinations(chosen, len(chosen) - 1)
                    if smaller)
+
+
+def oracle_prefix_circuits(g: OrientedHypergraph, domain: Domain,
+                           max_size: int | None = None
+                           ) -> list[CircuitReport]:
+    """``enumerate_circuits`` as it was before candidates extended their
+    sibling's residual: each candidate reduces its last column with
+    ``echelon_extend`` against the whole echelon basis of its prefix.
+    The subset cap is left out."""
+    ids = sorted(g.edges)
+    matrix = incidence_matrix(g, domain)
+    top = min(len(ids), rank(matrix.entries, domain) + 1)
+    if max_size is not None:
+        top = min(top, max_size)
+    pos = {e: i for i, e in enumerate(matrix.cols)}
+    column = {e: [row[pos[e]] for row in matrix.entries] for e in ids}
+    prefixes: dict = {(): ()}
+    bases: dict = {}
+    size = 1
+    witnesses: dict = {}
+
+    def dependent(combo: tuple[str, ...]) -> bool:
+        nonlocal prefixes, bases, size
+        if len(combo) != size:
+            prefixes, bases, size = bases, {}, len(combo)
+        basis = prefixes.get(combo[:-1])
+        if basis is None:
+            raise RuntimeError(f"no echelon basis for the prefix of {combo}")
+        extended, witness = echelon_extend(basis, column[combo[-1]], domain)
+        if witness is not None:
+            witnesses[combo] = witness
+            return True
+        if size < top:
+            bases[combo] = extended
+        return False
+
+    found = []
+    for combo in minimal_subsets(ids, dependent, range(1, top + 1)):
+        witness = witnesses.pop(combo)
+        if not all(witness):
+            raise RuntimeError(
+                f"ascending enumeration reached the non-circuit {combo}")
+        if any(domain.reduce(sum(map(mul, row, witness)))
+               for row in zip(*(column[e] for e in combo))):
+            raise RuntimeError("dependency witness failed verification")
+        found.append(CircuitReport(combo, domain, True, True, witness))
+    return found
 
 
 def oracle_signed_subgraph_key(edges, eps, subset):
