@@ -16,7 +16,9 @@ largest a circuit can have, and counts its subset cap up to there; it
 finishes each candidate's reduction from the residual its sibling
 reached (``linalg.extend_residual``, one row update at most), and reads
 each circuit's witness off the coefficients that reduction carries, so
-it runs no second elimination.
+it runs no second elimination.  At the last size it reduces only the
+candidates S + f + e whose residuals r(f|S) and r(e|S) have parallel
+vertex parts, since exactly those are dependent.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import product
-from math import comb
+from itertools import combinations, groupby, product
+from math import comb, gcd
 from operator import mul
 
 from .balance import Circle, circle_sign, enumerate_circles
@@ -146,32 +148,86 @@ def is_circuit(g: OrientedHypergraph, edges, domain=None) -> CircuitReport:
     return _report(matrix, {e: i for i, e in enumerate(matrix.cols)}, chosen)
 
 
+def _line(pair: tuple, n: int, p: int) -> tuple:
+    """The vertex part of a residual pair scaled to one representative
+    of its line: first nonzero entry 1 over GF(p); over the rationals
+    divided by its gcd, with the first nonzero entry positive.  Entries
+    before the pair's pivot are zero and left out, so residuals are
+    parallel exactly when their keys are equal."""
+    lead, x = pair
+    head = x[lead:n]
+    if p:
+        inv = pow(head[0], -1, p)
+        return tuple(a * inv % p for a in head)
+    g = gcd(*head)
+    if head[0] < 0:
+        g = -g
+    return tuple(a // g for a in head)
+
+
 def enumerate_circuits(g: OrientedHypergraph, domain=None,
                        max_size: int | None = None) -> list[CircuitReport]:
     """All circuits, ascending by size then lexicographic edge ids.
 
-    A circuit C has rank |C| - 1, so none is larger than the rank of the
-    whole matrix plus one, and candidates stop there (at ``max_size`` if
-    that is smaller).  Candidates containing an already-found circuit
-    are pruned, so in ascending order every surviving dependent subset
-    is itself a circuit, and each of its one-smaller subsets was tested
-    and found independent.  A candidate C = S + f + e (f, e its last two
-    edges) is tested by reducing e's column against the echelon basis of
-    its prefix S + f.  That reduction first repeats, step for step, the
-    one that left the residual r(e|S) when the sibling S + e was tested,
-    so only the last pair of each independent set is kept, and C takes
-    the sibling's residual through one more row update at most
+    A circuit C has rank |C| - 1, so none is larger than the rank r of
+    the whole matrix plus one, and candidates stop at that size ``top``
+    (at ``max_size`` if that is smaller).  Below ``top``, candidates
+    containing an already-found circuit are pruned, so in ascending
+    order every surviving dependent subset is itself a circuit, and each
+    of its one-smaller subsets was tested and found independent.  A
+    candidate C = S + f + e (f, e its last two edges) is tested by
+    reducing e's column against the echelon basis of its prefix S + f.
+    That reduction first repeats, step for step, the one that left the
+    residual r(e|S) when the sibling S + e was tested, so only the last
+    pair of each independent set is kept, and C takes the sibling's
+    residual through one more row update at most
     (``linalg.extend_residual``, which proves the identity).  When the
     column falls in the span, the coefficients the reduction carried
     span the candidate's one-dimensional nullspace and are its witness;
     it must have no zero entry and must map the columns to zero.  The
-    candidate count up to that size must stay under the subset cap
+    candidate count up to ``top`` must stay under the subset cap
     (default 2^20, overridable through OHG_MAX_SUBSETS).
+
+    The last size runs no row update on an independent candidate.  Its
+    unpruned candidates are the S + f + e, f < e, whose one-smaller
+    subsets are all independent; among them S + f and S + e, so they
+    are the pairs of members f, e of one group, the independent
+    (top - 1)-sets with prefix S.  Within a group, members are bucketed
+    by ``_line`` of their residual's vertex part, and only pairs inside
+    a bucket are candidates: by (1) exactly these are dependent.  Each
+    one that passes the containment check on its other one-smaller
+    subsets takes ``extend_residual`` for its witness, the one the
+    candidate test would have read.
+
+    (1) When S + f and S + e are independent, S + f + e is dependent
+    exactly when v(f) and v(e), the vertex parts of r(f|S) and r(e|S),
+    are parallel.  v(x) equals c*x + s with s in the span of S and c the
+    coefficient at x's slot: that starts at 1 and each row update
+    multiplies it by a pivot entry and divides it by a common factor, so
+    c is not zero.  v(x) is zero at every pivot of basis(S), since each
+    cancellation clears its own pivot and later vectors are zero there,
+    and it is not zero, since S + x is independent.  If v(e) = m*v(f),
+    then c_e*e - m*c_f*f + s_e - m*s_f = 0 is a dependency of S + f + e,
+    nonzero at e.  Conversely, if S + f + e is dependent, e lies in the
+    span of S + f, as S + f is independent, so v(e) = m*v(f) + s with s
+    in the span of S.  s is zero at every pivot of basis(S), as both
+    residuals are.  A nonzero combination of basis(S) is not: at the
+    pivot of its first vector with a nonzero coefficient every later
+    vector is zero.  So s = 0, and m is not zero because v(e) is not.
+    Over GF(p) the same holds entrywise modulo p.
+
+    (2) When top = r + 1, every pair in a group is parallel: S + f is an
+    independent set of r columns, so it spans the column space, which
+    holds e, and S + f + e is dependent.  Each group is then one bucket
+    and no key is computed, so a census without ``max_size`` pays
+    nothing for the buckets.
     """
     domain = Domain.coerce(domain)
+    p = domain.char
     ids = sorted(g.edges)
     matrix = incidence_matrix(g, domain)
-    top = min(len(ids), _rank_rows(matrix.entries, domain) + 1)
+    r = _rank_rows(matrix.entries, domain)
+    top = min(len(ids), r + 1)
     if max_size is not None:
         top = min(top, max_size)
     total = sum(comb(len(ids), k) for k in range(1, top + 1))
@@ -207,13 +263,12 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
         if witness is not None:
             witnesses[combo] = witness
             return True
-        if size < top:
-            pairs[combo] = pair
+        pairs[combo] = pair
         return False
 
     found = []
-    for combo in minimal_subsets(ids, dependent, range(1, top + 1)):
-        witness = witnesses.pop(combo)
+
+    def report(combo: tuple[str, ...], witness: tuple) -> None:
         if not all(witness):
             raise RuntimeError(
                 f"ascending enumeration reached the non-circuit {combo}")
@@ -221,6 +276,38 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
                for row in zip(*(column[e] for e in combo))):
             raise RuntimeError("dependency witness failed verification")
         found.append(CircuitReport(combo, domain, True, True, witness))
+
+    below = range(1, top) if top > 1 else range(1, top + 1)
+    for combo in minimal_subsets(ids, dependent, below):
+        report(combo, witnesses.pop(combo))
+    if top < 2:
+        return found
+    prefixes.clear()  # the last size reads only ``pairs``
+    # Some (top - 1)-set is independent, as r >= top - 1, so ``pairs``
+    # now holds exactly the independent sets of that size, in
+    # combinations order: the sets with one prefix come in one run.
+    last_size = []
+    for prefix, run in groupby(pairs.items(), key=lambda kv: kv[0][:-1]):
+        members = [(combo[-1], pair) for combo, pair in run]
+        if top > r:
+            buckets = [members]
+        else:
+            lines: dict = {}
+            for member in members:
+                lines.setdefault(_line(member[1], n, p), []).append(member)
+            buckets = lines.values()
+        for bucket in buckets:
+            for (f, last), (e, sibling) in combinations(bucket, 2):
+                combo = prefix + (f, e)
+                if all(combo[:i] + combo[i + 1:] in pairs
+                       for i in range(top - 2)):
+                    _, witness = extend_residual(sibling, last, n, domain)
+                    if witness is None:
+                        raise RuntimeError(
+                            f"parallel residuals left {combo} independent")
+                    last_size.append((combo, witness))
+    for combo, witness in sorted(last_size):
+        report(combo, witness)
     return found
 
 

@@ -228,19 +228,22 @@ class TestEnumerate:
 
     def test_witness_with_a_zero_entry_raises(self, monkeypatch):
         """Without containment pruning the dependent {a, b, c} is tested.
-        With c parallel to a its sibling {a, c} is dependent and left no
-        residual to extend.  With c parallel to b the prefix {a, b} and
-        the sibling {a, c} are independent, and the report's witness
-        (0, 1, -1) has a zero entry: the minimality check refuses it."""
+        The edge d on a third vertex makes the last size 4, so size 3
+        still goes through ``minimal_subsets``.  With c parallel to a the
+        sibling {a, c} is dependent and left no residual to extend.  With
+        c parallel to b the prefix {a, b} and the sibling {a, c} are
+        independent, and the report's witness (0, 1, -1) has a zero
+        entry: the minimality check refuses it."""
         def unpruned(items, accept, sizes, visit=None):
             return (c for size in sizes for c in combinations(items, size)
                     if accept(c))
 
         def parallel_to(other):
             return OrientedHypergraph.build(
-                ["v1", "v2"], ["a", "b", "c"],
+                ["v1", "v2", "v3"], ["a", "b", "c", "d"],
                 [("i1", "v1", "a", 1), ("i2", "v2", "b", 1),
-                 ("i3", "v1" if other == "a" else "v2", "c", 1)])
+                 ("i3", "v1" if other == "a" else "v2", "c", 1),
+                 ("i4", "v3", "d", 1)])
 
         assert [r.edges for r in enumerate_circuits(parallel_to("a"))] \
             == [("a", "c")]
@@ -255,7 +258,7 @@ class TestEnumerate:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(FIELDS + (GF7,)),
-           st.sampled_from((None, 2, 3)))
+           st.sampled_from((None, 1, 2, 3, 4)))
     def test_matches_the_prefix_basis_walk(self, seed, domain, max_size):
         """Extending the sibling's residual gives the reports, witnesses
         included, that reducing against the whole prefix basis gave."""
@@ -265,30 +268,49 @@ class TestEnumerate:
             == oracle_prefix_circuits(g, domain, max_size)
 
     @pytest.mark.parametrize("domain", FIELDS, ids=str)
+    def test_cut_off_last_sizes_match_the_prefix_basis_walk(self, domain):
+        """Bucketing the last size by parallel residuals gives the
+        reports, witnesses included, that testing every candidate gave."""
+        for sign in (1, -1):
+            g = make_complete_hypergraph(5, sign)
+            for max_size in (2, 3, 4):
+                assert enumerate_circuits(g, domain, max_size) \
+                    == oracle_prefix_circuits(g, domain, max_size)
+
+    LAST_SIZE_CALLS = {"Q": 90, "GF(2)": 155, "GF(3)": 90, "GF(5)": 90}
+
+    @pytest.mark.parametrize("domain", FIELDS, ids=str)
     def test_one_cancellation_per_candidate(self, monkeypatch, domain):
-        """Each tested candidate updates at most one row."""
+        """Each ``extend_residual`` call updates at most one row.  Below
+        the last size every tested candidate past size 1 makes one call;
+        at the last size only the circuits do: on K5 up to size 3, one
+        call per size-3 circuit."""
         cancels = []
-        per_candidate = []
+        calls = []  # (candidate size, row updates) per call
         cancel = ohg.linalg._cancel
-        enumerate_ = ohg.matroids.minimal_subsets
+        extend = ohg.matroids.extend_residual
 
         def counted_cancel(*args):
             cancels.append(1)
             return cancel(*args)
 
-        def counted(items, accept, sizes, visit=None):
-            def test(combo):
-                before = len(cancels)
-                verdict = accept(combo)
-                per_candidate.append(len(cancels) - before)
-                return verdict
-            return enumerate_(items, test, sizes, visit)
+        def counted_extend(sibling, last, n, domain):
+            before = len(cancels)
+            out = extend(sibling, last, n, domain)
+            calls.append((len(sibling[1]) - n + 1, len(cancels) - before))
+            return out
 
         monkeypatch.setattr(ohg.linalg, "_cancel", counted_cancel)
-        monkeypatch.setattr(ohg.matroids, "minimal_subsets", counted)
+        monkeypatch.setattr(ohg.matroids, "extend_residual", counted_extend)
         enumerate_circuits(make_complete_hypergraph(4, 1), domain)
-        assert len(per_candidate) > 1000
-        assert max(per_candidate) == 1
+        assert len(calls) > 1000
+        assert max(updates for _, updates in calls) == 1
+        calls.clear()
+        found = enumerate_circuits(make_complete_hypergraph(5, 1), domain, 3)
+        assert max(updates for _, updates in calls) == 1
+        last_size = sum(size == 3 for size, _ in calls)
+        assert last_size == self.LAST_SIZE_CALLS[domain.label()]
+        assert last_size == sum(len(rep.edges) == 3 for rep in found)
 
     @staticmethod
     def assert_matches_oracle(g, domain, max_size):
@@ -314,6 +336,54 @@ class TestEnumerate:
         assert all(len(r.edges) <= 3 for r in small)
         assert len(small) == 6
 
+
+
+def from_columns(columns):
+    """The hypergraph on v1..vn whose incidence column for each edge is
+    the given integer vector: an entry k puts |k| incidences of sign
+    k/|k| at its vertex."""
+    n = len(next(iter(columns.values())))
+    incs = [(f"{e}{j}_{k}", f"v{j + 1}", e, 1 if x > 0 else -1)
+            for e, col in columns.items() for j, x in enumerate(col)
+            for k in range(abs(x))]
+    return OrientedHypergraph.build([f"v{j + 1}" for j in range(n)],
+                                    list(columns), incs)
+
+
+class TestParallelResiduals:
+    """The last size keys each residual by its normalised vertex part.
+    In both instances r(b|a) = (0, -1, 1); r(c|a) is -2 times it over Q
+    and 3 times it over GF(5), so only a normalisation that scales (and,
+    over Q, fixes the sign) puts b and c in one bucket.  r(d|a) =
+    (0, 2, -1) is a near miss, parallel to neither.  With ``max_size`` 3
+    below rank + 1 = 4 the buckets are keyed."""
+
+    CASES = {
+        "Q": ({"a": (1, 1, 0), "b": (1, 0, 1), "c": (1, 3, -2),
+               "d": (1, 3, -1)}, Domain.rationals(), (3, -2, -1)),
+        "GF(5)": ({"a": (1, 1, 0), "b": (1, 0, 1), "c": (1, 3, 3),
+                   "d": (1, 3, -1)}, Domain.prime_field(5), (2, 2, 1)),
+    }
+
+    @pytest.mark.parametrize("label", CASES)
+    def test_parallel_residuals_share_a_bucket(self, label):
+        columns, domain, witness = self.CASES[label]
+        g = from_columns(columns)
+        assert incidence_matrix(g).entries == tuple(zip(*columns.values()))
+        got = enumerate_circuits(g, domain, 3)
+        assert [(r.edges, r.witness) for r in got] \
+            == [(("a", "b", "c"), witness)]
+        assert got == oracle_prefix_circuits(g, domain, 3)
+        assert [r.edges for r in enumerate_circuits(g, domain)] \
+            == [("a", "b", "c")]
+
+    def test_scaled_residuals_over_the_other_field_are_not_parallel(self):
+        """Over Q the GF(5) instance's r(c|a) = (0, 2, 3) is no multiple
+        of (0, -1, 1), so nothing is a circuit up to size 3."""
+        columns, _, _ = self.CASES["GF(5)"]
+        g = from_columns(columns)
+        assert enumerate_circuits(g, Domain.rationals(), 3) == []
+        assert oracle_prefix_circuits(g, Domain.rationals(), 3) == []
 
 def with_vanishing_column(g, domain):
     """g plus an edge ``z`` at its first vertex whose column is zero in
