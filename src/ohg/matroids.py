@@ -12,13 +12,15 @@ with no zero entry, so one nullspace settles both dependency and
 minimality for ``is_circuit``.  Every elimination is one column
 reduction, ``linalg.echelon_extend``: rank, nullity and nullspace feed
 it a matrix's columns in turn.  Enumeration stops at size rank + 1, the
-largest a circuit can have, and counts its subset cap up to there; it
-finishes each candidate's reduction from the residual its sibling
-reached (``linalg.extend_residual``, one row update at most), and reads
-each circuit's witness off the coefficients that reduction carries, so
-it runs no second elimination.  At the last size it reduces only the
-candidates S + f + e whose residuals r(f|S) and r(e|S) have parallel
-vertex parts, since exactly those are dependent.
+largest a circuit can have, and counts its subset cap up to there.  It
+is one walk over the sizes that joins each candidate S + f + e from two
+independent sets S + f and S + e of one prefix group, finishes its
+reduction from the residual the sibling S + e reached
+(``linalg.extend_residual``, one row update at most), and reads each
+circuit's witness off the coefficients that reduction carries, so it
+runs no second elimination.  At the last size it reduces only the
+candidates whose residuals r(f|S) and r(e|S) have parallel vertex parts,
+since exactly those are dependent.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .model import (
     OrientedHypergraph,
     incidence_matrix,
     make_complete_hypergraph,
-    minimal_subsets,
 )
 from .shunting import to_hypercircle
 
@@ -171,33 +172,40 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
 
     A circuit C has rank |C| - 1, so none is larger than the rank r of
     the whole matrix plus one, and candidates stop at that size ``top``
-    (at ``max_size`` if that is smaller).  Below ``top``, candidates
-    containing an already-found circuit are pruned, so in ascending
-    order every surviving dependent subset is itself a circuit, and each
-    of its one-smaller subsets was tested and found independent.  A
-    candidate C = S + f + e (f, e its last two edges) is tested by
-    reducing e's column against the echelon basis of its prefix S + f.
+    (at ``max_size`` if that is smaller).  The candidate count up to
+    ``top`` must stay under the subset cap (default 2^20, overridable
+    through OHG_MAX_SUBSETS).
+
+    One walk runs over the sizes, keeping the independent sets of the
+    current size in ``combinations`` order, so the sets with one prefix
+    come in one run, each with the last pair of its echelon basis.  Size
+    1 reduces each column on its own; a zero column is a circuit.  A
+    larger candidate is joined from two independent sets S + f and
+    S + e, f < e, with one prefix S, as Apriori joins frequent itemsets
+    (Agrawal and Srikant, 1994), and kept only when its other
+    one-smaller subsets are independent too.  A set is a circuit exactly
+    when it is dependent and all its one-smaller subsets are
+    independent, and every such set is joined from the two of them that
+    drop one of its last two edges.  So the kept candidates are exactly
+    the sets that contain no circuit found before, in ``combinations``
+    order, and each dependent one is a circuit.  A candidate
+    C = S + f + e is tested by reducing e's column against the echelon
+    basis of S + f.
     That reduction first repeats, step for step, the one that left the
-    residual r(e|S) when the sibling S + e was tested, so only the last
-    pair of each independent set is kept, and C takes the sibling's
-    residual through one more row update at most
+    residual r(e|S) when the sibling S + e was tested, so C takes the
+    sibling's residual through one more row update at most
     (``linalg.extend_residual``, which proves the identity).  When the
     column falls in the span, the coefficients the reduction carried
     span the candidate's one-dimensional nullspace and are its witness;
-    it must have no zero entry and must map the columns to zero.  The
-    candidate count up to ``top`` must stay under the subset cap
-    (default 2^20, overridable through OHG_MAX_SUBSETS).
+    it must have no zero entry and must map the columns to zero.
 
-    The last size runs no row update on an independent candidate.  Its
-    unpruned candidates are the S + f + e, f < e, whose one-smaller
-    subsets are all independent; among them S + f and S + e, so they
-    are the pairs of members f, e of one group, the independent
-    (top - 1)-sets with prefix S.  Within a group, members are bucketed
-    by ``_line`` of their residual's vertex part, and only pairs inside
-    a bucket are candidates: by (1) exactly these are dependent.  Each
-    one that passes the containment check on its other one-smaller
-    subsets takes ``extend_residual`` for its witness, the one the
-    candidate test would have read.
+    The last size keeps no independent set, so it reduces only the
+    candidates that are dependent.  Within a group of one prefix S,
+    members are bucketed by ``_line`` of their residual's vertex part,
+    and only pairs inside a bucket are candidates: by (1) exactly these
+    are dependent.  Each one that passes the containment check takes
+    ``extend_residual`` for its witness, the one the candidate test
+    would have read.
 
     (1) When S + f and S + e are independent, S + f + e is dependent
     exactly when v(f) and v(e), the vertex parts of r(f|S) and r(e|S),
@@ -239,33 +247,6 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
     pos = {e: i for i, e in enumerate(matrix.cols)}
     column = {e: [row[pos[e]] for row in matrix.entries] for e in ids}
     n = len(matrix.rows)
-    # The last echelon pair of each independent set of the previous size
-    # (``prefixes``) and of the current one, which is ``size``.
-    prefixes: dict = {}
-    pairs: dict = {}
-    size = 1
-    witnesses: dict = {}
-
-    def dependent(combo: tuple[str, ...]) -> bool:
-        nonlocal prefixes, pairs, size
-        if len(combo) != size:
-            prefixes, pairs, size = pairs, {}, len(combo)
-        if size == 1:
-            extended, witness = echelon_extend((), column[combo[0]], domain)
-            pair = extended and extended[0]
-        else:
-            last = prefixes.get(combo[:-1])
-            sibling = prefixes.get(combo[:-2] + combo[-1:])
-            if last is None or sibling is None:
-                raise RuntimeError(
-                    f"no echelon basis for the prefix or sibling of {combo}")
-            pair, witness = extend_residual(sibling, last, n, domain)
-        if witness is not None:
-            witnesses[combo] = witness
-            return True
-        pairs[combo] = pair
-        return False
-
     found = []
 
     def report(combo: tuple[str, ...], witness: tuple) -> None:
@@ -277,37 +258,44 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
             raise RuntimeError("dependency witness failed verification")
         found.append(CircuitReport(combo, domain, True, True, witness))
 
-    below = range(1, top) if top > 1 else range(1, top + 1)
-    for combo in minimal_subsets(ids, dependent, below):
-        report(combo, witnesses.pop(combo))
-    if top < 2:
+    if top < 1:
         return found
-    prefixes.clear()  # the last size reads only ``pairs``
-    # Some (top - 1)-set is independent, as r >= top - 1, so ``pairs``
-    # now holds exactly the independent sets of that size, in
-    # combinations order: the sets with one prefix come in one run.
-    last_size = []
-    for prefix, run in groupby(pairs.items(), key=lambda kv: kv[0][:-1]):
-        members = [(combo[-1], pair) for combo, pair in run]
-        if top > r:
-            buckets = [members]
+    pairs: dict = {}  # independent set of the current size -> last pair
+    for e in ids:
+        extended, witness = echelon_extend((), column[e], domain)
+        if witness is None:
+            pairs[(e,)] = extended[0]
         else:
-            lines: dict = {}
-            for member in members:
-                lines.setdefault(_line(member[1], n, p), []).append(member)
-            buckets = lines.values()
-        for bucket in buckets:
-            for (f, last), (e, sibling) in combinations(bucket, 2):
-                combo = prefix + (f, e)
-                if all(combo[:i] + combo[i + 1:] in pairs
-                       for i in range(top - 2)):
-                    _, witness = extend_residual(sibling, last, n, domain)
-                    if witness is None:
+            report((e,), witness)
+    for size in range(2, top + 1):
+        grown: dict = {}
+        circuits = []
+        for prefix, run in groupby(pairs.items(), key=lambda kv: kv[0][:-1]):
+            members = [(combo[-1], pair) for combo, pair in run]
+            if size < top or top > r:
+                buckets = [members]
+            else:
+                lines: dict = {}
+                for member in members:
+                    lines.setdefault(_line(member[1], n, p), []).append(member)
+                buckets = lines.values()
+            for bucket in buckets:
+                for (f, last), (e, sibling) in combinations(bucket, 2):
+                    combo = prefix + (f, e)
+                    if not all(combo[:i] + combo[i + 1:] in pairs
+                               for i in range(size - 2)):
+                        continue
+                    pair, witness = extend_residual(sibling, last, n, domain)
+                    if witness is not None:
+                        circuits.append((combo, witness))
+                    elif size == top:
                         raise RuntimeError(
                             f"parallel residuals left {combo} independent")
-                    last_size.append((combo, witness))
-    for combo, witness in sorted(last_size):
-        report(combo, witness)
+                    else:
+                        grown[combo] = pair
+        for combo, witness in sorted(circuits):
+            report(combo, witness)
+        pairs = grown
     return found
 
 

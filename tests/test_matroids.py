@@ -202,16 +202,6 @@ class TestEnumerate:
             for max_size in (None, 0, 1, 2, 5):
                 self.assert_matches_oracle(loose, domain, max_size)
 
-    def test_candidate_without_prefix_basis_raises(self, monkeypatch):
-        """A candidate whose prefix was never found independent has no
-        basis to extend; there is no fallback to a full elimination."""
-        def pairs_first(items, accept, sizes, visit=None):
-            return (c for c in combinations(items, 2) if accept(c))
-
-        monkeypatch.setattr(ohg.matroids, "minimal_subsets", pairs_first)
-        with pytest.raises(RuntimeError, match="no echelon basis"):
-            enumerate_circuits(triangle(1))
-
     def test_witnesses_need_no_second_elimination(self, monkeypatch):
         """Every witness comes off the enumeration's own reduction."""
         graphs = [make_complete_hypergraph(n, 1) for n in (3, 4)]
@@ -227,34 +217,58 @@ class TestEnumerate:
         assert got == want
 
     def test_witness_with_a_zero_entry_raises(self, monkeypatch):
-        """Without containment pruning the dependent {a, b, c} is tested.
-        The edge d on a third vertex makes the last size 4, so size 3
-        still goes through ``minimal_subsets``.  With c parallel to a the
-        sibling {a, c} is dependent and left no residual to extend.  With
-        c parallel to b the prefix {a, b} and the sibling {a, c} are
-        independent, and the report's witness (0, 1, -1) has a zero
-        entry: the minimality check refuses it."""
-        def unpruned(items, accept, sizes, visit=None):
-            return (c for size in sizes for c in combinations(items, size)
-                    if accept(c))
+        """b and c are parallel, so {b, c} is the one circuit.  If its
+        dependency were missed, {b, c} would stay independent and the
+        dependent {a, b, c} would be joined from {a, b} and {a, c}; its
+        witness (0, 1, -1) has a zero entry, and the minimality check
+        refuses it."""
+        g = OrientedHypergraph.build(
+            ["v1", "v2"], ["a", "b", "c"],
+            [("i1", "v1", "a", 1), ("i2", "v2", "b", 1),
+             ("i3", "v2", "c", 1)])
+        assert [r.edges for r in enumerate_circuits(g)] == [("b", "c")]
+        extend = ohg.matroids.extend_residual
 
-        def parallel_to(other):
-            return OrientedHypergraph.build(
-                ["v1", "v2", "v3"], ["a", "b", "c", "d"],
-                [("i1", "v1", "a", 1), ("i2", "v2", "b", 1),
-                 ("i3", "v1" if other == "a" else "v2", "c", 1),
-                 ("i4", "v3", "d", 1)])
+        def misses_pairs(sibling, last, n, domain):
+            pair, witness = extend(sibling, last, n, domain)
+            if witness is not None and len(witness) == 2:
+                return last, None
+            return pair, witness
 
-        assert [r.edges for r in enumerate_circuits(parallel_to("a"))] \
-            == [("a", "c")]
-        assert [r.edges for r in enumerate_circuits(parallel_to("b"))] \
-            == [("b", "c")]
-        monkeypatch.setattr(ohg.matroids, "minimal_subsets", unpruned)
-        with pytest.raises(RuntimeError, match="no echelon basis"):
-            enumerate_circuits(parallel_to("a"))
+        monkeypatch.setattr(ohg.matroids, "extend_residual", misses_pairs)
         with pytest.raises(RuntimeError,
                            match=r"non-circuit \('a', 'b', 'c'\)"):
-            enumerate_circuits(parallel_to("b"))
+            enumerate_circuits(g)
+
+    def test_wrong_witness_raises(self, monkeypatch):
+        """A witness with no zero entry that does not map the columns to
+        zero is refused: the balanced triangle's is (1, 1, 1)."""
+        extend = ohg.matroids.extend_residual
+
+        def wrong_witness(sibling, last, n, domain):
+            pair, witness = extend(sibling, last, n, domain)
+            if witness is not None:
+                witness = tuple(range(1, len(witness) + 1))
+            return pair, witness
+
+        assert [r.witness for r in enumerate_circuits(triangle(-1))] \
+            == [(1, 1, 1)]
+        monkeypatch.setattr(ohg.matroids, "extend_residual", wrong_witness)
+        with pytest.raises(RuntimeError,
+                           match="dependency witness failed verification"):
+            enumerate_circuits(triangle(-1))
+
+    def test_independent_last_size_candidate_raises(self, monkeypatch):
+        """Every candidate the last size reduces is dependent by the
+        parallel-residual facts; one found independent is an error, not
+        a skipped candidate."""
+        def never_dependent(sibling, last, n, domain):
+            return last, None
+
+        monkeypatch.setattr(ohg.matroids, "extend_residual", never_dependent)
+        with pytest.raises(RuntimeError, match=r"parallel residuals left "
+                           r"\('e1', 'e2', 'e3'\) independent"):
+            enumerate_circuits(triangle(-1))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10**6), st.sampled_from(FIELDS + (GF7,)),
@@ -277,14 +291,24 @@ class TestEnumerate:
                 assert enumerate_circuits(g, domain, max_size) \
                     == oracle_prefix_circuits(g, domain, max_size)
 
-    LAST_SIZE_CALLS = {"Q": 90, "GF(2)": 155, "GF(3)": 90, "GF(5)": 90}
+    # ``extend_residual`` calls by candidate size: K4 in full, then K5
+    # with ``max_size`` 3 and 4.  Below the last size every candidate
+    # past size 1 makes one call; at the last size only the circuits do.
+    CALLS = {
+        "Q": ({2: 105, 3: 455, 4: 1065, 5: 488}, {2: 465, 3: 90},
+              {2: 465, 3: 4495, 4: 955}),
+        "GF(2)": ({2: 105, 3: 455, 4: 945, 5: 168}, {2: 465, 3: 155},
+                  {2: 465, 3: 4495, 4: 1085}),
+        "GF(3)": ({2: 105, 3: 455, 4: 1065, 5: 433}, {2: 465, 3: 90},
+                  {2: 465, 3: 4495, 4: 1030}),
+        "GF(5)": ({2: 105, 3: 455, 4: 1065, 5: 488}, {2: 465, 3: 90},
+                  {2: 465, 3: 4495, 4: 955}),
+    }
 
     @pytest.mark.parametrize("domain", FIELDS, ids=str)
     def test_one_cancellation_per_candidate(self, monkeypatch, domain):
-        """Each ``extend_residual`` call updates at most one row.  Below
-        the last size every tested candidate past size 1 makes one call;
-        at the last size only the circuits do: on K5 up to size 3, one
-        call per size-3 circuit."""
+        """Each ``extend_residual`` call updates at most one row, and the
+        calls per candidate size are pinned."""
         cancels = []
         calls = []  # (candidate size, row updates) per call
         cancel = ohg.linalg._cancel
@@ -302,15 +326,15 @@ class TestEnumerate:
 
         monkeypatch.setattr(ohg.linalg, "_cancel", counted_cancel)
         monkeypatch.setattr(ohg.matroids, "extend_residual", counted_extend)
-        enumerate_circuits(make_complete_hypergraph(4, 1), domain)
-        assert len(calls) > 1000
-        assert max(updates for _, updates in calls) == 1
-        calls.clear()
-        found = enumerate_circuits(make_complete_hypergraph(5, 1), domain, 3)
-        assert max(updates for _, updates in calls) == 1
-        last_size = sum(size == 3 for size, _ in calls)
-        assert last_size == self.LAST_SIZE_CALLS[domain.label()]
-        assert last_size == sum(len(rep.edges) == 3 for rep in found)
+        runs = ((4, None), (5, 3), (5, 4))
+        for (n, max_size), want in zip(runs, self.CALLS[domain.label()]):
+            calls.clear()
+            found = enumerate_circuits(make_complete_hypergraph(n, 1),
+                                       domain, max_size)
+            assert max(updates for _, updates in calls) == 1
+            assert dict(Counter(size for size, _ in calls)) == want
+            top = max(want)
+            assert want[top] == sum(len(rep.edges) == top for rep in found)
 
     @staticmethod
     def assert_matches_oracle(g, domain, max_size):
