@@ -5,7 +5,10 @@ hypergraph into a balanced one.  The reorientation here walks a spanning
 forest of the bipartite representation and flips exactly those non-forest
 incidences whose fundamental circle comes out negative.  The set of flipped
 incidences is a minimal balancing set, and minimizing its size over spanning
-forests gives the frustration number.
+forests gives the frustration number.  One rule, proved at
+``_balancing_circles``, decides every balancing set: reversing S balances H
+exactly when H is balanceable and S meets each negative fundamental circle
+of H's BFS forest an odd number of times, each positive one an even number.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .balance import is_balanceable, is_balanced
+from .balance import is_balanceable
 from .errors import InputError, ResourceError
 from .gamma import (
     DisjointSets,
@@ -48,9 +51,9 @@ class CamionResult:
     """Outcome of a forest-guided reorientation.
 
     ``hypergraph`` carries the new signs, ``changed`` lists the reversed
-    incidence ids, and ``balanced`` reports whether the result actually is
-    balanced.  The flag is computed honestly on the output: it is True
-    exactly when the input was balanceable.
+    incidence ids, and ``balanced`` reports whether the result is balanced.
+    By the balancing-set rule that is exactly when the input is balanceable,
+    so the flag is that verdict and no balance test runs on the output.
     """
 
     hypergraph: OrientedHypergraph
@@ -64,16 +67,16 @@ def camion_reorient(g: OrientedHypergraph,
     """Reorient incidences so every fundamental circle of the forest is positive.
 
     Forest incidences keep their signs.  Each remaining incidence is set to
-    the unique sign that makes its fundamental circle positive.  When the
-    input is balanceable the output is balanced and the changed set is a
-    minimal balancing set of the input.
+    the unique sign that makes its fundamental circle positive.  The changed
+    set meets each negative fundamental circle once, at its own non-forest
+    incidence, and each positive one never, so by the balancing-set rule it
+    balances g exactly when g is balanceable, and is then a minimal one.
     """
     if forest is None:
         forest = spanning_forest(g, "bfs")
     changed = _negative_fundamental_circles(g, g.incidences, forest)
-    out = reverse_incidences(g, changed)
-    balanced, _ = is_balanced(out)
-    return CamionResult(out, frozenset(changed), balanced, forest)
+    return CamionResult(reverse_incidences(g, changed), frozenset(changed),
+                        is_balanceable(g)[0], forest)
 
 
 def _negative_fundamental_circles(g: OrientedHypergraph,
@@ -109,12 +112,41 @@ def _check_incidence_ids(g: OrientedHypergraph, ids: Iterable[str]) -> frozenset
     return out
 
 
+def _balancing_circles(g: OrientedHypergraph, balanceable: bool | None = None
+                       ) -> list[tuple[tuple[str, ...], int]] | None:
+    """(incidence ids in path order, sign) of each fundamental circle of g's
+    BFS forest, in g's incidence order; None when g is not balanceable (a
+    caller that knows whether it is passes that in).
+
+    The balancing-set rule (``_balances``): reversing S balances g exactly
+    when g is balanceable and S meets each negative circle listed an odd
+    number of times, each positive one an even number.  Proof: reversal
+    keeps g's thetas and its BFS forest, which grows from ids alone, and
+    each reversed incidence on a circle flips that circle's sign.  If g is
+    not balanceable, the copy has a theta, hence a negative circle; if it
+    is, so is the copy, where positive fundamental circles make every
+    circle positive.  Nothing here needs the forest to be the BFS one.
+    """
+    if balanceable is None:
+        balanceable = is_balanceable(g)[0]
+    if not balanceable:
+        return None
+    forest = spanning_forest(g, "bfs")
+    return [(tuple(fundamental_cycle(g, forest, inc.id)[1]), sign)
+            for inc, sign in fundamental_circle_signs(g, forest)]
+
+
+def _balances(circles: list | None, chosen: frozenset[str]) -> bool:
+    """The balancing-set rule applied to ``_balancing_circles``' output."""
+    return circles is not None and all(
+        sign == (-1) ** len(chosen.intersection(incs)) for incs, sign in circles)
+
+
 def is_balancing_set(g: OrientedHypergraph, ids: Iterable[str]) -> bool:
-    """True when reversing exactly these incidences balances the hypergraph."""
-    chosen = _check_incidence_ids(g, ids)
-    flipped = reverse_incidences(g, chosen)
-    balanced, _ = is_balanced(flipped)
-    return balanced
+    """True when reversing exactly these incidences balances the hypergraph:
+    it is balanceable and they meet each negative fundamental circle of its
+    BFS forest an odd number of times, each positive one an even number."""
+    return _balances(_balancing_circles(g), _check_incidence_ids(g, ids))
 
 
 def is_minimal_balancing_set(g: OrientedHypergraph, ids: Iterable[str],
@@ -124,17 +156,18 @@ def is_minimal_balancing_set(g: OrientedHypergraph, ids: Iterable[str],
     The fast method uses a structural criterion: a balancing set is minimal
     exactly when removing its incidences from the bipartite representation
     leaves the component count unchanged.  The oracle method checks every
-    proper subset directly.
+    proper subset directly.  Both read one list of fundamental circles.
     """
     chosen = _check_incidence_ids(g, ids)
-    if not is_balancing_set(g, chosen):
+    circles = _balancing_circles(g)
+    if not _balances(circles, chosen):
         return False
     if method == "fast":
         return component_count(g) == component_count(g, exclude=chosen)
     if method == "oracle":
-        smaller = minimal_subsets(sorted(chosen),
-                                  lambda sub: is_balancing_set(g, sub),
-                                  range(len(chosen)))
+        smaller = minimal_subsets(
+            sorted(chosen), lambda sub: _balances(circles, frozenset(sub)),
+            range(len(chosen)))
         return next(smaller, None) is None
     raise InputError(f"unknown method {method!r}; use 'fast' or 'oracle'")
 
@@ -161,25 +194,19 @@ def balancing_set_difference(g: OrientedHypergraph,
     """Symmetric difference of two balancing sets with a cut-space check.
 
     Membership in the cut space is verified by orthogonality against every
-    fundamental circle of a spanning forest, which spans the cycle space.
+    fundamental circle of the BFS forest, which spans the cycle space.
     """
     a = _check_incidence_ids(g, first)
     b = _check_incidence_ids(g, second)
-    if not is_balancing_set(g, a):
+    circles = _balancing_circles(g)
+    if not _balances(circles, a):
         raise InputError("first incidence set is not a balancing set")
-    if not is_balancing_set(g, b):
+    if not _balances(circles, b):
         raise InputError("second incidence set is not a balancing set")
     diff = a ^ b
     vector = tuple(1 if inc.id in diff else 0 for inc in g.incidences)
-    forest = spanning_forest(g, "bfs")
-    counterexample: tuple[str, ...] | None = None
-    for inc in g.incidences:
-        if inc.id in forest:
-            continue
-        nodes, incs = fundamental_cycle(g, forest, inc.id)
-        if len(diff.intersection(incs)) % 2:
-            counterexample = tuple(incs)
-            break
+    counterexample = next((incs for incs, _ in circles
+                           if len(diff.intersection(incs)) % 2), None)
     return BalancingSetDifference(vector, tuple(sorted(diff)),
                                   counterexample is None, counterexample)
 
@@ -205,32 +232,9 @@ class FrustrationResult:
     seed: int | None = None
 
 
-def _fundamental_circle_data(
-        g: OrientedHypergraph,
-        forest: SpanningForest) -> list[tuple[frozenset[str], int]]:
-    """(incidence set, sign) for each fundamental circle of the forest."""
-    return [(frozenset(fundamental_cycle(g, forest, inc.id)[1]), sign)
-            for inc, sign in fundamental_circle_signs(g, forest)]
-
-
-def _balancing_by_circles(candidate: frozenset[str],
-                          circles: Sequence[tuple[frozenset[str], int]]) -> bool:
-    """Whether flipping ``candidate`` makes every listed circle positive.
-
-    Valid as a balance test only when the hypergraph is balanceable, where
-    positive fundamental circles force all circles positive.
-    """
-    for incs, sign in circles:
-        overlap = len(candidate & incs)
-        if sign * (-1) ** overlap != 1:
-            return False
-    return True
-
-
 def _frustration_exact(g: OrientedHypergraph,
                        budget: int | None) -> FrustrationResult:
-    forest = spanning_forest(g, "bfs")
-    circles = _fundamental_circle_data(g, forest)
+    circles = _balancing_circles(g, balanceable=True)  # checked by the caller
     ids = sorted(inc.id for inc in g.incidences)
     evaluations = 0
 
@@ -242,11 +246,10 @@ def _frustration_exact(g: OrientedHypergraph,
                 f"exact frustration budget of {budget} candidate sets "
                 f"exhausted at size {len(combo)}")
 
+    # g is balanceable, so the reorientation's change set balances it.
     combo = next(minimal_subsets(
-        ids, lambda c: _balancing_by_circles(frozenset(c), circles),
-        range(len(ids) + 1), count), None)
-    if combo is None:
-        raise InputError("no balancing set found; input was not balanceable")
+        ids, lambda c: _balances(circles, frozenset(c)),
+        range(len(ids) + 1), count))
     return FrustrationResult(len(combo), combo, "exact", True, evaluations)
 
 
@@ -274,7 +277,6 @@ def _frustration_trees(g: OrientedHypergraph,
     position = {inc.id: k for k, inc in enumerate(g.incidences)}
     for nodes, incs in _component_partition(g):
         best: list[str] | None = None
-        seen_any = False
         # A component's spanning trees are its acyclic sets of |nodes| - 1
         # incidences.
         for combo in combinations(sorted(incs, key=lambda i: i.id),
@@ -287,7 +289,6 @@ def _frustration_trees(g: OrientedHypergraph,
                        for i in combo):
                 continue
             inspected += 1
-            seen_any = True
             # A trusted view keeps its parent's incidence order.
             tree = OrientedHypergraph._trusted(
                 g.vertices, g.edges,
@@ -298,9 +299,8 @@ def _frustration_trees(g: OrientedHypergraph,
                 best = changed
                 if not best:
                     break
-        if not seen_any:
-            base = camion_reorient(g)
-            best = sorted(base.changed.intersection(i.id for i in incs))
+        if best is None:  # the cap ran out before the first tree
+            best = _negative_fundamental_circles(g, incs, spanning_forest(g))
             exact = False
         total += len(best)
         witness.extend(best)
@@ -371,8 +371,7 @@ def frustration(g: OrientedHypergraph, mode: str = "exact",
     The latter two flag their answer as a bound when the search was cut off.
     Undefined for unbalanceable inputs.
     """
-    ok, _cert = is_balanceable(g)
-    if not ok:
+    if not is_balanceable(g)[0]:
         raise UnbalanceableError(
             "frustration is undefined: the hypergraph is not balanceable")
     if mode == "exact":

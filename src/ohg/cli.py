@@ -354,7 +354,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "kind": "input"}),
               file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}),
               file=sys.stderr)
         return 2

@@ -68,7 +68,12 @@ class Domain:
             if spec.lower() in ("q", "rational", "rationals"):
                 return cls.rationals()
             if spec.isdigit():
-                return cls.prime_field(int(spec))
+                try:
+                    p = int(spec)
+                except ValueError:  # a digit int() rejects, such as '²'
+                    raise InputError(
+                        f"unknown coefficient domain {spec!r}") from None
+                return cls.prime_field(p)
             raise InputError(f"unknown coefficient domain {spec!r}")
         if isinstance(spec, int) and not isinstance(spec, bool):
             return cls.prime_field(spec)

@@ -19,8 +19,8 @@ from itertools import combinations, islice, product
 from math import comb
 from typing import Iterable, Sequence
 
-from .balance import is_balanceable, is_balanced
-from .camion import is_balancing_set, is_minimal_balancing_set
+from .balance import is_balanceable
+from .camion import _balances, _balancing_circles, is_minimal_balancing_set
 from .errors import InputError, ResourceError
 from .gamma import DisjointSets, blocks, spanning_forest
 from .linalg import Domain, nullity
@@ -247,14 +247,11 @@ class _PartFacts:
         return self._memo(("balanceable", edges),
                           lambda: is_balanceable(self.view(edges))[0])
 
-    def balanced(self, edges: frozenset[str]) -> bool:
-        return self._memo(("balanced", edges),
-                          lambda: is_balanced(self.view(edges))[0])
-
     def balancing(self, edges: frozenset[str], ids: Iterable[str]) -> bool:
-        ids = frozenset(ids)
-        return self._memo(("balancing", edges, ids),
-                          lambda: is_balancing_set(self.view(edges), ids))
+        """The balancing-set rule on the part's circles, listed once."""
+        circles = self._memo(("circles", edges), lambda: _balancing_circles(
+            self.view(edges), self.balanceable(edges)))
+        return _balances(circles, frozenset(ids))
 
     def part_notes(self, edges: frozenset[str]) -> list[str]:
         """Why the part cannot be a flower part of a decomposition: it must
@@ -266,7 +263,7 @@ class _PartFacts:
         notes = []
         if not self.balanceable(edges):
             notes.append("is not balanceable")
-        if flower and not pseudo and self.balanced(edges):
+        if flower and not pseudo and self.balancing(edges, ()):
             notes.append("is a balanced flower")
         return notes
 
@@ -594,9 +591,9 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
         "" if thorns_ok else f"computed {sorted(computed_thorns)}, "
                              f"declared {sorted(d.thorns)}"))
 
-    # The balancing set lives inside the flower parts and balances each
-    # part.  The union itself may still be unbalanceable when a shunt
-    # closes a bad circle; that is judged by is_balanceable_shunting.
+    # The balancing set lies in the flower parts and balances each; a part's
+    # circles hold only its own incidences.  The union may still be
+    # unbalanceable when a shunt closes a bad circle (is_balanceable_shunting).
     notes = []
     outside = [i for i in d.balancing_set
                if g.incidence(i).edge not in all_flower_edges]
@@ -604,9 +601,8 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
         notes.append(f"balancing incidence(s) {sorted(outside)} "
                      f"outside flower parts")
     else:
-        for idx, (part, sub) in enumerate(zip(flowers, flower_subs)):
-            part_ids = {i.id for i in sub.incidences}
-            if not facts.balancing(part, d.balancing_set & part_ids):
+        for idx, part in enumerate(flowers):
+            if not facts.balancing(part, d.balancing_set):
                 notes.append(f"declared set does not balance part {idx}")
     checks.append(Check("balancing-set", not notes, "; ".join(notes)))
 
@@ -853,7 +849,7 @@ def _is_F_maximal(d: ShuntingDecomposition, facts: _PartFacts,
 
 
 def is_S_minimal(d: ShuntingDecomposition, g: OrientedHypergraph) -> bool:
-    """The declared balancing set is minimal, by exhaustive subset check."""
+    """The declared set balances g and no proper subset does (circle rule)."""
     return is_minimal_balancing_set(g, d.balancing_set, method="oracle")
 
 

@@ -22,7 +22,8 @@ from ohg.errors import InputError, ResourceError
 from ohg.gamma import fundamental_circle_signs, fundamental_cycle, spanning_forest
 from ohg.model import OrientedHypergraph, make_Lk
 
-from instances import random_balanceable, random_hypergraph, random_signed_graph
+from instances import (plant_obstruction, random_balanceable, random_hypergraph,
+                       random_signed_graph)
 from oracles import (
     oracle_balancing_sets,
     oracle_frustration,
@@ -125,6 +126,19 @@ class TestCamion:
         assert not result.balanced
         assert not is_balanced(result.hypergraph)[0]
 
+    def test_flag_matches_balance_of_output(self):
+        # The flag is the input's balanceability; the output is tested here.
+        unbalanceable = 0
+        for seed in range(30):
+            for g in (random_hypergraph(seed), plant_obstruction(seed)):
+                for strategy in ("bfs", "dfs", "random"):
+                    forest = spanning_forest(g, strategy, seed)
+                    result = camion_reorient(g, forest)
+                    assert result.balanced == \
+                        is_balanced(result.hypergraph)[0]
+                    unbalanceable += not result.balanced
+        assert unbalanceable >= 30
+
     def test_signed_graph_gate(self):
         with pytest.raises(InputError):
             signed_graph_balance(make_Lk(3, 1))
@@ -142,15 +156,22 @@ class TestCamion:
 
 class TestBalancingSets:
     def test_membership_matches_oracle(self):
-        for g in small_corpus(25):
-            expected = set(oracle_balancing_sets(g))
+        # Unbalanceable inputs take the rule's other branch: no set balances.
+        corpus = (small_corpus(25)
+                  + [plant_obstruction(seed) for seed in range(20)]
+                  + [random_hypergraph(seed) for seed in range(30)])
+        unbalanceable = 0
+        for g in corpus:
             ids = sorted(i.id for i in g.incidences)
             if len(ids) > 10:
                 continue
+            expected = set(oracle_balancing_sets(g))
+            unbalanceable += not expected
             for size in range(len(ids) + 1):
                 for sub in itertools.combinations(ids, size):
                     assert is_balancing_set(g, sub) == \
                         (frozenset(sub) in expected)
+        assert unbalanceable >= 10
 
     def test_minimality_fast_equals_oracle(self):
         for g in small_corpus(25):

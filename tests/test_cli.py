@@ -120,7 +120,7 @@ class TestMatrixGamma:
         assert text.splitlines()[0] == ",e1,e2,e3"
 
     def test_matrix_bad_field(self, capsys, triangle_file):
-        for field in ("4", "weird", "0", "00"):
+        for field in ("4", "weird", "0", "00", "²"):
             code, _, err = run(capsys, "matrix", triangle_file,
                                "--field", field)
             assert code == 2
@@ -350,11 +350,15 @@ def _decomposition_docs(draw):
 
 _VALID_GRAPHS = st.integers(0, 500).map(
     lambda seed: serialize(random_hypergraph(seed, max_incidences=8)))
+# File contents as bytes: UTF-8 text, or raw bytes that are not UTF-8
+# (0xff never occurs in it).
+_NOT_UTF8 = st.binary(max_size=20).map(lambda raw: b"\xff" + raw)
 _FILE_TEXT = (_hypergraph_docs() | _VALID_GRAPHS | _JSON.map(json.dumps)
               | st.text(max_size=20)
-              | _hypergraph_docs().map(lambda text: text[:len(text) // 2]))
+              | _hypergraph_docs().map(lambda text: text[:len(text) // 2])
+              ).map(str.encode) | _NOT_UTF8
 _DECOMPOSITION_TEXT = (_decomposition_docs() | _JSON.map(json.dumps)
-                       | st.text(max_size=20))
+                       | st.text(max_size=20)).map(str.encode) | _NOT_UTF8
 
 _COMMANDS = st.sampled_from([
     ["validate"], ["info"], ["info", "--human"], ["matrix"],
@@ -376,9 +380,9 @@ def test_fuzzed_files_keep_the_exit_code_contract(command, text, decomposition):
     stderr is empty or one JSON error object."""
     with tempfile.TemporaryDirectory() as tmp:
         graph_path = Path(tmp) / "g.json"
-        graph_path.write_text(text, encoding="utf-8")
+        graph_path.write_bytes(text)
         decomposition_path = Path(tmp) / "d.json"
-        decomposition_path.write_text(decomposition, encoding="utf-8")
+        decomposition_path.write_bytes(decomposition)
         argv = [command[0], str(graph_path)] + [
             arg.format(dir=tmp, decomposition=decomposition_path)
             for arg in command[1:]]
@@ -402,7 +406,7 @@ def test_fuzzed_decompositions_keep_the_exit_code_contract(seed, decomposition):
         graph_path = Path(tmp) / "g.json"
         graph_path.write_text(serialize(g), encoding="utf-8")
         decomposition_path = Path(tmp) / "d.json"
-        decomposition_path.write_text(decomposition, encoding="utf-8")
+        decomposition_path.write_bytes(decomposition)
         _assert_contract(["shunt-verify", str(graph_path),
                           str(decomposition_path)])
 

@@ -441,7 +441,6 @@ class TestProjectiveGeometry:
         assert pg_circuit_counts(4) == {3: 35, 4: 105, 5: 168}
         assert self.census(4) == pg_circuit_counts(4)
 
-    @pytest.mark.slow
     def test_k5_in_full(self):
         assert pg_circuit_counts(5) == {3: 155, 4: 1085, 5: 5208, 6: 13888}
         assert self.census(5) == pg_circuit_counts(5)

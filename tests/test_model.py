@@ -107,6 +107,10 @@ class TestMatrix:
                 make()
         assert Domain.rationals().is_rational
 
+    def test_unicode_decimal_digit_field(self):
+        # int() reads the decimal digits of any script.
+        assert Domain.coerce("٣") == Domain.prime_field(3)
+
     def test_csv(self):
         text = matrix_csv(triangle())
         assert text.splitlines()[0] == ",e1,e2,e3"
