@@ -11,7 +11,10 @@ first and odd pairs the head first, so drift in the machine's load falls
 on both sides.  The output keeps every result line as printed, the
 seeds, both commit ids, the machine, the per-metric medians of each
 side, and each side's library size as ``src_lines``: the lines of its
-``src/ohg/*.py``, counted as ``wc -l`` counts them.
+``src/ohg/*.py``, counted as ``wc -l`` counts them.  For each workload
+and each end-to-end metric of ``BENCHMARK.json``, ``pairs_won`` holds the
+head/base ratio of every pair and the number of pairs the head won, by
+the metric's own direction; a tie counts for neither side.
 """
 
 from __future__ import annotations
@@ -68,6 +71,29 @@ def _run(checkout: Path, workload: str, seed: int) -> str:
     return lines[-1]
 
 
+def _directions() -> dict[str, str]:
+    """Each end-to-end metric's better direction, from BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def _pairs_won(lines: dict[str, list[str]],
+               directions: dict[str, str]) -> dict[str, dict]:
+    """Per metric, the head/base ratio of each pair (None where the base
+    reads 0) and the number of pairs the head won."""
+    values = {side: [json.loads(line)["metrics"] for line in lines[side]]
+              for side in ("base", "head")}
+    out = {}
+    for name, better in directions.items():
+        ratios, won = [], 0
+        for base, head in zip(values["base"], values["head"]):
+            b, h = base[name]["value"], head[name]["value"]
+            ratios.append(h / b if b else None)
+            won += h > b if better == "higher" else h < b
+        out[name] = {"ratios": ratios, "head_won": won}
+    return out
+
+
 def _medians(lines: list[str]) -> dict[str, float]:
     metrics: dict[str, list[float]] = {}
     for line in lines:
@@ -91,6 +117,8 @@ def main(argv=None) -> int:
     seeds = [FIRST_SEED + k for k in range(args.pairs)]
     runs = []
     medians = {}
+    pairs_won = {}
+    directions = _directions()
     with tempfile.TemporaryDirectory(prefix="ohg-bench-") as tmp:
         checkouts = {}
         for side, commit in sides.items():
@@ -110,6 +138,7 @@ def main(argv=None) -> int:
                           f"{line[:120]}", file=sys.stderr)
             medians[workload] = {side: _medians(lines[side])
                                  for side in ("base", "head")}
+            pairs_won[workload] = _pairs_won(lines, directions)
 
     record = {
         "label": args.label,
@@ -123,6 +152,7 @@ def main(argv=None) -> int:
                     "python": platform.python_version()},
         "runs": runs,
         "medians": medians,
+        "pairs_won": pairs_won,
         "src_lines": src_lines,
     }
     out = ROOT / f"BENCH_{args.label}.json"

@@ -265,17 +265,15 @@ def verify_theta(g: OrientedHypergraph, cert: ThetaCertificate) -> bool:
 _THETA_KINDS = ("cross", "vertex", "edge")
 
 
-def _hub_pairs(incidences: Iterable[Incidence],
+def _hub_pairs(incidences: Sequence[Incidence],
                kind: str) -> Iterator[tuple[Node, Node]]:
     """Endpoint pairs of the requested kind, in lexicographic order, whose
     two ends each meet at least three of the given incidences."""
-    degree: Counter[Node] = Counter()
-    for inc in incidences:
-        degree[(VERTEX, inc.vertex)] += 1
-        degree[(EDGE, inc.edge)] += 1
-    hubs = sorted(node for node, d in degree.items() if d >= 3)
-    vertex_hubs = [node for node in hubs if node[0] == VERTEX]
-    edge_hubs = [node for node in hubs if node[0] == EDGE]
+    degree = Counter([inc.vertex for inc in incidences])
+    size = Counter([inc.edge for inc in incidences])
+    vertex_hubs = [(VERTEX, v)
+                   for v in sorted(v for v, d in degree.items() if d >= 3)]
+    edge_hubs = [(EDGE, e) for e in sorted(e for e, d in size.items() if d >= 3)]
     if kind == "cross":
         # Vertex end first, as a certificate names it; ("e", ...) sorts
         # before ("v", ...), so a sorted pair of hubs would be backwards.

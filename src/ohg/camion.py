@@ -158,8 +158,14 @@ def is_minimal_balancing_set(g: OrientedHypergraph, ids: Iterable[str],
     leaves the component count unchanged.  The oracle method checks every
     proper subset directly.  Both read one list of fundamental circles.
     """
-    chosen = _check_incidence_ids(g, ids)
-    circles = _balancing_circles(g)
+    return _is_minimal_balancing(g, _check_incidence_ids(g, ids),
+                                 _balancing_circles(g), method)
+
+
+def _is_minimal_balancing(g: OrientedHypergraph, chosen: frozenset[str],
+                          circles: list | None, method: str) -> bool:
+    """``is_minimal_balancing_set`` on g's ``_balancing_circles``, which a
+    caller that holds them already passes in."""
     if not _balances(circles, chosen):
         return False
     if method == "fast":
@@ -308,52 +314,81 @@ def _frustration_trees(g: OrientedHypergraph,
                              inspected)
 
 
-def _star_sets(g: OrientedHypergraph) -> list[tuple[str, frozenset[str]]]:
+def _star_sets(g: OrientedHypergraph) -> list[frozenset[str]]:
     """Incidence stars of vertices then edges, each a switching move."""
     at = {(VERTEX, v): [] for v in sorted(g.vertices)}
     at.update({(EDGE, e): [] for e in sorted(g.edges)})
     for inc in g.incidences:
         at[(VERTEX, inc.vertex)].append(inc.id)
         at[(EDGE, inc.edge)].append(inc.id)
-    return [(f"{kind}:{name}", frozenset(ids)) for (kind, name), ids in at.items()]
+    return [frozenset(ids) for ids in at.values()]
 
 
-def _hill_climb(start: frozenset[str],
-                stars: Sequence[tuple[str, frozenset[str]]],
-                evaluations: int, budget: int) -> tuple[frozenset[str], int]:
-    current = start
-    improved = True
-    while improved and evaluations < budget:
-        improved = False
-        for name, star in stars:
-            if evaluations >= budget:
-                break
-            evaluations += 1
-            candidate = current ^ star
-            if len(candidate) < len(current):
-                current = candidate
-                improved = True
-                break
-    return current, evaluations
+def _hill_climb(start: frozenset[str], stars: Sequence[frozenset[str]],
+                where: dict[str, list[int]], evaluations: int,
+                budget: int) -> tuple[frozenset[str], int]:
+    """Switch by the first star that shrinks the set, pass after pass.
+
+    A pass tries the stars in order, one evaluation each, and moves by the
+    first improving one; a pass with none ends the climb, as does the
+    budget.  Switching by star T shrinks S exactly when 2|S & T| > |T|, so
+    with each star's overlap with S kept (an incidence lies in the two
+    stars ``where`` names) the first improving star is the least index in
+    ``better``, and a pass costs its evaluations in one step.
+    """
+    current = set(start)
+    overlap = [0] * len(stars)
+    for inc in current:
+        for k in where[inc]:
+            overlap[k] += 1
+    better = {k for k, star in enumerate(stars) if 2 * overlap[k] > len(star)}
+    while evaluations < budget:
+        if not better:
+            evaluations += min(len(stars), budget - evaluations)
+            break
+        k = min(better)
+        if evaluations + k + 1 > budget:  # the budget ends before star k
+            evaluations = budget
+            break
+        evaluations += k + 1
+        for inc in stars[k]:
+            if inc in current:
+                current.remove(inc)
+                step = -1
+            else:
+                current.add(inc)
+                step = 1
+            for j in where[inc]:
+                overlap[j] += step
+                if 2 * overlap[j] > len(stars[j]):
+                    better.add(j)
+                else:
+                    better.discard(j)
+    return frozenset(current), evaluations
 
 
 def _frustration_local(g: OrientedHypergraph, budget: int | None,
                        seed: int) -> FrustrationResult:
     cap = 10_000 if budget is None else budget
     stars = _star_sets(g)
+    where: dict[str, list[int]] = {inc.id: [] for inc in g.incidences}
+    for k, star in enumerate(stars):
+        for inc in star:
+            where[inc].append(k)
     # Each start is the change set a reorientation along a forest would
     # make; the reoriented hypergraph itself is not needed.  Every forest
-    # grows from one sorted adjacency.
+    # grows from one sorted adjacency and one sign map.
     order, adj = sorted_nodes(g), sorted_adjacency(g)
-    base = _negative_fundamental_circles(g, g.incidences,
-                                         _grow_forest(order, adj, "bfs", 0))
-    best, evaluations = _hill_climb(frozenset(base), stars, 0, cap)
+    signs = {inc.id: inc.sign for inc in g.incidences}
+    base = _negative_fundamental_circles(
+        g, g.incidences, _grow_forest(order, adj, signs, "bfs", 0))
+    best, evaluations = _hill_climb(frozenset(base), stars, where, 0, cap)
     restart = 0
     while evaluations < cap and best:
         restart += 1
-        forest = _grow_forest(order, adj, "random", seed + restart)
+        forest = _grow_forest(order, adj, signs, "random", seed + restart)
         start = frozenset(_negative_fundamental_circles(g, g.incidences, forest))
-        found, evaluations = _hill_climb(start, stars, evaluations, cap)
+        found, evaluations = _hill_climb(start, stars, where, evaluations, cap)
         if len(found) < len(best):
             best = found
     return FrustrationResult(len(best), tuple(sorted(best)), "local_search",

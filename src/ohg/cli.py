@@ -29,13 +29,7 @@ from .model import (
     serialize,
     to_dot,
 )
-from .shunting import (
-    ShuntingDecomposition,
-    is_balanceable_shunting,
-    is_F_maximal,
-    is_S_minimal,
-    validate_shunting,
-)
+from .shunting import ShuntingDecomposition, verify_shunting
 
 
 def _render_human(payload, indent: int = 0) -> list[str]:
@@ -228,18 +222,15 @@ def _cmd_shunt_verify(args) -> int:
     g = load(args.file)
     with open(args.decomposition, "r", encoding="utf-8") as fh:
         d = ShuntingDecomposition.from_json(fh.read())
-    report = validate_shunting(d, g)
+    report, balanceable, optimal = verify_shunting(d, g)
     payload = {
         "command": "shunt-verify",
         "ok": report.ok,
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                    for c in report.checks],
-        "balanceable": None,
-        "optimal": None,
+        "balanceable": balanceable,
+        "optimal": optimal,
     }
-    if report.ok:
-        payload["balanceable"] = is_balanceable_shunting(d, g)
-        payload["optimal"] = is_F_maximal(d, g) and is_S_minimal(d, g)
     _emit(payload, args.human)
     return 0 if report.ok else 1
 

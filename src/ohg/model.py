@@ -13,9 +13,10 @@ forests, blocks, flows and the one union-find (``DisjointSets``) live in
 
 Validation happens where data enters: the ``OrientedHypergraph``
 constructor (and so ``build``), ``parse`` and the CLI check ids, references
-and signs; ``parse`` makes every check itself, naming source lines, and
-then builds without validating again.  Views derived from a valid
-hypergraph (``edge_induced``, ``weak_delete``, ``with_signs``,
+and signs; ``parse`` makes every check itself, over whole lists at once,
+walks the entries only to name the first offender and its source line when
+a check fails, and then builds without validating again.  Views derived
+from a valid hypergraph (``edge_induced``, ``weak_delete``, ``with_signs``,
 ``reverse_incidences``, ``contract_degree2_vertex`` and the block views of
 ``balance``) check only the arguments they are given, such as unknown ids
 or new sign values, and are then built without re-validating what they
@@ -27,8 +28,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, starmap
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceError
@@ -47,6 +49,21 @@ class Incidence:
     vertex: str
     edge: str
     sign: int
+
+    @classmethod
+    def _trusted(cls, id: str, vertex: str, edge: str, sign: int) -> Incidence:
+        """Construct without the frozen dataclass's four guarded setattrs.
+
+        Only for fields that library code has already checked, as ``parse``
+        and ``OrientedHypergraph.with_signs`` have.
+        """
+        inc = object.__new__(cls)
+        fields = inc.__dict__
+        fields["id"] = id
+        fields["vertex"] = vertex
+        fields["edge"] = edge
+        fields["sign"] = sign
+        return inc
 
 
 @dataclass(frozen=True)
@@ -146,7 +163,7 @@ class OrientedHypergraph:
             sign = new_signs.get(i.id, i.sign)
             if isinstance(sign, bool) or sign not in (1, -1):
                 raise InputError(f"incidence {i.id!r} has sign {sign!r}")
-            incs.append(Incidence(i.id, i.vertex, i.edge, sign))
+            incs.append(Incidence._trusted(i.id, i.vertex, i.edge, sign))
         return OrientedHypergraph._trusted(self.vertices, self.edges, tuple(incs))
 
     def is_two_uniform(self) -> bool:
@@ -190,6 +207,8 @@ def _located(text: str, token_value, occurrence: int = 1) -> str:
 
 
 _INCIDENCE_FIELDS = frozenset(("id", "vertex", "edge", "sign"))
+_fields = itemgetter("id", "vertex", "edge", "sign")
+_STR = {str}
 
 
 def parse(text: str) -> OrientedHypergraph:
@@ -213,10 +232,47 @@ def parse(text: str) -> OrientedHypergraph:
             raise InputError(f"missing top-level key {key!r}")
         if not isinstance(data[key], list):
             raise InputError(f"{key!r} must be a list")
+    vertices, edges, entries = data["vertices"], data["edges"], data["incidences"]
+    rows = _rows_in_bulk(vertices, edges, entries)
+    if rows is None:
+        rows = _rows_one_by_one(text, vertices, edges, entries)
+    return OrientedHypergraph._trusted(
+        tuple(vertices), tuple(edges), tuple(starmap(Incidence._trusted, rows)))
 
-    for kind in ("vertices", "edges"):
+
+def _rows_in_bulk(vertices: list, edges: list,
+                  entries: list) -> list[tuple] | None:
+    """(id, vertex, edge, sign) of every entry when whole-list checks find
+    every id a distinct string, every reference known and every sign the
+    int 1 or -1; None otherwise.  Type checks come first, so no set is made
+    of values that cannot be hashed.  A float sign, which the entry checks
+    accept, fails here too and is left to them."""
+    if not (set(map(type, vertices)) <= _STR and set(map(type, edges)) <= _STR
+            and set(map(type, entries)) <= {dict}
+            and set(map(len, entries)) <= {len(_INCIDENCE_FIELDS)}):
+        return None
+    try:
+        rows = list(map(_fields, entries))  # four keys, all of them fields
+    except KeyError:
+        return None
+    ids, vs, es, signs = zip(*rows) if rows else ((), (), (), ())
+    vset, eset = set(vertices), set(edges)
+    if (len(vset) == len(vertices) and len(eset) == len(edges)
+            and set(map(type, ids + vs + es)) <= _STR
+            and len(set(ids)) == len(ids)
+            and vset.issuperset(vs) and eset.issuperset(es)
+            and set(map(type, signs)) <= {int} and set(signs) <= {1, -1}):
+        return rows
+    return None
+
+
+def _rows_one_by_one(text: str, vertices: list, edges: list,
+                     entries: list) -> list[tuple]:
+    """``_rows_in_bulk`` entry by entry: raises on the first fault, naming
+    the offender and its line."""
+    for kind, ids in (("vertices", vertices), ("edges", edges)):
         seen = set()
-        for v in data[kind]:
+        for v in ids:
             if not isinstance(v, str):
                 raise InputError(f"{kind[:-1]} id {v!r} must be a string")
             if v in seen:
@@ -224,10 +280,10 @@ def parse(text: str) -> OrientedHypergraph:
                     f"duplicate {kind[:-1]} id {v!r}{_located(text, v, 2)}")
             seen.add(v)
 
-    vset, eset = set(data["vertices"]), set(data["edges"])
-    incs = []
+    vset, eset = set(vertices), set(edges)
+    rows = []
     seen = set()
-    for raw in data["incidences"]:
+    for raw in entries:
         if not isinstance(raw, dict):
             raise InputError(f"incidence entry {raw!r} must be an object")
         if raw.keys() != _INCIDENCE_FIELDS:
@@ -253,9 +309,8 @@ def parse(text: str) -> OrientedHypergraph:
             raise InputError(
                 f"incidence {iid!r} has sign {sign!r}, expected 1 or -1"
                 f"{_located(text, iid)}")
-        incs.append(Incidence(iid, raw["vertex"], raw["edge"], sign))
-    return OrientedHypergraph._trusted(tuple(data["vertices"]),
-                                       tuple(data["edges"]), tuple(incs))
+        rows.append(_fields(raw))
+    return rows
 
 
 def serialize(g: OrientedHypergraph) -> str:

@@ -20,7 +20,8 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .balance import is_balanceable
-from .camion import _balances, _balancing_circles, is_minimal_balancing_set
+from .camion import (_balances, _balancing_circles, _check_incidence_ids,
+                     _is_minimal_balancing)
 from .errors import InputError, ResourceError
 from .gamma import DisjointSets, blocks, spanning_forest
 from .linalg import Domain, nullity
@@ -247,11 +248,14 @@ class _PartFacts:
         return self._memo(("balanceable", edges),
                           lambda: is_balanceable(self.view(edges))[0])
 
-    def balancing(self, edges: frozenset[str], ids: Iterable[str]) -> bool:
-        """The balancing-set rule on the part's circles, listed once."""
-        circles = self._memo(("circles", edges), lambda: _balancing_circles(
+    def circles(self, edges: frozenset[str]) -> list | None:
+        """The part's ``_balancing_circles``, listed once."""
+        return self._memo(("circles", edges), lambda: _balancing_circles(
             self.view(edges), self.balanceable(edges)))
-        return _balances(circles, frozenset(ids))
+
+    def balancing(self, edges: frozenset[str], ids: Iterable[str]) -> bool:
+        """The balancing-set rule on the part's circles."""
+        return _balances(self.circles(edges), frozenset(ids))
 
     def part_notes(self, edges: frozenset[str]) -> list[str]:
         """Why the part cannot be a flower part of a decomposition: it must
@@ -795,7 +799,15 @@ def is_balanceable_shunting(d: ShuntingDecomposition,
     appears only in paths between two thorns.  The two answers are
     required to agree.
     """
-    direct = is_balanceable(g)[0]
+    return _is_balanceable_shunting(d, _PartFacts(g))
+
+
+def _is_balanceable_shunting(d: ShuntingDecomposition,
+                             facts: _PartFacts) -> bool:
+    """``is_balanceable_shunting`` with the direct verdict read from a memo
+    on ``g``, as the verdict on the part of all its edges."""
+    g = facts.g
+    direct = facts.balanceable(frozenset(g.edges))
     on_circle = _circle_edges(g)
     structural = True
     for path in classify_shunt_paths(d, g):
@@ -850,7 +862,16 @@ def _is_F_maximal(d: ShuntingDecomposition, facts: _PartFacts,
 
 def is_S_minimal(d: ShuntingDecomposition, g: OrientedHypergraph) -> bool:
     """The declared set balances g and no proper subset does (circle rule)."""
-    return is_minimal_balancing_set(g, d.balancing_set, method="oracle")
+    return _is_S_minimal(d, _PartFacts(g))
+
+
+def _is_S_minimal(d: ShuntingDecomposition, facts: _PartFacts) -> bool:
+    """``is_S_minimal`` with the circles of ``g`` read from a memo on it, as
+    those of the part of all its edges: the vertices on no edge that its
+    view drops close no circle."""
+    g = facts.g
+    return _is_minimal_balancing(g, _check_incidence_ids(g, d.balancing_set),
+                                 facts.circles(frozenset(g.edges)), "oracle")
 
 
 def is_optimal_shunting(d: ShuntingDecomposition, g: OrientedHypergraph,
@@ -859,7 +880,19 @@ def is_optimal_shunting(d: ShuntingDecomposition, g: OrientedHypergraph,
     facts = _PartFacts(g)
     if not _validate(d, g, facts).ok:
         return False
-    return _is_F_maximal(d, facts, max_checks) and is_S_minimal(d, g)
+    return _is_F_maximal(d, facts, max_checks) and _is_S_minimal(d, facts)
+
+
+def verify_shunting(d: ShuntingDecomposition, g: OrientedHypergraph
+                    ) -> tuple[ShuntingReport, bool | None, bool | None]:
+    """Validation, balanceability and optimality of a decomposition of g,
+    from one memo on g: the last two are None when validation fails."""
+    facts = _PartFacts(g)
+    report = _validate(d, g, facts)
+    if not report.ok:
+        return report, None, None
+    return (report, _is_balanceable_shunting(d, facts),
+            _is_F_maximal(d, facts) and _is_S_minimal(d, facts))
 
 
 # ---------------------------------------------------------------------------
@@ -1162,7 +1195,7 @@ def find_shunting_decomposition(
                 if not _validate(d, g, facts).ok:
                     continue
                 if require_optimal and not (_is_F_maximal(d, facts)
-                                            and is_S_minimal(d, g)):
+                                            and _is_S_minimal(d, facts)):
                     continue
                 if not validate_shunting(d, g).ok:
                     raise RuntimeError(

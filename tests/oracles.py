@@ -7,25 +7,29 @@ incidence subset, and ranks through sympy.  The exact eliminations the
 library used before it kept one (Bareiss ranks, Fraction and modular
 RREF, with their own primitive-integer scaling), its one-smaller-subset
 circuit test, its circuit walk that reduces every candidate against its
-whole prefix basis, its memo-free F-maximality loop and its walk over
-every edge combination for flower-part candidates live here as
-references.
+whole prefix basis, its memo-free F-maximality loop, its walk over
+every edge combination for flower-part candidates, its local search that
+builds every switched set, and its hub count over tagged nodes live here
+as references.
 Slow on purpose; only run at desk scale.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import mul
 
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
-from ohg.balance import ThetaCertificate, Walk, is_balanceable, is_balanced
+from ohg.balance import (ThetaCertificate, Walk, is_balanceable, is_balanced,
+                         walk_sign)
+from ohg.camion import FrustrationResult
 from ohg.errors import ResourceError
-from ohg.gamma import internally_disjoint_paths
+from ohg.gamma import fundamental_cycle, internally_disjoint_paths, spanning_forest
 from ohg.linalg import Domain, echelon_extend, rank
 from ohg.matroids import CircuitReport
 from ohg.model import (EDGE, VERTEX, OrientedHypergraph, edge_induced,
@@ -116,6 +120,73 @@ def oracle_frustration(g: OrientedHypergraph) -> int:
     if not sets:
         raise ValueError("not balanceable")
     return min(len(b) for b in sets)
+
+
+def _oracle_hill_climb(start, stars, evaluations, budget):
+    current = start
+    improved = True
+    while improved and evaluations < budget:
+        improved = False
+        for star in stars:
+            if evaluations >= budget:
+                break
+            evaluations += 1
+            candidate = current ^ star
+            if len(candidate) < len(current):
+                current = candidate
+                improved = True
+                break
+    return current, evaluations
+
+
+def oracle_frustration_local(g: OrientedHypergraph, budget: int | None = None,
+                             seed: int = 0) -> FrustrationResult:
+    """``frustration(g, "local_search", budget, seed)`` with every switched
+    set built and each start's circle signs read by ``walk_sign``.
+
+    Stars are the incidence sets of the vertices then the edges, in id
+    order; a hill climb moves by the first star whose switch shrinks the
+    set and restarts its pass.  The starts are the negative fundamental
+    circles of the BFS forest, then of random forests seeded seed + 1,
+    seed + 2, ... while the budget lasts and the best set is nonempty.
+    """
+    cap = 10_000 if budget is None else budget
+    stars = [frozenset(i.id for i in g.incidences if i.vertex == v)
+             for v in sorted(g.vertices)]
+    stars += [frozenset(i.id for i in g.incidences if i.edge == e)
+              for e in sorted(g.edges)]
+
+    def start(forest):
+        return frozenset(
+            i.id for i in g.incidences if i.id not in forest.incidences
+            and walk_sign(g, fundamental_cycle(g, forest, i.id)[1]) == -1)
+
+    best, evaluations = _oracle_hill_climb(
+        start(spanning_forest(g, "bfs")), stars, 0, cap)
+    restart = 0
+    while evaluations < cap and best:
+        restart += 1
+        found, evaluations = _oracle_hill_climb(
+            start(spanning_forest(g, "random", seed + restart)), stars,
+            evaluations, cap)
+        if len(found) < len(best):
+            best = found
+    return FrustrationResult(len(best), tuple(sorted(best)), "local_search",
+                             len(best) == 0, evaluations, seed)
+
+
+def oracle_hub_pairs(incidences, kind: str) -> list:
+    """Hub pairs of the theta scan, counted over tagged nodes."""
+    degree = Counter()
+    for inc in incidences:
+        degree[(VERTEX, inc.vertex)] += 1
+        degree[(EDGE, inc.edge)] += 1
+    hubs = sorted(node for node, d in degree.items() if d >= 3)
+    vertex_hubs = [node for node in hubs if node[0] == VERTEX]
+    edge_hubs = [node for node in hubs if node[0] == EDGE]
+    if kind == "cross":
+        return list(product(vertex_hubs, edge_hubs))
+    return list(combinations(vertex_hubs if kind == "vertex" else edge_hubs, 2))
 
 
 def oracle_minimal_balancing_sets(

@@ -24,7 +24,8 @@ from ohg.balance import (
     verify_theta,
 )
 from ohg.errors import InputError, ResourceError
-from ohg.model import EDGE, VERTEX, OrientedHypergraph, gamma_nodes, make_Lk
+from ohg.model import (EDGE, VERTEX, Incidence, OrientedHypergraph, gamma_nodes,
+                       make_Lk)
 
 from instances import (
     hypertree,
@@ -38,6 +39,7 @@ from oracles import (
     oracle_circle_sign,
     oracle_circles,
     oracle_detect_theta,
+    oracle_hub_pairs,
     oracle_is_balanceable,
     oracle_is_balanced,
 )
@@ -301,6 +303,22 @@ def test_block_scan_matches_all_pairs_scan(family, seed):
         assert (got and got.to_json()) == (want and want.to_json())
     if family == "planted":
         assert detect_theta(g, "cross") is not None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["random", "balanceable", "planted"]),
+       st.integers(0, 10_000), st.data())
+def test_hub_pairs_match_the_tagged_count(family, seed, data):
+    """Hub pairs counted over plain ids are those counted over tagged
+    nodes, for each kind, on all incidences and on a sub-list, also when
+    every edge id is also a vertex id."""
+    incs = list(_theta_instance(family, seed).incidences)
+    some = data.draw(st.lists(st.sampled_from(incs), unique=True))
+    shared = [Incidence(i.id, i.vertex, "v" + i.edge[1:], i.sign) for i in incs]
+    for kind in ("cross", "vertex", "edge"):
+        for sub in (incs, some, shared):
+            assert list(ohg.balance._hub_pairs(sub, kind)) == \
+                oracle_hub_pairs(sub, kind)
 
 
 def _path_connectivity(graph, a, b):

@@ -27,6 +27,7 @@ from instances import (plant_obstruction, random_balanceable, random_hypergraph,
 from oracles import (
     oracle_balancing_sets,
     oracle_frustration,
+    oracle_frustration_local,
     oracle_in_cycle_orthogonal,
     oracle_minimal_balancing_sets,
 )
@@ -256,6 +257,20 @@ class TestFrustration:
             assert (result.witness, result.evaluations) == (witness, evaluations)
             assert result.value == len(witness)
             assert result.exact == (not witness)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 4000))
+    def test_local_search_matches_the_oracle(self, seed):
+        """Value, witness, exactness and evaluation count equal those of
+        the search that builds every switched set, at every budget."""
+        for g in (random_balanceable(seed, max_incidences=20,
+                                     extra_range=(4, 8), nv_range=(3, 7),
+                                     ne_range=(3, 7)),
+                  random_signed_graph(seed, max_edges=8)):
+            for budget in (1, 7, 50, 300, 2000):
+                for s in (seed, seed + 1):
+                    assert frustration(g, "local_search", budget, s) == \
+                        oracle_frustration_local(g, budget, s)
 
     def test_exact_mode_pinned(self):
         """Witness and evaluation count of the ascending exact search."""

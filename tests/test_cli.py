@@ -252,6 +252,24 @@ class TestShuntVerify:
         assert code == 1
         assert payload["ok"] is False
 
+    def test_scans_the_whole_input_once(self, capsys, tmp_path, monkeypatch):
+        """Balanceability and S-minimality read one verdict on the input."""
+        g, d = generate_optimal_shunting(1)
+        scanned = []
+        detect_theta = ohg.balance.detect_theta
+
+        def counting(h, *args, **kwargs):
+            scanned.append(h.incidences == g.incidences)
+            return detect_theta(h, *args, **kwargs)
+
+        monkeypatch.setattr(ohg.balance, "detect_theta", counting)
+        g_path = write(tmp_path, "shunt.json", g)
+        d_path = tmp_path / "decomp.json"
+        d_path.write_text(d.to_json())
+        code, out, _ = run(capsys, "shunt-verify", g_path, str(d_path))
+        assert code == 0 and json.loads(out)["optimal"] is True
+        assert scanned.count(True) == 1
+
 
 class TestDemo:
     def test_fano_text(self, capsys):
@@ -316,11 +334,16 @@ class TestRepeatedCalls:
 
 _IDS = st.sampled_from(["a", "b", "c", "e", "f", ""])
 _SIGNS = st.sampled_from([1, -1, 0, 2, True, "1", None, 1.0])
+
+
+def _json_containers(inner):
+    return (st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=3))
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6)
+    _json_containers, max_leaves=6)
 
 
 @st.composite

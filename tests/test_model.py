@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ohg.gamma
 from ohg.balance import _block_view
 from ohg.errors import InputError
 from ohg.gamma import (
@@ -243,6 +244,20 @@ class TestGamma:
         assert len(paths) == 3
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 64), st.lists(st.lists(st.integers(), max_size=40),
+                                         max_size=5))
+def test_forest_shuffle_draws_as_random_shuffle(seed, lists):
+    """Random forests shuffle with their own loop: one generator shuffling
+    several lists in turn gives what ``random.shuffle`` gives."""
+    rng, bits = random.Random(seed), random.Random(seed).getrandbits
+    for items in lists:
+        want = items[:]
+        rng.shuffle(want)
+        assert ohg.gamma._shuffled(items, bits) == want
+    assert rng.getrandbits(32) == bits(32)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=4000))
 def test_serialize_parse_identity(seed):
@@ -284,6 +299,51 @@ def test_parse_rejects_what_the_constructor_rejects(data):
             parse(json.dumps(doc, indent=2))
     else:
         assert parse(json.dumps(doc, indent=2)) == want
+
+
+def _entry(iid, vertex="a", edge="x", sign=1):
+    return {"id": iid, "vertex": vertex, "edge": edge, "sign": sign}
+
+
+# Documents with faults in two places: parse names the first, with its line.
+_TWO_FAULTS = [
+    (["a", "b"], ["x"], [_entry("i1"), _entry("i2", vertex="c"),
+                         _entry("i3", sign=2)],
+     "incidence 'i2' references unknown vertex 'c' (line 17)"),
+    (["a", "b"], ["x"], [_entry("i1", sign=True), _entry("i1"),
+                         _entry("i3", edge="y")],
+     "incidence 'i1' has sign True, expected 1 or -1 (line 11)"),
+    (["a", "b"], ["x", "y"], [_entry("i1"), _entry("i2", edge="z"),
+                              _entry("i2")],
+     "incidence 'i2' references unknown edge 'z' (line 18)"),
+    (["a", "b", "a"], ["x"], [_entry("i1", vertex="q")],
+     "duplicate vertice id 'a' (line 5)"),
+    (["a", 3], ["x", "x"], [_entry("i1")], "vertice id 3 must be a string"),
+    (["a"], ["x", "y", "y"], [_entry("i1", sign=0)],
+     "duplicate edge id 'y' (line 8)"),
+    (["a"], ["x"], [_entry("i1"), _entry(7), _entry("i3", sign=-2)],
+     "incidence id 7 must be a string"),
+    (["a"], ["x"], [_entry("i1"), {"id": "i2", "vertex": "a", "edge": "x"},
+                    _entry("i3", vertex="b")],
+     "incidence entry must have exactly id/vertex/edge/sign, "
+     "got ['edge', 'id', 'vertex']"),
+    (["a"], ["x"], [_entry("i1"), ["i2"], _entry("i3", sign=None)],
+     "incidence entry ['i2'] must be an object"),
+    (["a"], ["x"], [_entry("i1", vertex=["a"]), _entry("i2", sign=1.5)],
+     "incidence 'i1' references unknown vertex ['a'] (line 10)"),
+    (["a"], ["x"], [_entry("i1", sign=1.0), _entry("i2", sign=-1.0),
+                    _entry("i3", vertex="b"), _entry("i3")],
+     "incidence 'i3' references unknown vertex 'b' (line 22)"),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, incidences, message", _TWO_FAULTS)
+def test_parse_names_the_first_of_two_faults(vertices, edges, incidences,
+                                             message):
+    doc = {"vertices": vertices, "edges": edges, "incidences": incidences}
+    with pytest.raises(InputError) as info:
+        parse(json.dumps(doc, indent=2))
+    assert str(info.value) == message
 
 
 _TRICKY_IDS = st.text(alphabet=st.sampled_from('ab"\\/\n\x00\x7féß☃\U0001d11e'),
