@@ -369,23 +369,13 @@ def negative_circle_from_theta(g: OrientedHypergraph,
     raise AssertionError("three disjoint half-integer paths with no negative pair")
 
 
-def is_balanced(g: OrientedHypergraph, method: str = "fast",
-                cap: int = DEFAULT_CIRCLE_CAP) -> tuple[bool, Circle | None]:
+def is_balanced(g: OrientedHypergraph) -> tuple[bool, Circle | None]:
     """Whether every circle is positive, plus a negative circle when not.
 
-    fast: balanceability first (an obstruction always hides a negative
-    circle), then the fundamental circles of one spanning forest, which
-    settle the question for balanceable inputs.  enumerate: check every
-    circle against the cap.
+    Balanceability first (an obstruction always hides a negative circle),
+    then the fundamental circles of one spanning forest, which settle the
+    question for balanceable inputs.
     """
-    if method == "enumerate":
-        for circle in enumerate_circles(g, cap):
-            if circle_sign(g, circle) == -1:
-                return False, circle
-        return True, None
-    if method != "fast":
-        raise InputError(f"unknown balance method {method!r}")
-
     ok, cert = is_balanceable(g)
     if not ok:
         return False, negative_circle_from_theta(g, cert)

@@ -149,33 +149,27 @@ def is_balancing_set(g: OrientedHypergraph, ids: Iterable[str]) -> bool:
     return _balances(_balancing_circles(g), _check_incidence_ids(g, ids))
 
 
-def is_minimal_balancing_set(g: OrientedHypergraph, ids: Iterable[str],
-                             method: str = "fast") -> bool:
+def is_minimal_balancing_set(g: OrientedHypergraph, ids: Iterable[str]) -> bool:
     """True when ``ids`` is a balancing set and no proper subset is one.
 
-    The fast method uses a structural criterion: a balancing set is minimal
-    exactly when removing its incidences from the bipartite representation
-    leaves the component count unchanged.  The oracle method checks every
-    proper subset directly.  Both read one list of fundamental circles.
+    A balancing set S is minimal exactly when removing its incidences from
+    the bipartite representation leaves the component count unchanged.
+    Proof: g is balanceable.  Switching the nodes on one side of a cut
+    reverses exactly the cut's incidences and keeps every circle's sign,
+    and two balancing sets differ by a cut.  So a proper subset T of S
+    balances g exactly when S - T is a nonempty cut, and S contains a
+    nonempty cut exactly when deleting S splits a component.
     """
     return _is_minimal_balancing(g, _check_incidence_ids(g, ids),
-                                 _balancing_circles(g), method)
+                                 _balancing_circles(g))
 
 
 def _is_minimal_balancing(g: OrientedHypergraph, chosen: frozenset[str],
-                          circles: list | None, method: str) -> bool:
+                          circles: list | None) -> bool:
     """``is_minimal_balancing_set`` on g's ``_balancing_circles``, which a
     caller that holds them already passes in."""
-    if not _balances(circles, chosen):
-        return False
-    if method == "fast":
-        return component_count(g) == component_count(g, exclude=chosen)
-    if method == "oracle":
-        smaller = minimal_subsets(
-            sorted(chosen), lambda sub: _balances(circles, frozenset(sub)),
-            range(len(chosen)))
-        return next(smaller, None) is None
-    raise InputError(f"unknown method {method!r}; use 'fast' or 'oracle'")
+    return (_balances(circles, chosen)
+            and component_count(g) == component_count(g, exclude=chosen))
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ from .shunting import to_hypercircle
 
 SUBSET_CAP_ENV = "OHG_MAX_SUBSETS"
 DEFAULT_SUBSET_CAP = 1 << 20
+LK_BRUTE_FORCE_MAX_K = 20
 
 
 def rank(m: IncidenceMatrix) -> int:
@@ -325,20 +326,20 @@ def _lk_negative_count(signs: tuple[int, ...]) -> int:
     return comb(entrant, 2) + comb(salient, 2)
 
 
-def lk_negative_circle_minimum(k: int, cap: int = 20) -> LkMinimum:
+def lk_negative_circle_minimum(k: int) -> LkMinimum:
     """Minimum negative-circle count among the pair circles, brute forced.
 
     A pair of incidences forms a negative circle exactly when their signs
     agree, so an orientation with p entrant incidences has C(p,2) +
-    C(k-p,2) negative circles.  Up to ``cap`` incidences all 2^k
-    orientations are checked against the closed form; beyond that the
-    formula value is returned unverified.
+    C(k-p,2) negative circles.  Up to ``LK_BRUTE_FORCE_MAX_K`` incidences
+    all 2^k orientations are checked against the closed form; beyond that
+    the formula value is returned unverified.
     """
     if k < 2:
         raise InputError("the construction needs at least 2 incidences")
     formula = (k - 1) ** 2 // 4
     witness = tuple([1] * (k // 2) + [-1] * (k - k // 2))
-    if k > cap:
+    if k > LK_BRUTE_FORCE_MAX_K:
         return LkMinimum(k, formula, witness, False, 0)
     best = None
     count = 0

@@ -11,11 +11,12 @@ The one components traversal of the bipartite representation,
 forests, blocks, flows and the one union-find (``DisjointSets``) live in
 ``gamma``, and the one walk-sign rule (``walk_sign``) lives in ``balance``.
 
-Validation happens where data enters: the ``OrientedHypergraph``
-constructor (and so ``build``), ``parse`` and the CLI check ids, references
-and signs; ``parse`` makes every check itself, over whole lists at once,
-walks the entries only to name the first offender and its source line when
-a check fails, and then builds without validating again.  Views derived
+Validation happens where data enters, by one checker, ``_check_rows``:
+the ``OrientedHypergraph`` constructor (and so ``build``) and ``parse``
+(and so ``load`` and the CLI) call it on the ids, references and signs.
+It checks whole lists at once and walks the entries only to name the first
+fault, with its source line when it has the text; ``parse`` checks the
+JSON shape first and then builds without validating again.  Views derived
 from a valid hypergraph (``edge_induced``, ``weak_delete``, ``with_signs``,
 ``reverse_incidences``, ``contract_degree2_vertex`` and the block views of
 ``balance``) check only the arguments they are given, such as unknown ids
@@ -30,17 +31,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, starmap
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, ResourceError
 from .linalg import Domain
-
-
-def _require_str(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise InputError(f"{what} must be a string, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -75,33 +70,8 @@ class OrientedHypergraph:
     incidences: tuple[Incidence, ...]
 
     def __post_init__(self):
-        seen = set()
-        for v in self.vertices:
-            _require_str(v, "vertex id")
-            if v in seen:
-                raise InputError(f"duplicate vertex id {v!r}")
-            seen.add(v)
-        seen = set()
-        for e in self.edges:
-            _require_str(e, "edge id")
-            if e in seen:
-                raise InputError(f"duplicate edge id {e!r}")
-            seen.add(e)
-        vset, eset = set(self.vertices), set(self.edges)
-        seen = set()
-        for inc in self.incidences:
-            _require_str(inc.id, "incidence id")
-            if inc.id in seen:
-                raise InputError(f"duplicate incidence id {inc.id!r}")
-            seen.add(inc.id)
-            if inc.vertex not in vset:
-                raise InputError(
-                    f"incidence {inc.id!r} references unknown vertex {inc.vertex!r}")
-            if inc.edge not in eset:
-                raise InputError(
-                    f"incidence {inc.id!r} references unknown edge {inc.edge!r}")
-            if isinstance(inc.sign, bool) or inc.sign not in (1, -1):
-                raise InputError(f"incidence {inc.id!r} has sign {inc.sign!r}")
+        _check_rows(self.vertices, self.edges,
+                    list(map(_incidence_row, self.incidences)))
 
     @classmethod
     def build(cls, vertices: Iterable[str], edges: Iterable[str],
@@ -188,7 +158,63 @@ def reverse_incidences(g: OrientedHypergraph,
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization
+# Validation
+
+
+_STR = {str}
+_incidence_row = attrgetter("id", "vertex", "edge", "sign")
+
+
+def _check_rows(vertices: Sequence, edges: Sequence,
+                rows: Sequence[tuple], text: str = "") -> None:
+    """Raise InputError unless every vertex, edge and incidence id is a
+    distinct string, each (id, vertex, edge, sign) row references a listed
+    vertex and edge, and every sign is 1 or -1 (not a bool).
+
+    The one set of validation rules, for the constructor and ``parse``.
+    Whole-list set checks come first, types before sets, so no value that
+    cannot be hashed is put in a set.  Only when one fails are the ids and
+    rows walked in order, to name the first fault, with its line in
+    ``text`` when the source text is given.  A float sign equal to 1 or -1
+    fails the set checks and passes the walk.
+    """
+    ids, vs, es, signs = zip(*rows) if rows else ((), (), (), ())
+    if (set(map(type, vertices)) <= _STR and set(map(type, edges)) <= _STR
+            and set(map(type, ids + vs + es)) <= _STR
+            and set(map(type, signs)) <= {int}):
+        vset, eset = set(vertices), set(edges)
+        if (len(vset) == len(vertices) and len(eset) == len(edges)
+                and len(set(ids)) == len(ids)
+                and vset.issuperset(vs) and eset.issuperset(es)
+                and set(signs) <= {1, -1}):
+            return
+    vset, eset = set(), set()
+    for kind, names, seen in (("vertex", vertices, vset),
+                              ("edge", edges, eset)):
+        for name in names:
+            if not isinstance(name, str):
+                raise InputError(f"{kind} id {name!r} must be a string")
+            if name in seen:
+                raise InputError(
+                    f"duplicate {kind} id {name!r}{_located(text, name, 2)}")
+            seen.add(name)
+    seen = set()
+    for iid, vertex, edge, sign in rows:
+        if not isinstance(iid, str):
+            raise InputError(f"incidence id {iid!r} must be a string")
+        if iid in seen:
+            raise InputError(
+                f"duplicate incidence id {iid!r}{_located(text, iid, 2)}")
+        seen.add(iid)
+        if not isinstance(vertex, str) or vertex not in vset:
+            raise InputError(f"incidence {iid!r} references unknown vertex "
+                             f"{vertex!r}{_located(text, iid)}")
+        if not isinstance(edge, str) or edge not in eset:
+            raise InputError(f"incidence {iid!r} references unknown edge "
+                             f"{edge!r}{_located(text, iid)}")
+        if isinstance(sign, bool) or sign not in (1, -1):
+            raise InputError(f"incidence {iid!r} has sign {sign!r}, "
+                             f"expected 1 or -1{_located(text, iid)}")
 
 
 def _line_of(text: str, token: str, occurrence: int = 1) -> int | None:
@@ -206,17 +232,22 @@ def _located(text: str, token_value, occurrence: int = 1) -> str:
     return f" (line {line})" if line is not None else ""
 
 
+# ---------------------------------------------------------------------------
+# JSON serialization
+
+
 _INCIDENCE_FIELDS = frozenset(("id", "vertex", "edge", "sign"))
-_fields = itemgetter("id", "vertex", "edge", "sign")
-_STR = {str}
+_entry_row = itemgetter("id", "vertex", "edge", "sign")
 
 
 def parse(text: str) -> OrientedHypergraph:
     """Parse the JSON interchange form.
 
     Expected shape: {"vertices": [...], "edges": [...], "incidences":
-    [{"id","vertex","edge","sign"}, ...]} with signs in {1, -1}.  Errors name
-    the offending id and its line in the source text.
+    [{"id","vertex","edge","sign"}, ...]} with signs in {1, -1}.  The shape
+    is checked here, every entry's over the whole list first; ids,
+    references and signs by ``_check_rows``, as the constructor checks
+    them.  Errors name the offending id and its line in the source text.
     """
     try:
         data = json.loads(text)
@@ -233,84 +264,23 @@ def parse(text: str) -> OrientedHypergraph:
         if not isinstance(data[key], list):
             raise InputError(f"{key!r} must be a list")
     vertices, edges, entries = data["vertices"], data["edges"], data["incidences"]
-    rows = _rows_in_bulk(vertices, edges, entries)
-    if rows is None:
-        rows = _rows_one_by_one(text, vertices, edges, entries)
+    rows = None
+    if (set(map(type, entries)) <= {dict}
+            and set(map(len, entries)) <= {len(_INCIDENCE_FIELDS)}):
+        try:
+            rows = list(map(_entry_row, entries))  # four keys, all fields
+        except KeyError:
+            pass
+    if rows is None:  # some entry is at fault: name the first
+        for raw in entries:
+            if not isinstance(raw, dict):
+                raise InputError(f"incidence entry {raw!r} must be an object")
+            if raw.keys() != _INCIDENCE_FIELDS:
+                raise InputError("incidence entry must have exactly "
+                                 f"id/vertex/edge/sign, got {sorted(raw)}")
+    _check_rows(vertices, edges, rows, text)
     return OrientedHypergraph._trusted(
         tuple(vertices), tuple(edges), tuple(starmap(Incidence._trusted, rows)))
-
-
-def _rows_in_bulk(vertices: list, edges: list,
-                  entries: list) -> list[tuple] | None:
-    """(id, vertex, edge, sign) of every entry when whole-list checks find
-    every id a distinct string, every reference known and every sign the
-    int 1 or -1; None otherwise.  Type checks come first, so no set is made
-    of values that cannot be hashed.  A float sign, which the entry checks
-    accept, fails here too and is left to them."""
-    if not (set(map(type, vertices)) <= _STR and set(map(type, edges)) <= _STR
-            and set(map(type, entries)) <= {dict}
-            and set(map(len, entries)) <= {len(_INCIDENCE_FIELDS)}):
-        return None
-    try:
-        rows = list(map(_fields, entries))  # four keys, all of them fields
-    except KeyError:
-        return None
-    ids, vs, es, signs = zip(*rows) if rows else ((), (), (), ())
-    vset, eset = set(vertices), set(edges)
-    if (len(vset) == len(vertices) and len(eset) == len(edges)
-            and set(map(type, ids + vs + es)) <= _STR
-            and len(set(ids)) == len(ids)
-            and vset.issuperset(vs) and eset.issuperset(es)
-            and set(map(type, signs)) <= {int} and set(signs) <= {1, -1}):
-        return rows
-    return None
-
-
-def _rows_one_by_one(text: str, vertices: list, edges: list,
-                     entries: list) -> list[tuple]:
-    """``_rows_in_bulk`` entry by entry: raises on the first fault, naming
-    the offender and its line."""
-    for kind, ids in (("vertices", vertices), ("edges", edges)):
-        seen = set()
-        for v in ids:
-            if not isinstance(v, str):
-                raise InputError(f"{kind[:-1]} id {v!r} must be a string")
-            if v in seen:
-                raise InputError(
-                    f"duplicate {kind[:-1]} id {v!r}{_located(text, v, 2)}")
-            seen.add(v)
-
-    vset, eset = set(vertices), set(edges)
-    rows = []
-    seen = set()
-    for raw in entries:
-        if not isinstance(raw, dict):
-            raise InputError(f"incidence entry {raw!r} must be an object")
-        if raw.keys() != _INCIDENCE_FIELDS:
-            raise InputError(
-                f"incidence entry must have exactly id/vertex/edge/sign, got {sorted(raw)}")
-        iid = raw["id"]
-        if not isinstance(iid, str):
-            raise InputError(f"incidence id {iid!r} must be a string")
-        if iid in seen:
-            raise InputError(
-                f"duplicate incidence id {iid!r}{_located(text, iid, 2)}")
-        seen.add(iid)
-        if not isinstance(raw["vertex"], str) or raw["vertex"] not in vset:
-            raise InputError(
-                f"incidence {iid!r} references unknown vertex "
-                f"{raw['vertex']!r}{_located(text, iid)}")
-        if not isinstance(raw["edge"], str) or raw["edge"] not in eset:
-            raise InputError(
-                f"incidence {iid!r} references unknown edge "
-                f"{raw['edge']!r}{_located(text, iid)}")
-        sign = raw["sign"]
-        if isinstance(sign, bool) or sign not in (1, -1):
-            raise InputError(
-                f"incidence {iid!r} has sign {sign!r}, expected 1 or -1"
-                f"{_located(text, iid)}")
-        rows.append(_fields(raw))
-    return rows
 
 
 def serialize(g: OrientedHypergraph) -> str:

@@ -39,6 +39,8 @@ from .model import (
 )
 
 DEFAULT_MAX_FLOWER_EDGES = 12
+MAX_F_MAXIMALITY_CHECKS = 10_000
+MAX_PART_BALANCING_SETS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -83,17 +85,16 @@ def _circle_edges(g: OrientedHypergraph) -> set[str]:
     return out
 
 
-def is_flower(g: OrientedHypergraph,
-              max_edges: int = DEFAULT_MAX_FLOWER_EDGES) -> bool:
+def is_flower(g: OrientedHypergraph) -> bool:
     """Inseparable with no proper edge-induced subhypergraph inseparable.
 
     Minimality ranges over proper nonempty edge subsets; the induced
     subhypergraph keeps every vertex incident to a kept edge together with
     its incidences into kept edges.  A hypergraph without edges is not a
-    flower.  Checking is exhaustive, so inputs with more than ``max_edges``
-    edges are rejected.
+    flower.  Checking is exhaustive, so an inseparable input with more than
+    ``DEFAULT_MAX_FLOWER_EDGES`` edges raises ResourceError.
     """
-    facts, whole = _facts_on_whole(g, max_edges)
+    facts, whole = _facts_on_whole(g)
     return facts.flower(whole)
 
 
@@ -112,8 +113,8 @@ def _is_one_edge(g: OrientedHypergraph) -> bool:
             and len(g.incidences) == 1)
 
 
-def is_pseudo_flower(g: OrientedHypergraph, allow_one_edges: bool = True,
-                     max_edges: int = DEFAULT_MAX_FLOWER_EDGES) -> bool:
+def is_pseudo_flower(g: OrientedHypergraph, allow_one_edges: bool = True
+                     ) -> bool:
     """Has thorns, and weak-deleting all of them leaves a flower.
 
     A bare 1-edge has no circle so its vertex is not literally a thorn;
@@ -123,7 +124,7 @@ def is_pseudo_flower(g: OrientedHypergraph, allow_one_edges: bool = True,
     """
     if _is_one_edge(g):
         return allow_one_edges
-    facts, whole = _facts_on_whole(g, max_edges)
+    facts, whole = _facts_on_whole(g)
     return facts.pseudo_flower(whole)
 
 
@@ -148,10 +149,8 @@ class _PartFacts:
     it: nothing is kept between calls.
     """
 
-    def __init__(self, g: OrientedHypergraph,
-                 max_edges: int = DEFAULT_MAX_FLOWER_EDGES):
+    def __init__(self, g: OrientedHypergraph):
         self.g = g
-        self.max_edges = max_edges
         self.views: dict[tuple[frozenset, frozenset], OrientedHypergraph] = {}
         self._facts: dict[tuple, object] = {}
 
@@ -206,10 +205,10 @@ class _PartFacts:
         """
         if not edges or not self.inseparable(edges, deleted):
             return False
-        if len(edges) > self.max_edges:
+        if len(edges) > DEFAULT_MAX_FLOWER_EDGES:
             raise ResourceError(
                 f"flower minimality check needs 2^{len(edges)} edge subsets; "
-                f"the cap is {self.max_edges} edges")
+                f"the cap is {DEFAULT_MAX_FLOWER_EDGES} edges")
         degree = Counter(i.vertex for i in self.view(edges, deleted).incidences)
         if max(degree.values(), default=0) <= 2:
             return True
@@ -271,9 +270,10 @@ class _PartFacts:
             notes.append("is a balanced flower")
         return notes
 
-    def minimal_balancing_sets(self, edges: frozenset[str], spend,
-                               cap: int = 128) -> list[frozenset[str]]:
-        """All minimal balancing sets of one part, ascending by size.
+    def minimal_balancing_sets(self, edges: frozenset[str], spend
+                               ) -> list[frozenset[str]]:
+        """The first ``MAX_PART_BALANCING_SETS`` minimal balancing sets of
+        one part, ascending by size.
 
         ``spend()`` is called once per candidate set visited.  A part met
         again is charged ``spend(visited)`` in one call, which the search
@@ -295,18 +295,18 @@ class _PartFacts:
         ids = sorted(i.id for i in self.view(edges).incidences)
         found = minimal_subsets(ids, lambda combo: self.balancing(edges, combo),
                                 range(len(ids) + 1), visit)
-        sets = [frozenset(combo) for combo in islice(found, cap)]
+        sets = [frozenset(combo)
+                for combo in islice(found, MAX_PART_BALANCING_SETS)]
         self._facts[key] = (sets, visited)
         return sets
 
 
-def _facts_on_whole(g: OrientedHypergraph,
-                    max_edges: int = DEFAULT_MAX_FLOWER_EDGES
+def _facts_on_whole(g: OrientedHypergraph
                     ) -> tuple[_PartFacts, frozenset[str]]:
     """A fresh memo on ``g`` and the part made of all its edges, whose view
     is ``g`` itself: a vertex on no edge stays, as a public recognizer
     given ``g`` must see it."""
-    facts = _PartFacts(g, max_edges)
+    facts = _PartFacts(g)
     whole = frozenset(g.edges)
     facts.views[(whole, _NO_VERTICES)] = g
     return facts, whole
@@ -825,30 +825,29 @@ def _is_balanceable_shunting(d: ShuntingDecomposition,
 # Optimality
 
 
-def is_F_maximal(d: ShuntingDecomposition, g: OrientedHypergraph,
-                 max_checks: int = 10_000) -> bool:
+def is_F_maximal(d: ShuntingDecomposition, g: OrientedHypergraph) -> bool:
     """No union of flower parts with artery edges forms a (pseudo-)flower.
 
     Ranges over every nonempty subset of flower parts paired with every
     nonempty subset of artery edges; single-vertex arteries contribute no
-    edges so they never enter the union.
+    edges so they never enter the union.  More than
+    ``MAX_F_MAXIMALITY_CHECKS`` pairs raise ResourceError.
     """
-    return _is_F_maximal(d, _PartFacts(g), max_checks)
+    return _is_F_maximal(d, _PartFacts(g))
 
 
-def _is_F_maximal(d: ShuntingDecomposition, facts: _PartFacts,
-                  max_checks: int = 10_000) -> bool:
+def _is_F_maximal(d: ShuntingDecomposition, facts: _PartFacts) -> bool:
     """``is_F_maximal`` with the verdicts on each union read from a memo
     on ``g``."""
     artery_edges = sorted(e for part in d.arteries for e in part)
     if not artery_edges or not d.flowers:
         return True
     total = (2 ** len(d.flowers) - 1) * (2 ** len(artery_edges) - 1)
-    if total > max_checks:
+    if total > MAX_F_MAXIMALITY_CHECKS:
         raise ResourceError(
             f"F-maximality needs {total} subset pairs "
             f"({len(d.flowers)} parts, {len(artery_edges)} artery edges); "
-            f"the cap is {max_checks}")
+            f"the cap is {MAX_F_MAXIMALITY_CHECKS}")
     for p_size in range(1, len(d.flowers) + 1):
         for parts in combinations(d.flowers, p_size):
             base = frozenset().union(*parts)
@@ -871,16 +870,16 @@ def _is_S_minimal(d: ShuntingDecomposition, facts: _PartFacts) -> bool:
     view drops close no circle."""
     g = facts.g
     return _is_minimal_balancing(g, _check_incidence_ids(g, d.balancing_set),
-                                 facts.circles(frozenset(g.edges)), "oracle")
+                                 facts.circles(frozenset(g.edges)))
 
 
-def is_optimal_shunting(d: ShuntingDecomposition, g: OrientedHypergraph,
-                        max_checks: int = 10_000) -> bool:
+def is_optimal_shunting(d: ShuntingDecomposition, g: OrientedHypergraph
+                        ) -> bool:
     """F-maximal and S-minimal at once, after validation."""
     facts = _PartFacts(g)
     if not _validate(d, g, facts).ok:
         return False
-    return _is_F_maximal(d, facts, max_checks) and _is_S_minimal(d, facts)
+    return _is_F_maximal(d, facts) and _is_S_minimal(d, facts)
 
 
 def verify_shunting(d: ShuntingDecomposition, g: OrientedHypergraph
@@ -1130,15 +1129,14 @@ def _assemble_candidate(g: OrientedHypergraph, facts: _PartFacts,
 def find_shunting_decomposition(
         g: OrientedHypergraph,
         budget: int = DEFAULT_SEARCH_BUDGET,
-        require_optimal: bool = True,
         max_part_edges: int = DEFAULT_MAX_FLOWER_EDGES) -> DecompositionSearch:
     """Bounded backtracking search for a shunting decomposition of g.
 
     Grows candidate flower parts (connected edge sets of vertex degree
     at most 2, up to ``max_part_edges`` edges), covers the edge set with
     disjoint parts plus artery leftovers, then tries per-part minimal
-    balancing sets and pairings until a decomposition validates (and, by
-    default, is optimal).  The candidate phase draws one unit per edge
+    balancing sets and pairings until a decomposition validates and is
+    optimal.  The candidate phase draws one unit per edge
     combination up to ``max_part_edges``, as if each were inspected,
     charged in closed form; every cover state, balancing-set candidate
     and assembly draws more.  Running out of budget, like a flower or
@@ -1194,8 +1192,7 @@ def find_shunting_decomposition(
                     raise _BudgetExhausted
                 if not _validate(d, g, facts).ok:
                     continue
-                if require_optimal and not (_is_F_maximal(d, facts)
-                                            and _is_S_minimal(d, facts)):
+                if not (_is_F_maximal(d, facts) and _is_S_minimal(d, facts)):
                     continue
                 if not validate_shunting(d, g).ok:
                     raise RuntimeError(

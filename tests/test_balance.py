@@ -145,8 +145,7 @@ class TestEnumeration:
         circles = enumerate_circles(g)
         assert len(circles) == 1
         assert len(circles[0].incidences) == 2 * n
-        balanced, witness = is_balanced(g, method="enumerate")
-        assert not balanced and witness == circles[0]
+        assert is_balanced(g) == (False, circles[0])
 
     def test_one_ring_takes_linear_adjacency_lookups(self, monkeypatch):
         """Finished roots and nodes left with one live link are stripped,
@@ -215,15 +214,12 @@ class TestBalance:
     def test_methods_agree_on_random_instances(self):
         for seed in range(60):
             g = random_hypergraph(seed)
-            fast = is_balanced(g, "fast")
-            slow = is_balanced(g, "enumerate")
-            assert fast[0] == slow[0] == oracle_is_balanced(g)
-            if not fast[0]:
-                assert verify_negative_circle(g, fast[1])
-
-    def test_unknown_method(self):
-        with pytest.raises(InputError):
-            is_balanced(triangle(), method="middle-out")
+            balanced, witness = is_balanced(g)
+            every_circle = all(circle_sign(g, circle) == 1
+                               for circle in enumerate_circles(g))
+            assert balanced == every_circle == oracle_is_balanced(g)
+            if not balanced:
+                assert verify_negative_circle(g, witness)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 5000))

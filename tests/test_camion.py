@@ -112,7 +112,8 @@ class TestCamion:
         for g in small_corpus(30):
             result = camion_reorient(g)
             assert is_balancing_set(g, result.changed)
-            assert is_minimal_balancing_set(g, result.changed, "oracle")
+            assert result.changed in oracle_minimal_balancing_sets(g)
+            assert is_minimal_balancing_set(g, result.changed)
 
     def test_deterministic_given_forest(self):
         g = random_balanceable(11)
@@ -176,10 +177,9 @@ class TestBalancingSets:
 
     def test_minimality_fast_equals_oracle(self):
         for g in small_corpus(25):
+            minimal = oracle_minimal_balancing_sets(g)
             for bal in oracle_balancing_sets(g):
-                fast = is_minimal_balancing_set(g, bal, "fast")
-                slow = is_minimal_balancing_set(g, bal, "oracle")
-                assert fast == slow
+                assert is_minimal_balancing_set(g, bal) == (bal in minimal)
 
     def test_minimal_sets_listed_by_oracle(self):
         g = unbalanced_triangle()
@@ -187,15 +187,11 @@ class TestBalancingSets:
         assert all(len(b) == 1 for b in minimal)
         assert len(minimal) == 6
         for b in minimal:
-            assert is_minimal_balancing_set(g, b, "fast")
+            assert is_minimal_balancing_set(g, b)
 
     def test_unknown_incidence_rejected(self):
         with pytest.raises(InputError):
             is_balancing_set(unbalanced_triangle(), ["nope"])
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InputError):
-            is_minimal_balancing_set(unbalanced_triangle(), ["i1"], "guess")
 
 
 class TestDifference:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from itertools import combinations, islice
 
 import networkx as nx
@@ -73,6 +74,16 @@ class TestBuild:
     def test_bad_sign(self):
         with pytest.raises(InputError):
             OrientedHypergraph.build(["v"], ["e"], [("i1", "v", "e", 2)])
+
+    def test_unhashable_reference(self):
+        for inc, message in (
+                (("i", ["x"], "e", 1), "incidence 'i' references unknown "
+                                       "vertex ['x']"),
+                (("i", "a", {"e": 1}, 1), "incidence 'i' references unknown "
+                                          "edge {'e': 1}")):
+            with pytest.raises(InputError) as info:
+                OrientedHypergraph.build(["a"], ["e"], [inc])
+            assert str(info.value) == message
 
     def test_load_dump(self, tmp_path):
         g = triangle()
@@ -268,10 +279,11 @@ def test_serialize_parse_identity(seed):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_parse_rejects_what_the_constructor_rejects(data):
-    """parse builds without re-validating, so its own checks must reject
-    every document whose fields the checking constructor rejects.  A valid
-    document gets up to two fields replaced by odd values: wrong types,
-    bad signs, dangling references and duplicate ids."""
+    """parse and the constructor share one checker, so parse rejects every
+    document whose fields the constructor rejects, with the constructor's
+    message plus the line.  A valid document gets up to two fields
+    replaced by odd values: wrong types, bad signs, dangling references
+    and duplicate ids."""
     names = st.lists(st.sampled_from(["a", "b", "c"]), unique=True, max_size=3)
     doc = {"vertices": data.draw(names), "edges": data.draw(names),
            "incidences": []}
@@ -294,9 +306,10 @@ def test_parse_rejects_what_the_constructor_rejects(data):
         want = OrientedHypergraph(
             tuple(doc["vertices"]), tuple(doc["edges"]),
             tuple(Incidence(**raw) for raw in doc["incidences"]))
-    except InputError:
-        with pytest.raises(InputError):
+    except InputError as err:
+        with pytest.raises(InputError) as info:
             parse(json.dumps(doc, indent=2))
+        assert re.sub(r" \(line \d+\)$", "", str(info.value)) == str(err)
     else:
         assert parse(json.dumps(doc, indent=2)) == want
 
@@ -306,6 +319,7 @@ def _entry(iid, vertex="a", edge="x", sign=1):
 
 
 # Documents with faults in two places: parse names the first, with its line.
+# The JSON shape of every entry is checked before any id.
 _TWO_FAULTS = [
     (["a", "b"], ["x"], [_entry("i1"), _entry("i2", vertex="c"),
                          _entry("i3", sign=2)],
@@ -317,8 +331,8 @@ _TWO_FAULTS = [
                               _entry("i2")],
      "incidence 'i2' references unknown edge 'z' (line 18)"),
     (["a", "b", "a"], ["x"], [_entry("i1", vertex="q")],
-     "duplicate vertice id 'a' (line 5)"),
-    (["a", 3], ["x", "x"], [_entry("i1")], "vertice id 3 must be a string"),
+     "duplicate vertex id 'a' (line 5)"),
+    (["a", [3]], ["x", "x"], [_entry("i1")], "vertex id [3] must be a string"),
     (["a"], ["x", "y", "y"], [_entry("i1", sign=0)],
      "duplicate edge id 'y' (line 8)"),
     (["a"], ["x"], [_entry("i1"), _entry(7), _entry("i3", sign=-2)],
@@ -334,6 +348,8 @@ _TWO_FAULTS = [
     (["a"], ["x"], [_entry("i1", sign=1.0), _entry("i2", sign=-1.0),
                     _entry("i3", vertex="b"), _entry("i3")],
      "incidence 'i3' references unknown vertex 'b' (line 22)"),
+    (["a", "a"], ["x"], [_entry("i1"), "i2"],
+     "incidence entry 'i2' must be an object"),
 ]
 
 
