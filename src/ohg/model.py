@@ -132,7 +132,8 @@ class OrientedHypergraph:
         for i in self.incidences:
             sign = new_signs.get(i.id, i.sign)
             if isinstance(sign, bool) or sign not in (1, -1):
-                raise InputError(f"incidence {i.id!r} has sign {sign!r}")
+                raise InputError(f"incidence {i.id!r} has sign {sign!r}, "
+                                 "expected 1 or -1")
             incs.append(Incidence._trusted(i.id, i.vertex, i.edge, sign))
         return OrientedHypergraph._trusted(self.vertices, self.edges, tuple(incs))
 

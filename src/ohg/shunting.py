@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from math import comb
 from typing import Iterable, Sequence
 
@@ -144,9 +144,12 @@ class _PartFacts:
     ``edge_induced(g, edges)``.  The pseudo-flower test also asks about a
     part with its thorns weak-deleted, so facts that can concern such a
     view are keyed by the deleted vertices too.  One memo serves one call
-    of ``find_shunting_decomposition``, ``validate_shunting``,
-    ``is_optimal_shunting`` or a public recognizer and is dropped with
-    it: nothing is kept between calls.
+    of ``validate_shunting``, ``verify_shunting``, ``is_optimal_shunting``,
+    ``is_balanceable_shunting``, ``is_F_maximal``, ``is_S_minimal``,
+    ``classify_shunt_paths``, ``upsilon_tree``, ``generate_optimal_shunting``,
+    a public recognizer or ``find_shunting_decomposition`` (whose closing
+    fresh validation builds a second on purpose) and is dropped with it:
+    nothing is kept between calls.
     """
 
     def __init__(self, g: OrientedHypergraph):
@@ -217,6 +220,11 @@ class _PartFacts:
         return not any(self.inseparable(frozenset(sub), deleted)
                        for size in range(1, len(ordered))
                        for sub in combinations(ordered, size))
+
+    def ends(self, edges: frozenset[str]) -> frozenset[str]:
+        """The view's external vertices, read as an artery."""
+        return self._memo(("ends", edges),
+                          lambda: artery_external_vertices(self.view(edges)))
 
     def connected(self, edges: frozenset[str]) -> bool:
         return self._memo(("connected", edges),
@@ -466,21 +474,10 @@ class ShuntingReport:
         return json.dumps(payload, indent=2) + "\n"
 
 
-def _flower_subs(d: ShuntingDecomposition,
-                 g: OrientedHypergraph) -> list[OrientedHypergraph]:
-    return [edge_induced(g, part) for part in d.flowers]
-
-
-def _artery_subs(d: ShuntingDecomposition,
-                 g: OrientedHypergraph) -> list[OrientedHypergraph]:
-    return [edge_induced(g, part) for part in d.arteries]
-
-
 def _check_ids(d: ShuntingDecomposition, g: OrientedHypergraph) -> None:
-    for part in list(d.flowers) + [frozenset(a) for a in d.arteries]:
-        for e in part:
-            if e not in g.edges:
-                raise InputError(f"decomposition names unknown edge {e!r}")
+    for e in chain(*d.flowers, *map(frozenset, d.arteries)):
+        if e not in g.edges:
+            raise InputError(f"decomposition names unknown edge {e!r}")
     for v in d.vertex_arteries:
         if v not in g.vertices:
             raise InputError(f"decomposition names unknown vertex {v!r}")
@@ -492,6 +489,20 @@ def _check_ids(d: ShuntingDecomposition, g: OrientedHypergraph) -> None:
     for k, v in d.pairing.items():
         g.incidence(k)
         g.incidence(v)
+
+
+def _attachments(d: ShuntingDecomposition,
+                 facts: _PartFacts) -> dict[str, list[int]]:
+    """Each vertex that a flower part holds or an edge-artery ends at, with
+    the indexes of those parts in ascending order: flower part k is k and
+    artery k is ``len(d.flowers) + k``."""
+    at: dict[str, list[int]] = {}
+    parts = ([facts.view(frozenset(part)).vertices for part in d.flowers]
+             + [facts.ends(frozenset(part)) for part in d.arteries])
+    for k, vertices in enumerate(parts):
+        for v in vertices:
+            at.setdefault(v, []).append(k)
+    return at
 
 
 def validate_shunting(d: ShuntingDecomposition,
@@ -517,15 +528,17 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
     checks: list[Check] = []
 
     flowers = [frozenset(part) for part in d.flowers]
-    flower_subs = [facts.view(part) for part in flowers]
-    artery_subs = [facts.view(frozenset(part)) for part in d.arteries]
+    arteries = [frozenset(part) for part in d.arteries]
+    flower_vertices = [frozenset(facts.view(p).vertices) for p in flowers]
+    artery_vertices = [frozenset(facts.view(p).vertices) for p in arteries]
+    artery_ends = [facts.ends(part) for part in arteries]
 
     # Disjointness: flower parts share no edges; vertices are shared only
     # at declared single-vertex arteries; edge-arteries meet parts only at
     # their external vertices and meet each other nowhere.
     problems = []
     all_flower_edges: set[str] = set()
-    for part in d.flowers:
+    for part in flowers:
         dup = all_flower_edges & part
         if dup:
             problems.append(f"edge(s) {sorted(dup)} in two flower parts")
@@ -539,24 +552,22 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
                 problems.append(f"edge {e!r} in a flower part and an artery")
             artery_edges.add(e)
     vertex_artery_set = set(d.vertex_arteries)
-    for a, b in combinations(range(len(flower_subs)), 2):
-        shared = set(flower_subs[a].vertices) & set(flower_subs[b].vertices)
-        undeclared = shared - vertex_artery_set
+    for a, b in combinations(range(len(flowers)), 2):
+        undeclared = (flower_vertices[a] & flower_vertices[b]
+                      - vertex_artery_set)
         if undeclared:
             problems.append(
                 f"flower parts {a} and {b} share vertex(es) "
                 f"{sorted(undeclared)} without a vertex-artery")
-    for idx, sub in enumerate(artery_subs):
-        ext = artery_external_vertices(sub)
-        internal = set(sub.vertices) - ext
-        for fsub in flower_subs:
-            bad = internal & set(fsub.vertices)
+    for idx, (vertices, ends) in enumerate(zip(artery_vertices, artery_ends)):
+        for part_vertices in flower_vertices:
+            bad = (vertices - ends) & part_vertices
             if bad:
                 problems.append(
                     f"artery {idx} internal vertex(es) {sorted(bad)} "
                     f"belong to a flower part")
-    for a, b in combinations(range(len(artery_subs)), 2):
-        shared = set(artery_subs[a].vertices) & set(artery_subs[b].vertices)
+    for a, b in combinations(range(len(arteries)), 2):
+        shared = artery_vertices[a] & artery_vertices[b]
         if shared:
             problems.append(
                 f"arteries {a} and {b} share vertex(es) {sorted(shared)}")
@@ -564,10 +575,8 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
 
     # Coverage: the parts together are exactly G.
     missing_edges = set(g.edges) - all_flower_edges - artery_edges
-    part_vertices: set[str] = set(vertex_artery_set)
-    for sub in flower_subs + artery_subs:
-        part_vertices |= set(sub.vertices)
-    missing_vertices = set(g.vertices) - part_vertices
+    missing_vertices = set(g.vertices).difference(
+        vertex_artery_set, *flower_vertices, *artery_vertices)
     cover_notes = []
     if missing_edges:
         cover_notes.append(f"uncovered edge(s) {sorted(missing_edges)}")
@@ -581,14 +590,11 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
     checks.append(Check("flower-parts", not notes, "; ".join(notes)))
 
     notes = [f"artery {idx} is not an artery"
-             for idx, part in enumerate(d.arteries)
-             if not facts.artery(frozenset(part))]
+             for idx, part in enumerate(arteries) if not facts.artery(part)]
     checks.append(Check("arteries", not notes, "; ".join(notes)))
 
     # Declared thorns match the computed ones.
-    computed_thorns: set[str] = set()
-    for part in flowers:
-        computed_thorns |= facts.part_thorns(part)
+    computed_thorns = set().union(*map(facts.part_thorns, flowers))
     thorns_ok = computed_thorns == set(d.thorns)
     checks.append(Check(
         "thorns", thorns_ok,
@@ -620,30 +626,17 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
     cond1_notes = []
     if facts.components != 1:
         cond1_notes.append(f"{facts.components} components")
-    attachment_vertices = sorted(
-        {g.incidence(i).vertex for i in d.balancing_set} | set(d.thorns))
-    parts_at: dict[str, list[str]] = {u: [] for u in attachment_vertices}
-    for idx, sub in enumerate(flower_subs):
-        for u in attachment_vertices:
-            if u in sub.vertices:
-                parts_at[u].append(f"part {idx}")
-    for idx, sub in enumerate(artery_subs):
-        ext = artery_external_vertices(sub)
-        for u in attachment_vertices:
-            if u in ext:
-                parts_at[u].append(f"artery {idx}")
-    n_parts = len(flower_subs) + len(artery_subs)
+    balancing_vertices = {g.incidence(i).vertex for i in d.balancing_set}
+    at = _attachments(d, facts)
+    parts_at = {u: at.get(u, [])
+                for u in sorted(balancing_vertices | set(d.thorns))}
     groups = DisjointSets()
-    name_index = {f"part {i}": i for i in range(len(flower_subs))}
-    name_index.update({f"artery {i}": len(flower_subs) + i
-                       for i in range(len(artery_subs))})
     cyclic = False
-    for u in attachment_vertices:
-        members = [name_index[p] for p in parts_at[u]]
+    for members in parts_at.values():
         for a, b in zip(members, members[1:]):
             if not groups.union(a, b):
                 cyclic = True
-    roots = {groups.find(i) for i in range(n_parts)}
+    roots = {groups.find(i) for i in range(len(flowers) + len(arteries))}
     if len(roots) > 1:
         cond1_notes.append("attachment structure leaves "
                            f"{len(roots)} part groups unconnected")
@@ -658,14 +651,10 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
     # vertex, and a single-vertex artery is a degenerate path whose two ends
     # both sit at its vertex, so it offers that vertex twice.  Multiset
     # equality is what keeps a junction from serving three or more parts.
-    externals: Counter[str] = Counter()
-    for v in vertex_artery_set:
-        externals[v] += 2
-    for sub in artery_subs:
-        externals.update(artery_external_vertices(sub))
-    target: Counter[str] = Counter(
-        g.incidence(i).vertex for i in d.balancing_set)
-    target.update(d.thorns)
+    externals = (Counter(dict.fromkeys(vertex_artery_set, 2))
+                 + Counter(chain(*artery_ends)))
+    target = Counter([g.incidence(i).vertex for i in d.balancing_set]
+                     + list(d.thorns))
     cond2 = externals == target
     checks.append(Check(
         "condition-2-externals", cond2,
@@ -684,8 +673,7 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
                      "balancing set")
     artery_inc_ids = {i.id for i in g.incidences if i.edge in artery_edges}
     for shunt_id, bal_id in d.pairing.items():
-        shunt = g.incidence(shunt_id)
-        bal = g.incidence(bal_id)
+        shunt, bal = g.incidence(shunt_id), g.incidence(bal_id)
         if shunt.vertex != bal.vertex:
             notes.append(f"pair ({shunt_id}, {bal_id}) vertices differ")
         if shunt_id in artery_inc_ids:
@@ -695,15 +683,14 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
                 and shunt.edge != bal.edge:
             continue
         notes.append(f"{shunt_id} is not a shunt-side incidence")
-    balancing_vertices = {g.incidence(b).vertex for b in d.balancing_set}
     for i in g.incidences:
         if i.id in artery_inc_ids and i.vertex in balancing_vertices \
                 and i.id not in d.pairing:
             notes.append(f"artery incidence {i.id} at balancing vertex "
                          f"{i.vertex} is unpaired")
-    for u in attachment_vertices:
-        if len(parts_at[u]) != 2:
-            notes.append(f"attachment {u} serves {len(parts_at[u])} "
+    for u, members in parts_at.items():
+        if len(members) != 2:
+            notes.append(f"attachment {u} serves {len(members)} "
                          f"part(s); exactly 2 required")
     checks.append(Check("condition-3-pairing", not notes, "; ".join(notes)))
 
@@ -729,64 +716,46 @@ class ShuntPath:
     internal: bool
 
 
-def _vertex_role(v: str, d: ShuntingDecomposition,
-                 vb: set[str]) -> str:
-    if v in d.thorns:
-        return "t"
-    if v in vb:
-        return "b"
-    return "?"
-
-
-def _normalize_label(pair: str) -> str:
-    """Canonical endpoint-role label: one of tt, tb, bb."""
-    ordered = "".join(sorted(pair))
-    return "tb" if ordered == "bt" else ordered
-
-
-def _artery_paths(sub: OrientedHypergraph) -> list[tuple[str, str, tuple[str, ...]]]:
-    """Edge lists of the unique path between each pair of attachment points."""
-    ext = sorted(artery_external_vertices(sub))
-    if len(ext) < 2:
-        return []
-    forest = spanning_forest(sub)  # an artery is a tree: its own forest
-    out = []
-    for a, b in combinations(ext, 2):
-        nodes, _ = forest.path_between((VERTEX, a), (VERTEX, b))
-        out.append((a, b, tuple(nid for kind, nid in nodes if kind == EDGE)))
-    return out
-
-
-def _part_of_vertex(v: str, flower_subs: Sequence[OrientedHypergraph]) -> set[int]:
-    return {idx for idx, sub in enumerate(flower_subs) if v in sub.vertices}
-
-
 def classify_shunt_paths(d: ShuntingDecomposition,
                          g: OrientedHypergraph) -> list[ShuntPath]:
     """Label every minimal shunt path by its endpoint roles."""
-    flower_subs = _flower_subs(d, g)
+    return _shunt_paths(d, _PartFacts(g))
+
+
+def _shunt_paths(d: ShuntingDecomposition,
+                 facts: _PartFacts) -> list[ShuntPath]:
+    """``classify_shunt_paths`` with views, artery ends and part thorns read
+    from a memo on ``g``.  A vertex's role is t (thorn), b (balancing-set
+    vertex) or ? (neither); a label joins two roles, ? before t before b."""
+    g = facts.g
+    at = _attachments(d, facts)
     vb = {g.incidence(i).vertex for i in d.balancing_set}
+
+    def flowers_at(v: str) -> list[int]:
+        return [k for k in at.get(v, ()) if k < len(d.flowers)]
+
+    def role(v: str, thorns: frozenset[str]) -> str:
+        return "t" if v in thorns else "b" if v in vb else "?"
+
+    def label(roles) -> str:
+        return "".join(sorted(roles, key="?tb".index))
+
     out: list[ShuntPath] = []
-    for sub in _artery_subs(d, g):
-        for a, b, edges in _artery_paths(sub):
-            label = _normalize_label(_vertex_role(a, d, vb)
-                                     + _vertex_role(b, d, vb))
-            parts_a = _part_of_vertex(a, flower_subs)
-            parts_b = _part_of_vertex(b, flower_subs)
-            internal = bool(parts_a & parts_b)
-            out.append(ShuntPath((a, b), edges, label, internal))
+    for part in map(frozenset, d.arteries):
+        ends = sorted(facts.ends(part))
+        # An artery is a tree: its own forest.
+        forest = spanning_forest(facts.view(part)) if len(ends) > 1 else None
+        for a, b in combinations(ends, 2):
+            nodes, _ = forest.path_between((VERTEX, a), (VERTEX, b))
+            edges = tuple(nid for kind, nid in nodes if kind == EDGE)
+            internal = bool(set(flowers_at(a)) & set(flowers_at(b)))
+            out.append(ShuntPath((a, b), edges, label(
+                role(a, d.thorns) + role(b, d.thorns)), internal))
     for v in d.vertex_arteries:
-        touching = sorted(_part_of_vertex(v, flower_subs))
-        roles = []
-        for idx in touching:
-            if v in part_thorns(flower_subs[idx]):
-                roles.append("t")
-            elif v in vb:
-                roles.append("b")
-            else:
-                roles.append("?")
-        label = _normalize_label("".join(roles[:2])) if len(roles) >= 2 else "?"
-        out.append(ShuntPath((v, v), (), label, False))
+        roles = [role(v, facts.part_thorns(frozenset(d.flowers[k])))
+                 for k in flowers_at(v)]
+        out.append(ShuntPath((v, v), (), label(roles[:2])
+                             if len(roles) >= 2 else "?", False))
     return out
 
 
@@ -804,13 +773,13 @@ def is_balanceable_shunting(d: ShuntingDecomposition,
 
 def _is_balanceable_shunting(d: ShuntingDecomposition,
                              facts: _PartFacts) -> bool:
-    """``is_balanceable_shunting`` with the direct verdict read from a memo
-    on ``g``, as the verdict on the part of all its edges."""
+    """``is_balanceable_shunting`` on a memo on ``g``: the direct verdict is
+    that on the part of all its edges, and the shunt paths are read on it."""
     g = facts.g
     direct = facts.balanceable(frozenset(g.edges))
     on_circle = _circle_edges(g)
     structural = True
-    for path in classify_shunt_paths(d, g):
+    for path in _shunt_paths(d, facts):
         if path.label != "tt" and on_circle.intersection(path.edges):
             structural = False
             break
@@ -1099,7 +1068,7 @@ def _assemble_candidate(g: OrientedHypergraph, facts: _PartFacts,
     vb = {g.incidence(b).vertex for b in balancing}
     externals: set[str] = set()
     for part in arteries:
-        externals |= artery_external_vertices(facts.view(frozenset(part)))
+        externals |= facts.ends(frozenset(part))
     vertex_arteries = sorted((vb | thorns) - externals)
 
     part_of_edge = {e: k for k, part in enumerate(flower_parts) for e in part}
@@ -1225,37 +1194,24 @@ def upsilon_tree(d: ShuntingDecomposition,
     no node of their own.  The result is asserted to be a tree in which
     every attachment edge has exactly two incidences.
     """
-    report = validate_shunting(d, g)
+    facts = _PartFacts(g)
+    report = _validate(d, g, facts)
     if not report.ok:
         raise InputError("decomposition is not a valid shunting: "
                          + "; ".join(c.name for c in report.failed()))
-    if not is_balanceable_shunting(d, g):
+    if not _is_balanceable_shunting(d, facts):
         raise InputError("upsilon tree needs a balanceable shunting")
-    if not is_F_maximal(d, g):
+    if not _is_F_maximal(d, facts):
         raise InputError("upsilon tree needs an F-maximal shunting")
 
-    flower_subs = _flower_subs(d, g)
-    artery_subs = _artery_subs(d, g)
-    vb = {g.incidence(i).vertex for i in d.balancing_set}
-    attachments = sorted(vb | set(d.thorns))
-
-    node_names: list[str] = []
-    touch: list[tuple[str, str]] = []
-    for idx, sub in enumerate(flower_subs):
-        name = f"F{idx}"
-        node_names.append(name)
-        for u in attachments:
-            if u in sub.vertices:
-                touch.append((name, u))
-    for idx, sub in enumerate(artery_subs):
-        name = f"A{idx}"
-        node_names.append(name)
-        for u in sorted(artery_external_vertices(sub)):
-            touch.append((name, u))
-
-    incs = [(f"y{n}", part, u, 1)
-            for n, (part, u) in enumerate(sorted(touch), start=1)]
-    tree = OrientedHypergraph.build(node_names, attachments, incs)
+    names = ([f"F{k}" for k in range(len(d.flowers))]
+             + [f"A{k}" for k in range(len(d.arteries))])
+    at = _attachments(d, facts)
+    attachments = sorted({g.incidence(i).vertex for i in d.balancing_set}
+                         | set(d.thorns))
+    touch = sorted((names[k], u) for u in attachments for k in at.get(u, ()))
+    incs = [(f"y{n}", part, u, 1) for n, (part, u) in enumerate(touch, 1)]
+    tree = OrientedHypergraph.build(names, attachments, incs)
 
     for u in attachments:
         if tree.edge_size(u) != 2:
@@ -1287,27 +1243,28 @@ class Hypercircle:
 def to_hypercircle(g: OrientedHypergraph) -> Hypercircle:
     """Contract every eligible degree-2 vertex and report (t, k).
 
-    A vertex is contracted when it joins two distinct edges that each
-    keep at least two incidences, so pendant 1-edges survive as petals.
+    A vertex is eligible when it joins two distinct edges that each keep
+    at least two incidences, so pendant 1-edges survive as petals.
     Contractions switch signs as needed, which keeps every circle sign
     intact.
+
+    One pass over the vertices in sorted order, each checked against the
+    hypergraph contracted so far, makes the same contractions as
+    contracting the least eligible vertex and scanning again until none
+    is left.  Contracting v changes no other vertex's degree and merges
+    two edges of size >= 2 into one of size >= 2; it can make another
+    vertex's two edges one edge, but never splits an edge or shrinks one
+    below 2.  So a vertex that is not eligible never becomes eligible,
+    and after v the least eligible vertex is the next eligible one after
+    v in sorted order.
     """
     current = g
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(current.vertices):
-            incs = current.incidences_at(v)
-            if len(incs) != 2:
-                continue
-            e, f = incs[0].edge, incs[1].edge
-            if e == f:
-                continue
-            if current.edge_size(e) < 2 or current.edge_size(f) < 2:
-                continue
+    for v in sorted(g.vertices):
+        incs = current.incidences_at(v)
+        if (len(incs) == 2 and incs[0].edge != incs[1].edge
+                and current.edge_size(incs[0].edge) >= 2
+                and current.edge_size(incs[1].edge) >= 2):
             current = contract_degree2_vertex(current, v)
-            changed = True
-            break
     t = sum(1 for v in current.vertices if current.degree(v) == 1)
     cyclic = sum(1 for blk in blocks(current) if len(blk) >= 2)
     one_edges = sum(1 for e in current.edges if current.edge_size(e) == 1)
@@ -1516,11 +1473,12 @@ def generate_optimal_shunting(
     d = ShuntingDecomposition.build(flowers, arteries, vertex_arteries,
                                     bal_ids, thorns, pairing)
 
-    report = validate_shunting(d, g)
+    facts = _PartFacts(g)
+    report = _validate(d, g, facts)
     if not report.ok:
         raise RuntimeError("generated decomposition failed validation: "
                            + "; ".join(c.name for c in report.failed()))
-    if not (is_F_maximal(d, g) and is_S_minimal(d, g)):
+    if not (_is_F_maximal(d, facts) and _is_S_minimal(d, facts)):
         raise RuntimeError("generated decomposition is not optimal")
     matrix = incidence_matrix(g, Domain.rationals())
     if nullity(matrix.entries, matrix.domain) != 1:

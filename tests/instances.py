@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import count
 
 from ohg.balance import is_balanceable
 from ohg.model import OrientedHypergraph
@@ -72,13 +73,16 @@ def random_hypergraph(seed: int, max_incidences: int = 12,
 
 def random_balanceable(seed: int, max_incidences: int = 12,
                        limit: int = 400, **kwargs) -> OrientedHypergraph:
-    """First balanceable instance along the seed sequence."""
-    for offset in range(limit):
+    """First balanceable instance along the seed sequence.
+
+    The sequence starts at ``seed * limit`` and runs on past ``limit``
+    draws, into those of later seeds, until an instance is balanceable.
+    """
+    for offset in count():
         g = random_hypergraph(seed * limit + offset, max_incidences,
                               **kwargs)
         if is_balanceable(g)[0]:
             return g
-    raise RuntimeError(f"no balanceable instance within {limit} tries")
 
 
 def plant_obstruction(seed: int) -> OrientedHypergraph:

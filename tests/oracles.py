@@ -9,7 +9,8 @@ RREF, with their own primitive-integer scaling), its one-smaller-subset
 circuit test, its circuit walk that reduces every candidate against its
 whole prefix basis, its memo-free F-maximality loop, its walk over
 every edge combination for flower-part candidates, its local search that
-builds every switched set, and its hub count over tagged nodes live here
+builds every switched set, its hub count over tagged nodes and its
+hypercircle contraction that scans again after each contraction live here
 as references.
 Slow on purpose; only run at desk scale.
 """
@@ -29,14 +30,16 @@ from ohg.balance import (ThetaCertificate, Walk, is_balanceable, is_balanced,
                          walk_sign)
 from ohg.camion import FrustrationResult
 from ohg.errors import ResourceError
-from ohg.gamma import fundamental_cycle, internally_disjoint_paths, spanning_forest
+from ohg.gamma import (blocks, fundamental_cycle, internally_disjoint_paths,
+                       spanning_forest)
 from ohg.linalg import Domain, echelon_extend, rank
 from ohg.matroids import CircuitReport
-from ohg.model import (EDGE, VERTEX, OrientedHypergraph, edge_induced,
+from ohg.model import (EDGE, VERTEX, OrientedHypergraph,
+                       contract_degree2_vertex, edge_induced,
                        gamma_components, incidence_matrix, minimal_subsets,
                        weak_delete)
-from ohg.shunting import (DEFAULT_MAX_FLOWER_EDGES, find_thorns, is_flower,
-                          is_inseparable, is_pseudo_flower)
+from ohg.shunting import (DEFAULT_MAX_FLOWER_EDGES, Hypercircle, find_thorns,
+                          is_flower, is_inseparable, is_pseudo_flower)
 
 
 def oracle_circles(g: OrientedHypergraph) -> set[frozenset[str]]:
@@ -511,3 +514,28 @@ def oracle_flower_part_candidates(g: OrientedHypergraph, spend,
                     flower and not pseudo and is_balanced(view)[0]):
                 out.append(frozenset(combo))
     return out
+
+
+def oracle_to_hypercircle(g: OrientedHypergraph) -> Hypercircle:
+    """``to_hypercircle`` as the library once ran it: contract the least
+    eligible vertex, then scan every vertex again, until none is left."""
+    current = g
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(current.vertices):
+            incs = current.incidences_at(v)
+            if len(incs) != 2:
+                continue
+            e, f = incs[0].edge, incs[1].edge
+            if e == f:
+                continue
+            if current.edge_size(e) < 2 or current.edge_size(f) < 2:
+                continue
+            current = contract_degree2_vertex(current, v)
+            changed = True
+            break
+    t = sum(1 for v in current.vertices if current.degree(v) == 1)
+    cyclic = sum(1 for blk in blocks(current) if len(blk) >= 2)
+    one_edges = sum(1 for e in current.edges if current.edge_size(e) == 1)
+    return Hypercircle(current, t, cyclic + one_edges)

@@ -268,6 +268,15 @@ class TestFrustration:
                     assert frustration(g, "local_search", budget, s) == \
                         oracle_frustration_local(g, budget, s)
 
+    def test_balanceable_draw_runs_past_its_limit(self):
+        """Seed 1085 of the test above has no balanceable instance in its
+        first 400 draws; the draw runs on instead of raising."""
+        g = random_balanceable(1085, max_incidences=20, extra_range=(4, 8),
+                               nv_range=(3, 7), ne_range=(3, 7))
+        for budget in (1, 7, 50, 300, 2000):
+            assert frustration(g, "local_search", budget, 1085) == \
+                oracle_frustration_local(g, budget, 1085)
+
     def test_exact_mode_pinned(self):
         """Witness and evaluation count of the ascending exact search."""
         for seed, (witness, evaluations) in EXACT_PINS.items():

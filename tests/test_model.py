@@ -179,7 +179,8 @@ class TestViews:
         for sign in (0, True, 2):
             with pytest.raises(InputError) as err:
                 triangle().with_signs({"i1": sign})
-            assert str(err.value) == f"incidence 'i1' has sign {sign!r}"
+            assert str(err.value) == (f"incidence 'i1' has sign {sign!r}, "
+                                      "expected 1 or -1")
         with pytest.raises(InputError, match="unknown incidence ids"):
             triangle().with_signs({"nope": 1})
 

@@ -1,10 +1,12 @@
 """Flower and artery recognition, decomposition validation, search."""
 
 import gc
+import hashlib
 import json
 import random
 import weakref
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from math import comb
 
@@ -16,7 +18,7 @@ from ohg.linalg import Domain
 from ohg.matroids import nullity
 from ohg import shunting
 from ohg.model import (OrientedHypergraph, edge_induced, incidence_matrix,
-                       make_Lk, reverse_incidences, weak_delete)
+                       make_Lk, reverse_incidences, serialize, weak_delete)
 from ohg.shunting import (
     DEFAULT_MAX_FLOWER_EDGES,
     DEFAULT_SEARCH_BUDGET,
@@ -43,12 +45,14 @@ from ohg.shunting import (
     to_hypercircle,
     upsilon_tree,
     validate_shunting,
+    verify_shunting,
 )
 
 from census import connected_multigraphs, realize, switching_patterns
-from instances import random_hypergraph
+from instances import plant_obstruction, random_hypergraph
 from oracles import (oracle_flower_part_candidates, oracle_is_F_maximal,
-                     oracle_is_flower, oracle_minimal_balancing_sets)
+                     oracle_is_flower, oracle_minimal_balancing_sets,
+                     oracle_to_hypercircle)
 
 EXHAUSTED = "no decomposition found: bounded search space exhausted"
 OUT_OF_BUDGET = "no decomposition found within budget"
@@ -235,6 +239,20 @@ class TestHypercircle:
         hc = to_hypercircle(g)
         assert len(hc.hypergraph.vertices) <= len(g.vertices)
 
+    def test_one_pass_matches_scanning_again(self):
+        """The one sorted pass contracts as the scan that starts over after
+        each contraction did, on random, obstructed and generated inputs."""
+        cases = [random_hypergraph(seed) for seed in range(300)]
+        cases += [plant_obstruction(seed) for seed in range(100)]
+        cases += [generate_optimal_shunting(seed, artery_length=length)[0]
+                  for seed in range(30) for length in (None, 0, 1, 2, 3)]
+        contracted = 0
+        for g in cases:
+            hc = to_hypercircle(g)
+            assert hc == oracle_to_hypercircle(g)
+            contracted += len(hc.hypergraph.vertices) < len(g.vertices)
+        assert contracted > len(cases) // 4
+
 
 class TestDecompositionIO:
     def test_roundtrip(self):
@@ -382,6 +400,82 @@ class TestUpsilon:
             d.balancing_set, d.thorns, d.pairing)
         with pytest.raises(InputError):
             upsilon_tree(broken, g)
+
+
+# sha256 of every answer ``_answers`` gives on the decompositions of
+# ``_report_corpus``, recorded before the queries shared one part memo.
+REPORT_DIGEST = (
+    "29ddcebe23a2742c99577767aee30da5ef58881ff490849fdb558f298aa9ae87")
+
+
+def _answers(d, g):
+    """The validation report, the shunt paths and the upsilon tree of d,
+    each as JSON data, or the type and text of what the query raised."""
+    out = []
+    for query in (lambda: json.loads(validate_shunting(d, g).to_json()),
+                  lambda: [[p.endpoints, p.edges, p.label, p.internal]
+                           for p in classify_shunt_paths(d, g)],
+                  lambda: serialize(upsilon_tree(d, g))):
+        try:
+            out.append(query())
+        except Exception as exc:
+            out.append([type(exc).__name__, str(exc)])
+    return out
+
+
+def _report_corpus():
+    """Generated shuntings, each with a fixed list of broken copies: a part
+    dropped, the identity pairing, an artery edge moved into a flower
+    part, a thorn dropped, a vertex artery added, and the flower parts
+    merged into one, which makes each edge-artery's path internal."""
+    for seed in range(30):
+        for length in (None, 0, 1, 2):
+            g, d = generate_optimal_shunting(seed, artery_length=length)
+            yield d, g
+            yield replace(d, flowers=d.flowers[1:]), g
+            yield replace(d, pairing={k: k for k in d.pairing}), g
+            if d.arteries:
+                moved, *rest = d.arteries[0]
+                yield replace(d, flowers=(d.flowers[0] | {moved},)
+                              + d.flowers[1:],
+                              arteries=(tuple(rest),) + d.arteries[1:]), g
+            yield replace(d, thorns=d.thorns - {min(d.thorns)}), g
+            yield replace(d, vertex_arteries=d.vertex_arteries + (
+                min(set(g.vertices) - set(d.vertex_arteries)),)), g
+            yield replace(d, flowers=(frozenset().union(*d.flowers),)), g
+
+
+def test_reports_pinned():
+    """Every check's verdict and detail, every shunt path and every upsilon
+    tree or refusal on the corpus, against a recorded digest; the corpus
+    fails each of the nine checks at least once."""
+    answers = [_answers(d, g) for d, g in _report_corpus()]
+    failed = {c["name"] for report, _, _ in answers
+              for c in report["checks"] if not c["passed"]}
+    assert failed == set(CHECK_NAMES)
+    digest = hashlib.sha256(json.dumps(answers).encode()).hexdigest()
+    assert digest == REPORT_DIGEST
+
+
+@pytest.mark.parametrize("length", [0, 1, 2])
+def test_each_query_builds_one_memo(monkeypatch, length):
+    """One part memo per call of each decomposition query."""
+    made = []
+    init = _PartFacts.__init__
+
+    def counted(self, g):
+        made.append(self)
+        init(self, g)
+
+    monkeypatch.setattr(_PartFacts, "__init__", counted)
+    for seed in range(4):
+        g, d = generate_optimal_shunting(seed, artery_length=length)
+        for query in (upsilon_tree, verify_shunting, classify_shunt_paths,
+                      lambda d, g: generate_optimal_shunting(
+                          seed, artery_length=length)):
+            made.clear()
+            query(d, g)
+            assert len(made) == 1, (seed, query)
 
 
 class TestArterialBuilder:
