@@ -20,9 +20,9 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceError
-from .gamma import (Node, blocks, fundamental_circle_signs, fundamental_cycle,
-                    internally_disjoint_paths, sorted_adjacency, sorted_nodes,
-                    spanning_forest)
+from .gamma import (THETA_PATHS, Node, blocks, fundamental_circle_signs,
+                    fundamental_cycle, internally_disjoint_paths,
+                    sorted_adjacency, sorted_nodes, spanning_forest)
 from .model import EDGE, VERTEX, Incidence, OrientedHypergraph
 
 DEFAULT_CIRCLE_CAP = 1_000_000
@@ -321,9 +321,9 @@ def detect_theta(g: OrientedHypergraph, kind: str = "cross",
 
     def probe(candidate):
         (a, b), view = candidate
-        paths = internally_disjoint_paths(view, a, b, need=3)
-        if len(paths) >= 3:
-            walks = tuple(Walk(tuple(ns), tuple(incs)) for ns, incs in paths[:3])
+        paths = internally_disjoint_paths(view, a, b)
+        if len(paths) == THETA_PATHS:
+            walks = tuple(Walk(tuple(ns), tuple(incs)) for ns, incs in paths)
             return ThetaCertificate(kind, (a, b), walks)
         return None
 

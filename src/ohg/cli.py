@@ -188,6 +188,8 @@ def _cmd_camion(args) -> int:
 
 
 def _cmd_frustration(args) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise InputError(f"budget must not be negative, got {args.budget}")
     g = load(args.file)
     mode = args.mode.replace("-", "_")
     result = frustration(g, mode=mode, budget=args.budget, seed=args.seed)
@@ -205,6 +207,8 @@ def _cmd_frustration(args) -> int:
 
 
 def _cmd_circuits(args) -> int:
+    if args.max_size is not None and args.max_size < 1:
+        raise InputError(f"max size must be at least 1, got {args.max_size}")
     g = load(args.file)
     domain = Domain.coerce(args.field)
     reports = enumerate_circuits(g, domain, max_size=args.max_size)

@@ -353,10 +353,14 @@ class _FlowNet:
         return True
 
 
-def internally_disjoint_paths(g: OrientedHypergraph, source: Node, sink: Node,
-                              need: int = 3) -> list[tuple[list[Node], list[str]]]:
-    """Up to `need` internally vertex-disjoint source-sink paths in the
-    bipartite representation.
+# A theta is three internally disjoint paths, so no caller needs more.
+THETA_PATHS = 3
+
+
+def internally_disjoint_paths(g: OrientedHypergraph, source: Node, sink: Node
+                              ) -> list[tuple[list[Node], list[str]]]:
+    """Up to ``THETA_PATHS`` internally vertex-disjoint source-sink paths in
+    the bipartite representation.
 
     Interior nodes get unit capacity; parallel incidences stay parallel unit
     links, so distinct parallel incidences can carry distinct paths.
@@ -381,7 +385,7 @@ def internally_disjoint_paths(g: OrientedHypergraph, source: Node, sink: Node,
             net.add_arc(("out", u), ("in", v), 1, (inc.id, u, v))
 
     flow = 0
-    while flow < need and net.augment(s_out, t_in):
+    while flow < THETA_PATHS and net.augment(s_out, t_in):
         flow += 1
 
     # Positive-flow labeled arcs decompose into vertex-disjoint paths.

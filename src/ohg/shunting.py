@@ -887,8 +887,8 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _flower_part_candidates(g: OrientedHypergraph, spend, facts: _PartFacts,
-                            max_part_edges: int) -> list[frozenset[str]]:
+def _flower_part_candidates(g: OrientedHypergraph, spend, facts: _PartFacts
+                            ) -> list[frozenset[str]]:
     """Edge subsets that could serve as flower parts, ascending by size and
     then by sorted ids.
 
@@ -908,14 +908,13 @@ def _flower_part_candidates(g: OrientedHypergraph, spend, facts: _PartFacts,
     inseparable and not a flower, and it has no circle, hence no thorns
     and no pseudo-flower.
 
-    The budget is charged as if every edge combination up to
-    ``max_part_edges`` were inspected in turn, one unit each: before a
-    part is judged, ``spend`` is charged up to the part's position in
-    that order, read off the combinatorial number system, and the rest
-    is charged at the end.
+    Parts have at most ``DEFAULT_MAX_FLOWER_EDGES`` edges, and one unit per
+    edge combination up to that size is spent in one lump before any part
+    is grown.
     """
     ids = sorted(g.edges)
-    m, top = len(ids), min(len(ids), max_part_edges)
+    m, top = len(ids), min(len(ids), DEFAULT_MAX_FLOWER_EDGES)
+    spend(sum(comb(m, size) for size in range(1, top + 1)))
     index = {e: k for k, e in enumerate(ids)}
     ends: list[list[str]] = [[] for _ in ids]
     at: dict[str, set[int]] = {}
@@ -948,22 +947,12 @@ def _flower_part_candidates(g: OrientedHypergraph, spend, facts: _PartFacts,
     level = [((k,), start, [u for u in near[k] if u > k], near[k] | {k}, k)
              for k in range(m) if (start := grown({}, k)) is not None]
     out: list[frozenset[str]] = []
-    charged = through = 0
     for size in range(1, top + 1):
-        # The first combination of this size is charged before the level
-        # is grown, so a spent budget stops the walk before it grows.
-        spend(through + 1 - charged)
-        charged = through + 1
         if size > 1:
             level = [child for state in level for child in children(state)]
         if not level:
             break
         for part, degree, *_ in sorted(level, key=lambda state: state[0]):
-            # Combinations through this size, less those after the part.
-            rank = through + comb(m, size) - sum(
-                comb(m - 1 - k, size - n) for n, k in enumerate(part))
-            spend(rank - charged)
-            charged = rank
             # A tree part other than a 1-edge is no candidate (above).
             incidences = sum(degree.values())
             if incidences == len(degree) + size - 1 and incidences != 1:
@@ -971,8 +960,6 @@ def _flower_part_candidates(g: OrientedHypergraph, spend, facts: _PartFacts,
             edges = frozenset(ids[k] for k in part)
             if facts.balanceable(edges) and not facts.part_notes(edges):
                 out.append(edges)
-        through += comb(m, size)
-    spend(sum(comb(m, size) for size in range(1, top + 1)) - charged)
     return out
 
 
@@ -1012,14 +999,12 @@ def _artery_components(g: OrientedHypergraph, facts: _PartFacts, spend,
                        artery_edges: frozenset[str]
                        ) -> list[tuple[str, ...]] | None:
     """The components of the artery edges, each as sorted edge ids, one
-    unit spent per component; None when one is edgeless or no artery."""
+    unit spent per component; None when one is no artery."""
     comps = []
     if artery_edges:
         for comp in gamma_components(edge_induced(g, artery_edges)):
             comp_edges = tuple(sorted(
                 nid for kind, nid in comp if kind == EDGE))
-            if not comp_edges:
-                return None
             spend()
             if not facts.artery(frozenset(comp_edges)):
                 return None
@@ -1097,21 +1082,20 @@ def _assemble_candidate(g: OrientedHypergraph, facts: _PartFacts,
 
 def find_shunting_decomposition(
         g: OrientedHypergraph,
-        budget: int = DEFAULT_SEARCH_BUDGET,
-        max_part_edges: int = DEFAULT_MAX_FLOWER_EDGES) -> DecompositionSearch:
+        budget: int = DEFAULT_SEARCH_BUDGET) -> DecompositionSearch:
     """Bounded backtracking search for a shunting decomposition of g.
 
     Grows candidate flower parts (connected edge sets of vertex degree
-    at most 2, up to ``max_part_edges`` edges), covers the edge set with
-    disjoint parts plus artery leftovers, then tries per-part minimal
-    balancing sets and pairings until a decomposition validates and is
-    optimal.  The candidate phase draws one unit per edge
-    combination up to ``max_part_edges``, as if each were inspected,
-    charged in closed form; every cover state, balancing-set candidate
-    and assembly draws more.  Running out of budget, like a flower or
-    F-maximality check past its cap, is reported as a miss, never as
-    proof that no decomposition exists; past the budget ``inspected``
-    reads budget + 1, or more after a validation's ten-unit lump.
+    at most 2, up to ``DEFAULT_MAX_FLOWER_EDGES`` edges), covers the edge
+    set with disjoint parts plus artery leftovers, then tries per-part
+    minimal balancing sets and pairings until a decomposition validates
+    and is optimal.  The candidate phase draws one unit per edge
+    combination up to that size, in one lump before any part is grown;
+    every cover state, balancing-set candidate and assembly draws more.
+    Running out of budget, like a flower or F-maximality check past its
+    cap, is reported as a miss, never as proof that no decomposition
+    exists; past the budget ``inspected`` reads budget + 1, or more after
+    a validation's ten-unit lump.
 
     Facts about one part (its view, flower and pseudo-flower verdicts,
     thorns, balance, minimal balancing sets) are memoised for the length
@@ -1136,8 +1120,7 @@ def find_shunting_decomposition(
     ids = sorted(g.edges)
 
     try:
-        part_candidates = _flower_part_candidates(g, spend, facts,
-                                                  max_part_edges)
+        part_candidates = _flower_part_candidates(g, spend, facts)
         for flower_parts, arteries in _covers(g, ids, part_candidates, facts,
                                               spend):
             thorns = frozenset().union(*[facts.part_thorns(p)
@@ -1145,8 +1128,6 @@ def find_shunting_decomposition(
             artery_edges = {e for part in arteries for e in part}
             choices = [facts.minimal_balancing_sets(p, spend)
                        for p in flower_parts]
-            if any(not c for c in choices):
-                continue
             for combo in product(*choices):
                 spend()
                 balancing = frozenset().union(*combo)

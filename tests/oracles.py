@@ -220,7 +220,7 @@ def oracle_detect_theta(g: OrientedHypergraph,
     else:
         pairs = list(combinations(vs if kind == "vertex" else es, 2))
     for a, b in pairs:
-        paths = internally_disjoint_paths(g, a, b, need=3)
+        paths = internally_disjoint_paths(g, a, b)
         if len(paths) >= 3:
             walks = tuple(Walk(tuple(ns), tuple(incs)) for ns, incs in paths[:3])
             return ThetaCertificate(kind, (a, b), walks)
@@ -463,15 +463,14 @@ def oracle_is_F_maximal(d, g: OrientedHypergraph) -> bool:
     return True
 
 
-def oracle_is_flower(g: OrientedHypergraph,
-                     max_edges: int = DEFAULT_MAX_FLOWER_EDGES) -> bool:
+def oracle_is_flower(g: OrientedHypergraph) -> bool:
     """The flower rule by the exhaustive walk: inseparable, and no
     edge-induced view on a proper nonempty edge subset is.  An inseparable
-    input with more than ``max_edges`` edges raises ResourceError, as the
-    library's check does."""
+    input with more than ``DEFAULT_MAX_FLOWER_EDGES`` edges raises
+    ResourceError, as the library's check does."""
     if not g.edges or not is_inseparable(g):
         return False
-    if len(g.edges) > max_edges:
+    if len(g.edges) > DEFAULT_MAX_FLOWER_EDGES:
         raise ResourceError(f"flower check on {len(g.edges)} edges")
     ordered = sorted(g.edges)
     return not any(is_inseparable(edge_induced(g, sub))
@@ -479,20 +478,17 @@ def oracle_is_flower(g: OrientedHypergraph,
                    for sub in combinations(ordered, size))
 
 
-def oracle_flower_part_candidates(g: OrientedHypergraph, spend,
-                                  max_part_edges: int,
-                                  max_edges: int = DEFAULT_MAX_FLOWER_EDGES
+def oracle_flower_part_candidates(g: OrientedHypergraph, spend
                                   ) -> list[frozenset[str]]:
     """The search's flower-part candidates by the old walk: every edge
-    combination up to ``max_part_edges`` in (size, sorted ids) order, one
-    ``spend()`` each, filtered by vertex degree <= 2, connectivity,
-    balanceability, and the flower-part rule on fresh views with the
-    exhaustive flower check, judged in the library's order so that a cap
-    is met at the same combination."""
+    combination up to ``DEFAULT_MAX_FLOWER_EDGES`` edges in (size, sorted
+    ids) order, one ``spend()`` each, filtered by vertex degree <= 2,
+    connectivity, balanceability, and the flower-part rule on fresh views
+    with the exhaustive flower check, judged in the library's order."""
     ids = sorted(g.edges)
     ends = {e: [i.vertex for i in g.incidences if i.edge == e] for e in ids}
     out = []
-    for size in range(1, min(len(ids), max_part_edges) + 1):
+    for size in range(1, min(len(ids), DEFAULT_MAX_FLOWER_EDGES) + 1):
         for combo in combinations(ids, size):
             spend()
             degree: dict[str, int] = {}
@@ -504,12 +500,12 @@ def oracle_flower_part_candidates(g: OrientedHypergraph, spend,
             view = edge_induced(g, combo)
             if len(gamma_components(view)) != 1 or not is_balanceable(view)[0]:
                 continue
-            flower = oracle_is_flower(view, max_edges)
+            flower = oracle_is_flower(view)
             one_edge = (len(view.vertices) == len(view.edges)
                         == len(view.incidences) == 1)
             thorns = find_thorns(view)
             pseudo = one_edge or (bool(thorns) and oracle_is_flower(
-                weak_delete(view, thorns), max_edges))
+                weak_delete(view, thorns)))
             if (flower or pseudo) and not (
                     flower and not pseudo and is_balanced(view)[0]):
                 out.append(frozenset(combo))

@@ -184,11 +184,16 @@ class TestBalanceCommands:
         assert payload["exact"] is True
         assert len(payload["witness"]) == 1
 
-    def test_frustration_undefined(self, capsys, l3_file):
+    def test_frustration_undefined(self, capsys, l3_file, triangle_file):
         code, _, err = run(capsys, "frustration", l3_file,
                            "--mode", "exact")
         assert code == 2
         assert "balanceable" in json.loads(err)["error"]
+        for mode in ("exact", "trees", "local-search"):
+            code, _, err = run(capsys, "frustration", triangle_file,
+                               "--mode", mode, "--budget", "-1")
+            assert code == 2
+            assert json.loads(err)["kind"] == "input"
 
     def test_frustration_seed_echoed(self, capsys, triangle_file):
         code, out, _ = run(capsys, "frustration", triangle_file,
@@ -217,6 +222,11 @@ class TestCircuits:
                            "--max-size", "3")
         assert code == 0
         assert json.loads(out)["count"] == 6
+        for size in ("0", "-2"):
+            code, _, err = run(capsys, "circuits", path, "--field", "3",
+                               "--max-size", size)
+            assert code == 2
+            assert json.loads(err)["kind"] == "input"
 
     def test_cap_exit_code(self, capsys, tmp_path, monkeypatch):
         from ohg.model import make_complete_hypergraph

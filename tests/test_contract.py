@@ -1,13 +1,16 @@
 """The library's contract, read off its source: standard library only,
-and never a float."""
+and never a float; and every entry point the benchmark tracer names is
+still defined."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "ohg").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "ohg").glob("*.py"))
 
 
 def _tree(path):
@@ -49,3 +52,18 @@ def test_no_float_or_complex(path):
         if isinstance(node, ast.Name):
             assert node.id not in ("float", "complex"), (
                 f"{path.name}:{node.lineno} names {node.id}")
+
+
+def test_tracer_finds_every_entry_point():
+    """The perfbench tracer reads None for a metric whose entry point the
+    library no longer defines, so a rename or a deletion would turn a
+    traced run's result into nulls without failing it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    metrics = tracer.per_layer_metrics(tracer.Tracer(), 1)
+    assert len(metrics) == 55
+    missing = [name for name, (value, _) in metrics.items()
+               if not isinstance(value, (int, float))]
+    assert not missing, missing

@@ -252,7 +252,7 @@ class TestGamma:
 
     def test_disjoint_paths_on_obstruction(self):
         g = make_Lk(3, 3)
-        paths = internally_disjoint_paths(g, ("v", "v1"), ("e", "e1"), 3)
+        paths = internally_disjoint_paths(g, ("v", "v1"), ("e", "e1"))
         assert len(paths) == 3
 
 

@@ -616,52 +616,24 @@ class TestSearchCaps:
         circle, _ = shunting._negative_circle_part(random.Random(0))
         g = build_arterial_connection(
             [circle, one_edge()], [((0, "v1"), (1, "v"), 12)]).hypergraph
-        result = find_shunting_decomposition(g, budget=10**6,
-                                             max_part_edges=6)
+        result = find_shunting_decomposition(g, budget=10**6)
         assert result.found is None
         assert result.reason == (
             "no decomposition found: F-maximality needs 12285 subset pairs "
             "(2 parts, 12 artery edges); the cap is 10000")
         assert 0 < result.inspected <= 10**6
 
-    def test_flower_cap_is_a_miss(self):
-        g = path_or_circle(13, closed=True)
-        result = find_shunting_decomposition(g, max_part_edges=13)
-        assert result.found is None
-        assert result.reason == (
-            "no decomposition found: flower minimality check needs 2^13 "
-            "edge subsets; the cap is 12 edges")
-        # Every edge combination of the candidate phase, up to the whole
-        # circle, whose flower check meets the cap.
-        assert result.inspected == 2 ** 13 - 1
-
     def test_long_path_is_searched_without_recursion(self):
         g = path_or_circle(1200, closed=False)
-        result = find_shunting_decomposition(g, budget=10**7,
-                                             max_part_edges=1)
+        result = find_shunting_decomposition(g, budget=10**40)
         assert result.found is None
         assert result.reason == EXHAUSTED
-        # One unit per single-edge combination, then one per cover state:
-        # no edge is a flower part, so the states are the 1201 prefixes
-        # of the path taken as artery edges.
-        assert result.inspected == 1200 + 1201
-
-    def test_flower_cap_met_mid_phase(self):
-        """The cap is met at the circle's own combination, before the
-        candidate phase has charged its last one."""
-        circle = path_or_circle(13, closed=True)
-        g = build(list(circle.vertices) + ["x"], list(circle.edges) + ["p"],
-                  [(i.id, i.vertex, i.edge, i.sign) for i in circle.incidences]
-                  + [("j1", "v1", "p", 1), ("j2", "x", "p", -1)])
-        result = find_shunting_decomposition(g, max_part_edges=13)
-        assert result.reason == (
-            "no decomposition found: flower minimality check needs 2^13 "
-            "edge subsets; the cap is 12 edges")
-        outcome, spent = _walk(
-            lambda spend: oracle_flower_part_candidates(g, spend, 13),
-            DEFAULT_SEARCH_BUDGET)
-        assert outcome == "cap"
-        assert result.inspected == spent < 2 ** 14 - 2
+        # One unit per edge combination of the candidate phase, then one
+        # per cover state: no part of a path is a flower part, so the
+        # states are the 1201 prefixes of the path taken as artery edges.
+        assert result.inspected == sum(
+            comb(1200, k) for k in range(1, DEFAULT_MAX_FLOWER_EDGES + 1)
+        ) + 1201
 
     def test_pairing_backtracks_over_1500_ids_without_recursion(self):
         """Every balancing incidence but the first can take s0 or its own
@@ -719,7 +691,7 @@ def _candidate_instances():
 
 
 def test_flower_part_candidates_match_the_combination_walk():
-    """Grown candidates and their closed-form charges equal the walk over
+    """Grown candidates and their one-lump charge equal the walk over
     every edge combination, one unit each, at budgets around the phase's
     total and at the default."""
     seen = Counter()
@@ -730,24 +702,23 @@ def test_flower_part_candidates_match_the_combination_walk():
                             < per_edge[e] for e in g.edges)
         seen["incidence-less edge"] += len(per_edge) < len(g.edges)
         seen["degree > 2"] += any(d > 2 for d in degree.values())
-        for top in (DEFAULT_MAX_FLOWER_EDGES, 2):
-            total = sum(comb(len(g.edges), k)
-                        for k in range(1, min(len(g.edges), top) + 1))
-            for budget in (1, 5, total - 1, total, total + 1,
-                           DEFAULT_SEARCH_BUDGET):
-                grown = _walk(lambda spend: _flower_part_candidates(
-                    g, spend, _PartFacts(g), top), budget)
-                walked = _walk(lambda spend: oracle_flower_part_candidates(
-                    g, spend, top), budget)
-                assert grown == walked, (g, top, budget)
-                if isinstance(grown[0], list):
-                    seen["1-edge"] += any(
-                        len(edge_induced(g, part).incidences) == 1
-                        for part in grown[0])
-                    seen["larger part"] += any(len(part) > 1
-                                               for part in grown[0])
-                else:
-                    seen[grown[0]] += 1
+        total = sum(comb(len(g.edges), k) for k in range(
+            1, min(len(g.edges), DEFAULT_MAX_FLOWER_EDGES) + 1))
+        for budget in (1, 5, total - 1, total, total + 1,
+                       DEFAULT_SEARCH_BUDGET):
+            grown = _walk(lambda spend: _flower_part_candidates(
+                g, spend, _PartFacts(g)), budget)
+            walked = _walk(lambda spend: oracle_flower_part_candidates(
+                g, spend), budget)
+            assert grown == walked, (g, budget)
+            if isinstance(grown[0], list):
+                seen["1-edge"] += any(
+                    len(edge_induced(g, part).incidences) == 1
+                    for part in grown[0])
+                seen["larger part"] += any(len(part) > 1
+                                           for part in grown[0])
+            else:
+                seen[grown[0]] += 1
     assert all(seen[k] for k in ("loop", "incidence-less edge", "degree > 2",
                                  "1-edge", "larger part", "budget")), seen
 
