@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .balance import is_balanceable
 from .errors import InputError, ResourceError
@@ -24,11 +24,10 @@ from .gamma import (
     Node,
     SpanningForest,
     _grow_forest,
+    _index,
     component_count,
     fundamental_circle_signs,
     fundamental_cycle,
-    sorted_adjacency,
-    sorted_nodes,
     spanning_forest,
 )
 from .model import (
@@ -361,28 +360,44 @@ def _hill_climb(start: frozenset[str], stars: Sequence[frozenset[str]],
     return frozenset(current), evaluations
 
 
+def _local_starts(g: OrientedHypergraph, seed: int) -> Iterator[frozenset[str]]:
+    """The change sets of reorientations along the BFS forest, then along
+    random forests seeded seed + 1, seed + 2, ...: the local search's
+    starts.  The reoriented hypergraphs themselves are not needed.
+
+    Every forest grows on one integer index of g, built before the first
+    start, and each start is read off the forest's arrays: the non-forest
+    incidence positions whose fundamental circle is negative.
+    """
+    index = _index(g)
+    ids = index.ids
+    rows = [(k, a, b, s) for k, ((a, b), s)
+            in enumerate(zip(index.ends, index.signs))]
+    everything = frozenset(range(len(rows)))
+    forest = _grow_forest(index, "bfs", 0)
+    while True:
+        outside = everything.difference(forest.via)
+        yield frozenset([ids[k] for k, sign in forest._signs(
+            map(rows.__getitem__, outside)) if sign == -1])
+        seed += 1
+        forest = _grow_forest(index, "random", seed)
+
+
 def _frustration_local(g: OrientedHypergraph, budget: int | None,
                        seed: int) -> FrustrationResult:
+    """Hill climbs from ``_local_starts``, one start after another while
+    the budget lasts and the best set is nonempty."""
     cap = 10_000 if budget is None else budget
     stars = _star_sets(g)
     where: dict[str, list[int]] = {inc.id: [] for inc in g.incidences}
     for k, star in enumerate(stars):
         for inc in star:
             where[inc].append(k)
-    # Each start is the change set a reorientation along a forest would
-    # make; the reoriented hypergraph itself is not needed.  Every forest
-    # grows from one sorted adjacency and one sign map.
-    order, adj = sorted_nodes(g), sorted_adjacency(g)
-    signs = {inc.id: inc.sign for inc in g.incidences}
-    base = _negative_fundamental_circles(
-        g, g.incidences, _grow_forest(order, adj, signs, "bfs", 0))
-    best, evaluations = _hill_climb(frozenset(base), stars, where, 0, cap)
-    restart = 0
+    starts = _local_starts(g, seed)
+    best, evaluations = _hill_climb(next(starts), stars, where, 0, cap)
     while evaluations < cap and best:
-        restart += 1
-        forest = _grow_forest(order, adj, signs, "random", seed + restart)
-        start = frozenset(_negative_fundamental_circles(g, g.incidences, forest))
-        found, evaluations = _hill_climb(start, stars, where, evaluations, cap)
+        found, evaluations = _hill_climb(next(starts), stars, where,
+                                         evaluations, cap)
         if len(found) < len(best):
             best = found
     return FrustrationResult(len(best), tuple(sorted(best)), "local_search",

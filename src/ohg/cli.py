@@ -157,6 +157,8 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_balanceable(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"jobs must be at least 1, got {args.jobs}")
     g = load(args.file)
     ok, cert = is_balanceable(g, jobs=args.jobs)
     payload = {"command": "balanceable", "jobs": args.jobs,

@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -38,50 +40,159 @@ def sorted_adjacency(g: OrientedHypergraph) -> dict[Node, list[tuple[str, Node]]
 
 
 @dataclass
+class _Index:
+    """The bipartite representation of one hypergraph on integers.
+
+    Nodes are numbered in ``sorted_nodes`` order, the sorted vertices then
+    the sorted edges, and node x is ``nodes[x]``.  Incidences keep their
+    positions in ``g.incidences``: ``ids``, ``signs`` and ``ends`` (vertex
+    number, edge number) are read by position.  ``links[x]`` holds node x's
+    (incidence position, neighbour number) pairs in ``sorted_adjacency``
+    order: by neighbour id, then incidence id.  ``nodes`` and ``draws`` are
+    built on first use.
+    """
+
+    hypergraph: OrientedHypergraph
+    vertex_number: dict[str, int]
+    edge_number: dict[str, int]
+    ids: list[str]
+    signs: list[int]
+    ends: list[tuple[int, int]]
+    links: list[list[tuple[int, int]]]
+
+    @cached_property
+    def nodes(self) -> list[Node]:
+        return ([(VERTEX, v) for v in self.vertex_number]
+                + [(EDGE, e) for e in self.edge_number])
+
+    @cached_property
+    def draws(self) -> list[int]:
+        """Node numbers in g's own node order (its vertices, then its
+        edges, as ``gamma_adjacency`` lists them): the order in which a
+        random forest shuffles the link lists."""
+        g = self.hypergraph
+        return ([self.vertex_number[v] for v in g.vertices]
+                + [self.edge_number[e] for e in g.edges])
+
+
+def _index(g: OrientedHypergraph) -> _Index:
+    """Build ``_Index`` of g with one sort of the incidence ids.
+
+    Links are dealt out in incidence-id order, and a stable sort by
+    neighbour number then leaves each list in ``sorted_adjacency`` order:
+    on each side, neighbour numbers ascend with neighbour ids.
+    """
+    vertex_number = {v: k for k, v in enumerate(sorted(g.vertices))}
+    edge_number = {e: k for k, e in enumerate(sorted(g.edges),
+                                               len(vertex_number))}
+    incs = g.incidences
+    ids = [inc.id for inc in incs]
+    ends = [(vertex_number[inc.vertex], edge_number[inc.edge]) for inc in incs]
+    links: list[list[tuple[int, int]]] = [
+        [] for _ in range(len(vertex_number) + len(edge_number))]
+    for k in sorted(range(len(ids)), key=ids.__getitem__):
+        v, e = ends[k]
+        links[v].append((k, e))
+        links[e].append((k, v))
+    for nbrs in links:
+        nbrs.sort(key=itemgetter(1))
+    return _Index(g, vertex_number, edge_number, ids,
+                  [inc.sign for inc in incs], ends, links)
+
+
+@dataclass
 class SpanningForest:
     """A spanning forest of the bipartite representation.
 
-    Forest incidences keep parent pointers so tree paths can be read off;
-    the strategy tag records how the forest was grown.  ``potential`` maps
-    each node to the sign product of the incidences on its path to the
-    root, in the signs of the hypergraph the forest was grown on.
+    The strategy tag records how the forest was grown; ``roots`` are the
+    forest's root nodes and ``incidences`` its incidence ids.  The rest is
+    kept in arrays over the node numbers of ``index``, the integer index of
+    the hypergraph the forest was grown on (``index.nodes[x]`` is node x):
+    ``parent[x]`` is the number of x's parent and ``via[x]`` the position
+    of the incidence to it, both -1 at a root; ``depth[x]`` counts the
+    incidences on x's root path, and ``potential[x]`` is their sign
+    product, in the signs of that hypergraph.  These four are lists indexed
+    by node number, not dicts keyed by node; ``incidences`` is read off
+    ``via`` on first use.
     """
 
-    incidences: frozenset[str]
     strategy: str
     seed: int | None
     roots: tuple[Node, ...]
-    parent: dict[Node, tuple[str, Node] | None] = field(repr=False)
-    depth: dict[Node, int] = field(repr=False)
-    potential: dict[Node, int] = field(repr=False)
+    index: _Index = field(repr=False)
+    parent: list[int] = field(repr=False)
+    via: list[int] = field(repr=False)
+    depth: list[int] = field(repr=False)
+    potential: list[int] = field(repr=False)
+
+    @cached_property
+    def incidences(self) -> frozenset[str]:
+        ids = self.index.ids
+        return frozenset([ids[k] for k in self.via if k >= 0])
 
     def __contains__(self, incidence_id: str) -> bool:
         return incidence_id in self.incidences
 
+    def _number(self, node: Node) -> int | None:
+        """Node's number, or None when the forest does not span it."""
+        kind, nid = node
+        if kind == VERTEX:
+            return self.index.vertex_number.get(nid)
+        return self.index.edge_number.get(nid) if kind == EDGE else None
+
     def path_between(self, a: Node, b: Node) -> tuple[list[Node], list[str]]:
         """Unique forest path a .. b as (node sequence, incidence sequence)."""
-        if a not in self.depth or b not in self.depth:
+        x, y = self._number(a), self._number(b)
+        if x is None or y is None:
             raise InputError(f"node {a!r} or {b!r} not spanned by the forest")
-        front, back, incs_front, incs_back = [a], [b], [], []
-        x, y = a, b
+        parent, depth = self.parent, self.depth
+        front, back = [x], [y]
         while x != y:
-            if self.depth[x] >= self.depth[y]:
-                step = self.parent[x]
-                if step is None:
+            if depth[x] >= depth[y]:
+                if parent[x] < 0:
                     raise InputError(f"{a!r} and {b!r} lie in different components")
-                incs_front.append(step[0])
-                x = step[1]
+                x = parent[x]
                 front.append(x)
             else:
-                step = self.parent[y]
-                if step is None:
+                if parent[y] < 0:
                     raise InputError(f"{a!r} and {b!r} lie in different components")
-                incs_back.append(step[0])
-                y = step[1]
+                y = parent[y]
                 back.append(y)
-        nodes = front + back[:-1][::-1]
-        incs = incs_front + incs_back[::-1]
-        return nodes, incs
+        # Each node below the meeting point reaches its parent by via.
+        down = back[-2::-1]
+        nodes, ids, via = self.index.nodes, self.index.ids, self.via
+        return ([nodes[z] for z in front + down],
+                [ids[via[z]] for z in front[:-1] + down])
+
+    def _signs(self, rows: Iterable[tuple]) -> Iterator[tuple[object, int]]:
+        """(key, sign) for each (key, a, b, s) of ``rows``: the sign of the
+        circle that a non-forest link of sign s between the nodes numbered
+        a and b closes with the forest path between them.
+
+        With P(x) the potential, the link closes n = depth(a) + depth(b) -
+        2 depth(lca) + 1 incidences of sign (-1)^(n/2) P(a) P(b) s: the path
+        above the lca counts twice.  On a depth-first forest the lca is the
+        shallower end, an ancestor of the other; on a breadth-first one
+        both ends climb to it.
+        """
+        parent, depth, potential = self.parent, self.depth, self.potential
+        ancestral = self.strategy != "bfs"
+        for key, a, b, s in rows:
+            if ancestral:
+                top = min(depth[a], depth[b])
+            else:
+                x, y = a, b
+                while x != y:
+                    if depth[x] < depth[y]:
+                        x, y = y, x
+                    x = parent[x]
+                    if x < 0:
+                        nodes = self.index.nodes
+                        raise InputError(f"{nodes[a]!r} and {nodes[b]!r} lie "
+                                         "in different components")
+                top = depth[x]
+            half = (depth[a] + depth[b] + 1) // 2 - top
+            yield key, (-1 if half % 2 else 1) * potential[a] * potential[b] * s
 
 
 def spanning_forest(g: OrientedHypergraph, strategy: str = "bfs",
@@ -90,71 +201,77 @@ def spanning_forest(g: OrientedHypergraph, strategy: str = "bfs",
 
     bfs/dfs are fully deterministic: roots are the least unvisited node
     (vertices before edges, id order) and neighbors are taken in id order.
-    random shuffles both orders from the given seed.
+    random shuffles both orders from the given seed.  Each call builds one
+    integer index of g (``_index``) and grows the forest on it.
     """
     if strategy not in ("bfs", "dfs", "random"):
         raise InputError(f"unknown forest strategy {strategy!r}")
-    return _grow_forest(sorted_nodes(g), sorted_adjacency(g),
-                        {inc.id: inc.sign for inc in g.incidences},
-                        strategy, seed)
+    return _grow_forest(_index(g), strategy, seed)
 
 
-def _grow_forest(order: list[Node], adj: dict[Node, list[tuple[str, Node]]],
-                 signs: dict[str, int], strategy: str,
-                 seed: int) -> SpanningForest:
-    """``spanning_forest`` on a hypergraph's sorted nodes, sorted adjacency
-    and incidence signs, all left unchanged: a random forest shuffles
-    copies.  Each node's potential is filled as the node is reached."""
+def _grow_forest(index: _Index, strategy: str, seed: int) -> SpanningForest:
+    """``spanning_forest`` on an index, which is left unchanged.
+
+    A random forest first shuffles the node order, then, in the index's
+    ``draws`` order, every link list of two or more links, each as
+    ``_shuffled`` draws it; it keeps shuffled copies.  A two-link list is
+    drawn inline: ``_shuffled`` draws j in {0, 1} from 2 bits and swaps
+    exactly when j is 0.  Each node's depth, parent and potential are
+    filled as the node is reached.
+    """
+    links = index.links
+    n = len(links)
+    order: Iterable[int] = range(n)
     if strategy == "random":
         bits = random.Random(seed).getrandbits
         order = _shuffled(order, bits)
-        # Shuffling fewer than two items draws nothing.
-        adj = {node: _shuffled(nbrs, bits) if len(nbrs) > 1 else nbrs
-               for node, nbrs in adj.items()}
+        links = links[:]
+        for x in index.draws:
+            nbrs = links[x]
+            if len(nbrs) == 2:
+                j = bits(2)
+                while j >= 2:
+                    j = bits(2)
+                if not j:
+                    links[x] = nbrs[::-1]
+            elif len(nbrs) > 2:
+                links[x] = _shuffled(nbrs, bits)
 
-    parent: dict[Node, tuple[str, Node] | None] = {}
-    depth: dict[Node, int] = {}
-    potential: dict[Node, int] = {}
-    chosen: set[str] = set()
+    signs = index.signs
+    parent, via, depth, potential = [-1] * n, [-1] * n, [-1] * n, [1] * n
     roots = []
-    depth_first = strategy in ("dfs", "random")
     for root in order:
-        if root in depth:
+        if depth[root] >= 0:
             continue
         roots.append(root)
-        parent[root] = None
         depth[root] = 0
-        potential[root] = 1
-        if not depth_first:
+        if strategy == "bfs":
             queue = [root]
             for node in queue:  # breadth first: iterating while appending
-                for inc, other in adj[node]:
-                    if other in depth:
-                        continue
-                    parent[other] = (inc, node)
-                    depth[other] = depth[node] + 1
-                    potential[other] = potential[node] * signs[inc]
-                    chosen.add(inc)
-                    queue.append(other)
+                d, p = depth[node] + 1, potential[node]
+                for k, other in links[node]:
+                    if depth[other] < 0:
+                        parent[other], via[other] = node, k
+                        depth[other], potential[other] = d, p * signs[k]
+                        queue.append(other)
         else:
-            # Each frame resumes its node's neighbour iterator, so the
-            # forest is that of a recursive depth-first search.
-            stack = [(root, iter(adj[root]))]
+            # Each frame resumes its node's link iterator, so the forest
+            # is that of a recursive depth-first search.
+            stack = [(root, iter(links[root]))]
             while stack:
                 node, nbrs = stack[-1]
-                for inc, other in nbrs:
-                    if other not in depth:
-                        parent[other] = (inc, node)
+                for k, other in nbrs:
+                    if depth[other] < 0:
+                        parent[other], via[other] = node, k
                         depth[other] = depth[node] + 1
-                        potential[other] = potential[node] * signs[inc]
-                        chosen.add(inc)
-                        stack.append((other, iter(adj[other])))
+                        potential[other] = potential[node] * signs[k]
+                        stack.append((other, iter(links[other])))
                         break
                 else:
                     stack.pop()
-    seed_out = seed if strategy == "random" else None
-    return SpanningForest(frozenset(chosen), strategy, seed_out, tuple(roots),
-                          parent, depth, potential)
+    return SpanningForest(strategy, seed if strategy == "random" else None,
+                          tuple([index.nodes[x] for x in roots]), index,
+                          parent, via, depth, potential)
 
 
 def _shuffled(items, getrandbits) -> list:
@@ -194,34 +311,24 @@ def fundamental_circle_signs(g: OrientedHypergraph, forest: SpanningForest,
     incidence, in the order given (all of ``g``'s by default).
 
     The incremental form of ``balance.walk_sign``, in one pass over a forest
-    that ``spanning_forest`` grew on ``g``.  With P(x) the sign product on
-    x's root path (the forest's potential), a non-forest incidence of sign
-    s joining a and b closes n = depth(a) + depth(b) - 2 depth(lca) + 1
-    incidences of sign (-1)^(n/2) P(a) P(b) s: the path above the lca
-    counts twice.  On a depth-first forest the lca is the shallower end, an
-    ancestor of the other; on a breadth-first one both ends climb to it.
+    that ``spanning_forest`` grew on ``g`` or on a view of g with all its
+    nodes; the rule is ``SpanningForest._signs``.
     """
-    parent, depth, potential = forest.parent, forest.depth, forest.potential
-    ancestral = forest.strategy != "bfs"
-    for inc in g.incidences if incidences is None else incidences:
-        if inc.id in forest.incidences:
-            continue
-        a, b = (VERTEX, inc.vertex), (EDGE, inc.edge)
-        if a not in depth or b not in depth:
-            raise InputError(f"node {a!r} or {b!r} not spanned by the forest")
-        if ancestral:
-            top = min(depth[a], depth[b])
-        else:
-            x, y = a, b
-            while x != y:
-                if depth[x] < depth[y]:
-                    x, y = y, x
-                if parent[x] is None:
-                    raise InputError(f"{a!r} and {b!r} lie in different components")
-                x = parent[x][1]
-            top = depth[x]
-        half = (depth[a] + depth[b] + 1) // 2 - top
-        yield inc, (-1 if half % 2 else 1) * potential[a] * potential[b] * inc.sign
+    vertex_number = forest.index.vertex_number
+    edge_number = forest.index.edge_number
+    chosen = forest.incidences
+
+    def rows():
+        for inc in g.incidences if incidences is None else incidences:
+            if inc.id in chosen:
+                continue
+            a, b = vertex_number.get(inc.vertex), edge_number.get(inc.edge)
+            if a is None or b is None:
+                raise InputError(f"node {(VERTEX, inc.vertex)!r} or "
+                                 f"{(EDGE, inc.edge)!r} not spanned by the forest")
+            yield inc, a, b, inc.sign
+
+    return forest._signs(rows())
 
 
 def component_count(g: OrientedHypergraph,

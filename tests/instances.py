@@ -134,6 +134,20 @@ def random_signed_graph(seed: int, max_edges: int = 6) -> OrientedHypergraph:
                                     edges, incs)
 
 
+def large_signed_graph(n: int, seed: int) -> OrientedHypergraph:
+    """A signed graph on n vertices: a random spanning tree plus n // 2
+    random edges, which may be loops or parallel to earlier edges."""
+    rng = random.Random(seed)
+    pairs = [(rng.randrange(k), k) for k in range(1, n)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 2)]
+    incs = []
+    for k, (u, v) in enumerate(pairs):
+        incs.append((f"i{k}a", f"v{u}", f"e{k}", rng.choice((1, -1))))
+        incs.append((f"i{k}b", f"v{v}", f"e{k}", rng.choice((1, -1))))
+    return OrientedHypergraph.build([f"v{k}" for k in range(n)],
+                                    [f"e{k}" for k in range(len(pairs))], incs)
+
+
 def hypertree(m: int, seed: int = 0) -> OrientedHypergraph:
     """A 3-uniform hypertree with m edges: its bipartite representation is
     a tree, so it is balanceable.

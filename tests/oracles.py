@@ -6,8 +6,9 @@ balance by checking every circle, balancing sets by trying every
 incidence subset, and ranks through sympy.  The exact eliminations the
 library used before it kept one (Bareiss ranks, Fraction and modular
 RREF, with their own primitive-integer scaling), its one-smaller-subset
-circuit test, its circuit walk that reduces every candidate against its
-whole prefix basis, its memo-free F-maximality loop, its walk over
+circuit test, its spanning forests keyed by tagged node, its circuit
+walk that reduces every candidate against its whole prefix basis, its
+memo-free F-maximality loop, its walk over
 every edge combination for flower-part candidates, its local search that
 builds every switched set, its hub count over tagged nodes and its
 hypercircle contraction that scans again after each contraction live here
@@ -17,7 +18,9 @@ Slow on purpose; only run at desk scale.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -29,9 +32,9 @@ from sympy.polys.matrices import DomainMatrix
 from ohg.balance import (ThetaCertificate, Walk, is_balanceable, is_balanced,
                          walk_sign)
 from ohg.camion import FrustrationResult
-from ohg.errors import ResourceError
+from ohg.errors import InputError, ResourceError
 from ohg.gamma import (blocks, fundamental_cycle, internally_disjoint_paths,
-                       spanning_forest)
+                       sorted_adjacency, sorted_nodes)
 from ohg.linalg import Domain, echelon_extend, rank
 from ohg.matroids import CircuitReport
 from ohg.model import (EDGE, VERTEX, OrientedHypergraph,
@@ -142,6 +145,126 @@ def _oracle_hill_climb(start, stars, evaluations, budget):
     return current, evaluations
 
 
+@dataclass
+class OracleForest:
+    """A spanning forest as the library kept it before it grew forests on
+    an integer index: parent, depth and potential keyed by node."""
+
+    incidences: frozenset[str]
+    strategy: str
+    seed: int | None
+    roots: tuple
+    parent: dict = field(repr=False)
+    depth: dict = field(repr=False)
+    potential: dict = field(repr=False)
+
+    def __contains__(self, incidence_id: str) -> bool:
+        return incidence_id in self.incidences
+
+    def path_between(self, a, b):
+        """Unique forest path a .. b as (node sequence, incidence sequence)."""
+        if a not in self.depth or b not in self.depth:
+            raise InputError(f"node {a!r} or {b!r} not spanned by the forest")
+        front, back, incs_front, incs_back = [a], [b], [], []
+        x, y = a, b
+        while x != y:
+            if self.depth[x] >= self.depth[y]:
+                step = self.parent[x]
+                if step is None:
+                    raise InputError(f"{a!r} and {b!r} lie in different components")
+                incs_front.append(step[0])
+                x = step[1]
+                front.append(x)
+            else:
+                step = self.parent[y]
+                if step is None:
+                    raise InputError(f"{a!r} and {b!r} lie in different components")
+                incs_back.append(step[0])
+                y = step[1]
+                back.append(y)
+        return front + back[:-1][::-1], incs_front + incs_back[::-1]
+
+
+def oracle_spanning_forest(g: OrientedHypergraph, strategy: str = "bfs",
+                           seed: int = 0) -> OracleForest:
+    """The library's ``spanning_forest`` before it grew on an integer index:
+    dicts over tagged nodes, grown from ``sorted_nodes`` and
+    ``sorted_adjacency``.  A random forest shuffles the node order, then
+    each neighbour list of two or more links in g's own node order, each
+    with ``random.shuffle``'s draws written out."""
+    order, adj = sorted_nodes(g), sorted_adjacency(g)
+    signs = {inc.id: inc.sign for inc in g.incidences}
+    if strategy == "random":
+        bits = random.Random(seed).getrandbits
+        order = _oracle_shuffled(order, bits)
+        adj = {node: _oracle_shuffled(nbrs, bits) if len(nbrs) > 1 else nbrs
+               for node, nbrs in adj.items()}
+    parent, depth, potential = {}, {}, {}
+    chosen: set[str] = set()
+    roots = []
+    depth_first = strategy in ("dfs", "random")
+    for root in order:
+        if root in depth:
+            continue
+        roots.append(root)
+        parent[root] = None
+        depth[root] = 0
+        potential[root] = 1
+        if not depth_first:
+            queue = [root]
+            for node in queue:
+                for inc, other in adj[node]:
+                    if other in depth:
+                        continue
+                    parent[other] = (inc, node)
+                    depth[other] = depth[node] + 1
+                    potential[other] = potential[node] * signs[inc]
+                    chosen.add(inc)
+                    queue.append(other)
+        else:
+            stack = [(root, iter(adj[root]))]
+            while stack:
+                node, nbrs = stack[-1]
+                for inc, other in nbrs:
+                    if other not in depth:
+                        parent[other] = (inc, node)
+                        depth[other] = depth[node] + 1
+                        potential[other] = potential[node] * signs[inc]
+                        chosen.add(inc)
+                        stack.append((other, iter(adj[other])))
+                        break
+                else:
+                    stack.pop()
+    seed_out = seed if strategy == "random" else None
+    return OracleForest(frozenset(chosen), strategy, seed_out, tuple(roots),
+                        parent, depth, potential)
+
+
+def _oracle_shuffled(items, getrandbits) -> list:
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def oracle_circle_signs(g: OrientedHypergraph, forest) -> list:
+    """(incidence, walk sign of its fundamental circle) for each incidence
+    of g outside the forest, in g's order."""
+    return [(i, walk_sign(g, fundamental_cycle(g, forest, i.id)[1]))
+            for i in g.incidences if i.id not in forest.incidences]
+
+
+def oracle_local_start(g: OrientedHypergraph, forest) -> frozenset[str]:
+    """The change set of a reorientation along the forest."""
+    return frozenset(i.id for i, sign in oracle_circle_signs(g, forest)
+                     if sign == -1)
+
+
 def oracle_frustration_local(g: OrientedHypergraph, budget: int | None = None,
                              seed: int = 0) -> FrustrationResult:
     """``frustration(g, "local_search", budget, seed)`` with every switched
@@ -158,20 +281,15 @@ def oracle_frustration_local(g: OrientedHypergraph, budget: int | None = None,
              for v in sorted(g.vertices)]
     stars += [frozenset(i.id for i in g.incidences if i.edge == e)
               for e in sorted(g.edges)]
-
-    def start(forest):
-        return frozenset(
-            i.id for i in g.incidences if i.id not in forest.incidences
-            and walk_sign(g, fundamental_cycle(g, forest, i.id)[1]) == -1)
-
     best, evaluations = _oracle_hill_climb(
-        start(spanning_forest(g, "bfs")), stars, 0, cap)
+        oracle_local_start(g, oracle_spanning_forest(g, "bfs")), stars, 0,
+        cap)
     restart = 0
     while evaluations < cap and best:
         restart += 1
         found, evaluations = _oracle_hill_climb(
-            start(spanning_forest(g, "random", seed + restart)), stars,
-            evaluations, cap)
+            oracle_local_start(g, oracle_spanning_forest(
+                g, "random", seed + restart)), stars, evaluations, cap)
         if len(found) < len(best):
             best = found
     return FrustrationResult(len(best), tuple(sorted(best)), "local_search",

@@ -1,12 +1,15 @@
 """Forest-guided reorientation, balancing sets, and frustration."""
 
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ohg.balance
 import ohg.camion
+import ohg.cli
 import ohg.gamma
 from ohg.balance import circle_sign, enumerate_circles, is_balanced, walk_sign
 from ohg.camion import (
@@ -20,16 +23,20 @@ from ohg.camion import (
 )
 from ohg.errors import InputError, ResourceError
 from ohg.gamma import fundamental_circle_signs, fundamental_cycle, spanning_forest
-from ohg.model import OrientedHypergraph, make_Lk
+from ohg.model import OrientedHypergraph, dump, make_Lk
 
-from instances import (plant_obstruction, random_balanceable, random_hypergraph,
+from instances import (large_signed_graph, plant_obstruction,
+                       random_balanceable, random_hypergraph,
                        random_signed_graph)
 from oracles import (
     oracle_balancing_sets,
+    oracle_circle_signs,
     oracle_frustration,
     oracle_frustration_local,
     oracle_in_cycle_orthogonal,
+    oracle_local_start,
     oracle_minimal_balancing_sets,
+    oracle_spanning_forest,
 )
 
 
@@ -376,6 +383,97 @@ def test_forest_pass_rejects_a_forest_that_does_not_span_the_circle():
         list(fundamental_circle_signs(g, spanning_forest(cut)))
 
 
+def with_parallels(g, seed):
+    """g with a bare vertex and up to four parallel copies of incidences,
+    each with a fresh id and a random sign."""
+    rng = random.Random(seed)
+    incs = [(i.id, i.vertex, i.edge, i.sign) for i in g.incidences]
+    for k in range(rng.randint(1, 4)):
+        inc = rng.choice(g.incidences)
+        incs.append((f"p{k}", inc.vertex, inc.edge, rng.choice((1, -1))))
+    return OrientedHypergraph.build(g.vertices + ("bare",), g.edges, incs)
+
+
+FOREST_FAMILIES = {
+    "hypergraph": lambda s: random_hypergraph(s, max_incidences=14,
+                                              extra_range=(0, 5)),
+    "signed": lambda s: random_signed_graph(s, max_edges=8),
+    "signed80": lambda s: large_signed_graph(80, s),
+    "union": lambda s: disjoint_union(random_hypergraph(s),
+                                      random_signed_graph(s + 1)),
+    "parallel": lambda s: with_parallels(random_hypergraph(s), s),
+}
+
+
+def _path_or_error(forest, a, b):
+    try:
+        return forest.path_between(a, b)
+    except InputError:
+        return "InputError"
+
+
+@pytest.mark.parametrize("family", FOREST_FAMILIES)
+def test_forests_match_the_node_keyed_oracle(family):
+    """Forests grown on the integer index are the node-keyed forests the
+    library grew before: the same incidences, roots, paths, fundamental
+    circle signs and local-search starts, on every strategy."""
+    for seed in range(50):
+        g = FOREST_FAMILIES[family](seed)
+        rng = random.Random(seed)
+        nodes = ([("v", v) for v in g.vertices]
+                 + [("e", e) for e in g.edges])
+        pairs = [tuple(rng.sample(nodes, 2)) for _ in range(10)
+                 if len(nodes) > 1]
+        for strategy in ("bfs", "dfs", "random"):
+            forest = spanning_forest(g, strategy, seed)
+            want = oracle_spanning_forest(g, strategy, seed)
+            assert forest.incidences == want.incidences
+            assert forest.roots == want.roots
+            assert (forest.strategy, forest.seed) == (want.strategy, want.seed)
+            for a, b in pairs:
+                assert _path_or_error(forest, a, b) == \
+                    _path_or_error(want, a, b)
+            assert list(fundamental_circle_signs(g, forest)) == \
+                oracle_circle_signs(g, want)
+        starts = list(itertools.islice(ohg.camion._local_starts(g, seed), 4))
+        assert starts == [oracle_local_start(g, oracle_spanning_forest(
+            g, *(("random", seed + k) if k else ("bfs",)))) for k in range(4)]
+
+
+def test_one_index_per_call(monkeypatch, tmp_path, capsys):
+    """The local search builds g's index once, however many random
+    restarts it grows, and ``spanning_forest`` builds one per call."""
+    builds = grown = 0
+    index, grow = ohg.gamma._index, ohg.gamma._grow_forest
+
+    def counting_index(g):
+        nonlocal builds
+        builds += 1
+        return index(g)
+
+    def counting_grow(*args):
+        nonlocal grown
+        grown += 1
+        return grow(*args)
+
+    for module in (ohg.gamma, ohg.camion):
+        monkeypatch.setattr(module, "_index", counting_index)
+        monkeypatch.setattr(module, "_grow_forest", counting_grow)
+    g = large_signed_graph(80, 0)
+    path = tmp_path / "sg80.json"
+    dump(g, path)
+    code = ohg.cli.main(["frustration", "--mode", "local-search",
+                         "--budget", "2000", str(path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["evaluations"] == 2000
+    assert grown >= 9  # the BFS start and at least eight restarts
+    assert builds == 1
+    for strategy in ("bfs", "dfs", "random"):
+        builds = 0
+        spanning_forest(g, strategy, 1)
+        assert builds == 1
+
+
 def wheel(n):
     """A signed ring of n 2-edges and a hub joined to each ring vertex by a
     spoke.  A dfs forest runs round the ring and then out along the spokes,
@@ -421,20 +519,20 @@ def test_camion_takes_linear_sign_lookups_on_a_dfs_forest(monkeypatch):
 
 
 def test_local_search_sorts_the_adjacency_once(monkeypatch):
-    """One sorted adjacency serves the bfs start and every random restart."""
+    """One sorted index serves the bfs start and every random restart."""
     sorts = 0
-    sorted_adjacency = ohg.gamma.sorted_adjacency
+    index = ohg.gamma._index
 
     def counting(g):
         nonlocal sorts
         sorts += 1
-        return sorted_adjacency(g)
+        return index(g)
 
     for module in (ohg.gamma, ohg.camion, ohg.balance):
-        if hasattr(module, "sorted_adjacency"):
-            monkeypatch.setattr(module, "sorted_adjacency", counting)
+        if hasattr(module, "_index"):
+            monkeypatch.setattr(module, "_index", counting)
     # The random restarts decide seed 5 of the pins.  The hypergraph's
-    # theta scan sorts on its own, so it is counted apart.
+    # balanceability check is counted apart.
     g = random_balanceable(5, max_incidences=20, extra_range=(4, 8),
                            nv_range=(3, 7), ne_range=(3, 7))
     sorts = 0

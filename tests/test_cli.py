@@ -147,6 +147,13 @@ class TestBalanceCommands:
         code, out, _ = run(capsys, "balanceable", triangle_file)
         assert code == 0
         assert json.loads(out)["balanceable"] is True
+        assert json.loads(out)["jobs"] == 1
+        for jobs in ("0", "-3"):
+            code, out, err = run(capsys, "balanceable", triangle_file,
+                                 "--jobs", jobs)
+            assert (code, out) == (2, "")
+            assert json.loads(err)["kind"] == "input"
+            assert err.count("\n") == 1
 
     def test_balanceable_no_with_certificate(self, capsys, l3_file):
         code, out, _ = run(capsys, "balanceable", l3_file,

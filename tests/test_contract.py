@@ -1,9 +1,11 @@
 """The library's contract, read off its source: standard library only,
-and never a float; and every entry point the benchmark tracer names is
-still defined."""
+and never a float; every entry point the benchmark tracer names is
+still defined, and a traced benchmark run still ends with a result."""
 
 import ast
 import importlib.util
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -67,3 +69,32 @@ def test_tracer_finds_every_entry_point():
     missing = [name for name, (value, _) in metrics.items()
                if not isinstance(value, (int, float))]
     assert not missing, missing
+
+
+def _reject_constant(name):
+    raise ValueError(f"the result line holds {name}")
+
+
+def test_traced_tiny_runs_end_with_a_result(monkeypatch, capsys):
+    """A traced benchmark run of each workload ends with one strict-JSON
+    result line: correct, and every per-layer metric a finite number.
+    The tracer wraps library functions by name, so a rename under it
+    could turn that line into nulls or stop it from being printed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.chdir(ROOT)
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        run.run_one(name, seed=5, seconds=0, trace=True, scale="tiny")
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        result = json.loads(last, parse_constant=_reject_constant)
+        assert result["correct"] is True, name
+        bad = {key: metric["value"] for key, metric in result["metrics"].items()
+               if isinstance(metric["value"], bool)
+               or not isinstance(metric["value"], (int, float))
+               or not math.isfinite(metric["value"])}
+        assert result["metrics"] and not bad, (name, bad)
