@@ -48,22 +48,18 @@ class _Index:
     positions in ``g.incidences``: ``ids``, ``signs`` and ``ends`` (vertex
     number, edge number) are read by position.  ``links[x]`` holds node x's
     (incidence position, neighbour number) pairs in ``sorted_adjacency``
-    order: by neighbour id, then incidence id.  ``nodes`` and ``draws`` are
-    built on first use.
+    order: by neighbour id, then incidence id.  Only random forests read
+    ``draws``, which is built on first use.
     """
 
     hypergraph: OrientedHypergraph
+    nodes: list[Node]
     vertex_number: dict[str, int]
     edge_number: dict[str, int]
     ids: list[str]
     signs: list[int]
     ends: list[tuple[int, int]]
     links: list[list[tuple[int, int]]]
-
-    @cached_property
-    def nodes(self) -> list[Node]:
-        return ([(VERTEX, v) for v in self.vertex_number]
-                + [(EDGE, e) for e in self.edge_number])
 
     @cached_property
     def draws(self) -> list[int]:
@@ -75,6 +71,9 @@ class _Index:
                 + [self.edge_number[e] for e in g.edges])
 
 
+_NEIGHBOUR = itemgetter(1)
+
+
 def _index(g: OrientedHypergraph) -> _Index:
     """Build ``_Index`` of g with one sort of the incidence ids.
 
@@ -82,22 +81,24 @@ def _index(g: OrientedHypergraph) -> _Index:
     neighbour number then leaves each list in ``sorted_adjacency`` order:
     on each side, neighbour numbers ascend with neighbour ids.
     """
-    vertex_number = {v: k for k, v in enumerate(sorted(g.vertices))}
-    edge_number = {e: k for k, e in enumerate(sorted(g.edges),
-                                               len(vertex_number))}
-    incs = g.incidences
-    ids = [inc.id for inc in incs]
-    ends = [(vertex_number[inc.vertex], edge_number[inc.edge]) for inc in incs]
-    links: list[list[tuple[int, int]]] = [
-        [] for _ in range(len(vertex_number) + len(edge_number))]
+    vertices, edges = sorted(g.vertices), sorted(g.edges)
+    vertex_number = {v: k for k, v in enumerate(vertices)}
+    edge_number = {e: k for k, e in enumerate(edges, len(vertices))}
+    nodes = [(VERTEX, v) for v in vertices] + [(EDGE, e) for e in edges]
+    ids, signs, ends = [], [], []
+    for inc in g.incidences:
+        ids.append(inc.id)
+        signs.append(inc.sign)
+        ends.append((vertex_number[inc.vertex], edge_number[inc.edge]))
+    links: list[list[tuple[int, int]]] = [[] for _ in nodes]
     for k in sorted(range(len(ids)), key=ids.__getitem__):
         v, e = ends[k]
         links[v].append((k, e))
         links[e].append((k, v))
     for nbrs in links:
-        nbrs.sort(key=itemgetter(1))
-    return _Index(g, vertex_number, edge_number, ids,
-                  [inc.sign for inc in incs], ends, links)
+        nbrs.sort(key=_NEIGHBOUR)
+    return _Index(g, nodes, vertex_number, edge_number, ids, signs, ends,
+                  links)
 
 
 @dataclass
@@ -124,11 +125,18 @@ class SpanningForest:
     via: list[int] = field(repr=False)
     depth: list[int] = field(repr=False)
     potential: list[int] = field(repr=False)
+    _incidences: frozenset[str] | None = field(default=None, repr=False,
+                                               compare=False)
 
-    @cached_property
+    @property
     def incidences(self) -> frozenset[str]:
-        ids = self.index.ids
-        return frozenset([ids[k] for k in self.via if k >= 0])
+        # Cached by hand: before Python 3.12, functools.cached_property
+        # takes a lock on each instance's first read, which costs more
+        # than growing a small forest.
+        if self._incidences is None:
+            ids = self.index.ids
+            self._incidences = frozenset([ids[k] for k in self.via if k >= 0])
+        return self._incidences
 
     def __contains__(self, incidence_id: str) -> bool:
         return incidence_id in self.incidences
