@@ -2,8 +2,9 @@
 
 Every structural question about an oriented hypergraph is answered on its
 bipartite representation: nodes are tagged vertices and edges, links are
-incidences.  This module supplies deterministic spanning forests, biconnected
-blocks, internally disjoint path searches on that multigraph, and the one
+incidences.  This module supplies deterministic spanning forests, grown by
+one traversal on a per-call integer index of that multigraph (``_index``),
+biconnected blocks, internally disjoint path searches, and the one
 union-find (``DisjointSets``) of the package.  Connected components come
 from ``model.gamma_components``; every walk and circle sign comes from
 ``balance.walk_sign``, and the signs of all fundamental circles of a forest
@@ -63,12 +64,13 @@ class _Index:
 
     @cached_property
     def draws(self) -> list[int]:
-        """Node numbers in g's own node order (its vertices, then its
-        edges, as ``gamma_adjacency`` lists them): the order in which a
-        random forest shuffles the link lists."""
-        g = self.hypergraph
-        return ([self.vertex_number[v] for v in g.vertices]
-                + [self.edge_number[e] for e in g.edges])
+        """The nodes whose link lists a random forest shuffles, those with
+        two or more links, in g's own node order (its vertices, then its
+        edges, as ``gamma_adjacency`` lists them)."""
+        g, links = self.hypergraph, self.links
+        order = ([self.vertex_number[v] for v in g.vertices]
+                 + [self.edge_number[e] for e in g.edges])
+        return [x for x in order if len(links[x]) > 1]
 
 
 _NEIGHBOUR = itemgetter(1)
@@ -223,8 +225,8 @@ def _grow_forest(index: _Index, strategy: str, seed: int) -> SpanningForest:
     A random forest first shuffles the node order, then, in the index's
     ``draws`` order, every link list of two or more links, each as
     ``_shuffled`` draws it; it keeps shuffled copies.  A two-link list is
-    drawn inline: ``_shuffled`` draws j in {0, 1} from 2 bits and swaps
-    exactly when j is 0.  Each node's depth, parent and potential are
+    drawn inline: ``_shuffled`` would draw j in {0, 1} from 2 bits and
+    swap exactly when j is 0.  Each node's depth, parent and potential are
     filled as the node is reached.
     """
     links = index.links
@@ -236,14 +238,14 @@ def _grow_forest(index: _Index, strategy: str, seed: int) -> SpanningForest:
         links = links[:]
         for x in index.draws:
             nbrs = links[x]
-            if len(nbrs) == 2:
-                j = bits(2)
-                while j >= 2:
-                    j = bits(2)
-                if not j:
-                    links[x] = nbrs[::-1]
-            elif len(nbrs) > 2:
+            if len(nbrs) > 2:
                 links[x] = _shuffled(nbrs, bits)
+                continue
+            j = bits(2)
+            while j >= 2:
+                j = bits(2)
+            if not j:
+                links[x] = nbrs[::-1]
 
     signs = index.signs
     parent, via, depth, potential = [-1] * n, [-1] * n, [-1] * n, [1] * n
@@ -263,20 +265,22 @@ def _grow_forest(index: _Index, strategy: str, seed: int) -> SpanningForest:
                         depth[other], potential[other] = d, p * signs[k]
                         queue.append(other)
         else:
-            # Each frame resumes its node's link iterator, so the forest
-            # is that of a recursive depth-first search.
-            stack = [(root, iter(links[root]))]
-            while stack:
-                node, nbrs = stack[-1]
+            # The stack keeps each ancestor's link iterator, to resume when
+            # its child is done: the forest of a recursive depth-first search.
+            node, nbrs, stack = root, iter(links[root]), []
+            while True:
                 for k, other in nbrs:
                     if depth[other] < 0:
                         parent[other], via[other] = node, k
                         depth[other] = depth[node] + 1
                         potential[other] = potential[node] * signs[k]
-                        stack.append((other, iter(links[other])))
+                        stack.append((node, nbrs))
+                        node, nbrs = other, iter(links[other])
                         break
                 else:
-                    stack.pop()
+                    if not stack:
+                        break
+                    node, nbrs = stack.pop()
     return SpanningForest(strategy, seed if strategy == "random" else None,
                           tuple([index.nodes[x] for x in roots]), index,
                           parent, via, depth, potential)
