@@ -20,9 +20,9 @@ from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceError
-from .gamma import (THETA_PATHS, Node, blocks, fundamental_circle_signs,
-                    fundamental_cycle, internally_disjoint_paths,
-                    sorted_adjacency, sorted_nodes, spanning_forest)
+from .gamma import (THETA_PATHS, Node, _index, blocks,
+                    fundamental_circle_signs, fundamental_cycle,
+                    internally_disjoint_paths, spanning_forest)
 from .model import EDGE, VERTEX, Incidence, OrientedHypergraph
 
 DEFAULT_CIRCLE_CAP = 1_000_000
@@ -159,58 +159,62 @@ def enumerate_circles(g: OrientedHypergraph,
     A circle is a simple cycle of the bipartite representation: two parallel
     incidences already close one.  Raises ResourceError past the cap.
     """
-    adj = sorted_adjacency(g)
-    # Nodes still alive and their links to live nodes.  A node with fewer
-    # than two live links lies on no circle among the live nodes, and
-    # neither does a finished root, so both are stripped as they appear:
-    # every circle through a later root stays inside the live 2-core.
-    alive = set(adj)
-    degree = {node: len(links) for node, links in adj.items()}
+    index = _index(g)
+    links, ids, names = index.links, index.ids, index.nodes
+    # Nodes still alive and their links to live nodes, by node number.  A
+    # node with fewer than two live links lies on no circle among the live
+    # nodes, and neither does a finished root, so both are stripped as they
+    # appear: every circle through a later root stays inside the live 2-core.
+    alive = [True] * len(links)
+    degree = [len(nbrs) for nbrs in links]
 
-    def strip(doomed: list) -> None:
+    def strip(doomed: list[int]) -> None:
         while doomed:
-            node = doomed.pop()
-            if node not in alive:
+            x = doomed.pop()
+            if not alive[x]:
                 continue
-            alive.remove(node)
-            for _, other in adj[node]:
-                if other in alive:
-                    degree[other] -= 1
-                    if degree[other] < 2:
-                        doomed.append(other)
+            alive[x] = False
+            for _, y in links[x]:
+                if alive[y]:
+                    degree[y] -= 1
+                    if degree[y] < 2:
+                        doomed.append(y)
 
     found: set[Circle] = set()
-    strip([node for node, d in degree.items() if d < 2])
+    strip([x for x, d in enumerate(degree) if d < 2])
+    on_path = [False] * len(links)
     # Depth-first from each live root through live nodes, with an explicit
-    # stack of neighbour iterators so long circles cannot exhaust the
-    # recursion limit.  The path's nodes and links grow and shrink with
-    # the stack; a link back to the root other than the first closes a
-    # circle.
-    for root in sorted_nodes(g):
-        if root not in alive:
+    # stack of link iterators so long circles cannot exhaust the recursion
+    # limit.  The path's nodes and link positions grow and shrink with the
+    # stack; a link back to the root other than the first closes a circle.
+    # A finished root is stripped, so it needs no on_path reset.
+    for root in range(len(links)):
+        if not alive[root]:
             continue
-        path_nodes, path_incs, on_path = [root], [], {root}
-        stack = [iter(adj[root])]
+        path, path_incs, stack = [root], [], [iter(links[root])]
+        on_path[root] = True
         while stack:
             step = next(stack[-1], None)
             if step is None:
                 stack.pop()
                 if path_incs:
                     path_incs.pop()
-                    on_path.discard(path_nodes.pop())
+                    on_path[path.pop()] = False
                 continue
-            inc, other = step
-            if other == root:
-                if path_incs and inc != path_incs[0]:
-                    found.add(Circle.from_sequence(path_nodes, path_incs + [inc]))
+            k, y = step
+            if y == root:
+                if path_incs and k != path_incs[0]:
+                    found.add(Circle.from_sequence(
+                        [names[x] for x in path],
+                        [ids[j] for j in path_incs] + [ids[k]]))
                     if len(found) > cap:
                         raise ResourceError(
                             f"more than {cap} circles; raise the cap to continue")
-            elif other in alive and other not in on_path:
-                path_nodes.append(other)
-                path_incs.append(inc)
-                on_path.add(other)
-                stack.append(iter(adj[other]))
+            elif alive[y] and not on_path[y]:
+                path.append(y)
+                path_incs.append(k)
+                on_path[y] = True
+                stack.append(iter(links[y]))
         strip([root])
     return sorted(found, key=lambda c: (len(c.incidences), c.incidences))
 
@@ -292,8 +296,8 @@ def _block_view(g: OrientedHypergraph,
                                        tuple(incidences))
 
 
-def detect_theta(g: OrientedHypergraph, kind: str = "cross",
-                 jobs: int = 1) -> ThetaCertificate | None:
+def detect_theta(g: OrientedHypergraph,
+                 kind: str = "cross") -> ThetaCertificate | None:
     """First triple of internally disjoint paths between a pair of the
     requested endpoint kind, scanning pairs in lexicographic order.
 
@@ -318,35 +322,19 @@ def detect_theta(g: OrientedHypergraph, kind: str = "cross",
             view = _block_view(g, incs)
             candidates.extend((pair, view) for pair in pairs)
     candidates.sort(key=lambda candidate: candidate[0])
-
-    def probe(candidate):
-        (a, b), view = candidate
+    for (a, b), view in candidates:
         paths = internally_disjoint_paths(view, a, b)
         if len(paths) == THETA_PATHS:
             walks = tuple(Walk(tuple(ns), tuple(incs)) for ns, incs in paths)
             return ThetaCertificate(kind, (a, b), walks)
-        return None
-
-    if jobs > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for cert in pool.map(probe, candidates):
-                if cert is not None:
-                    return cert
-        return None
-    for candidate in candidates:
-        cert = probe(candidate)
-        if cert is not None:
-            return cert
     return None
 
 
-def is_balanceable(g: OrientedHypergraph,
-                   jobs: int = 1) -> tuple[bool, ThetaCertificate | None]:
+def is_balanceable(g: OrientedHypergraph
+                   ) -> tuple[bool, ThetaCertificate | None]:
     """Balanceable means no vertex-edge pair carries three internally
     disjoint connecting paths; the certificate exhibits such a triple."""
-    cert = detect_theta(g, "cross", jobs=jobs)
+    cert = detect_theta(g, "cross")
     return (cert is None), cert
 
 

@@ -160,7 +160,7 @@ def _cmd_balanceable(args) -> int:
     if args.jobs < 1:
         raise InputError(f"jobs must be at least 1, got {args.jobs}")
     g = load(args.file)
-    ok, cert = is_balanceable(g, jobs=args.jobs)
+    ok, cert = is_balanceable(g)
     payload = {"command": "balanceable", "jobs": args.jobs,
                "balanceable": ok}
     if args.certificate and cert is not None:
@@ -303,7 +303,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", action="store_true",
                    help="include the three-path obstruction when not")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for the obstruction scan")
+                   help="accepted and echoed; the obstruction scan is serial")
 
     p = add("camion", _cmd_camion, "forest-guided reorientation")
     p.add_argument("--tree", choices=("bfs", "dfs", "random"), default="bfs")

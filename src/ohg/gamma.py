@@ -2,9 +2,9 @@
 
 Every structural question about an oriented hypergraph is answered on its
 bipartite representation: nodes are tagged vertices and edges, links are
-incidences.  This module supplies deterministic spanning forests, grown by
-one traversal on a per-call integer index of that multigraph (``_index``),
-biconnected blocks, internally disjoint path searches, and the one
+incidences.  This module supplies deterministic spanning forests,
+biconnected blocks and internally disjoint path searches, each walking a
+per-call integer index of that multigraph (``_index``), and the one
 union-find (``DisjointSets``) of the package.  Connected components come
 from ``model.gamma_components``; every walk and circle sign comes from
 ``balance.walk_sign``, and the signs of all fundamental circles of a forest
@@ -14,7 +14,6 @@ from its one-pass form here, ``fundamental_circle_signs``.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -27,14 +26,13 @@ from .model import (EDGE, VERTEX, Incidence, OrientedHypergraph,
 Node = tuple[str, str]
 
 
-def sorted_nodes(g: OrientedHypergraph) -> list[Node]:
-    """Vertex nodes in id order, then edge nodes in id order."""
-    return ([(VERTEX, v) for v in sorted(g.vertices)]
-            + [(EDGE, e) for e in sorted(g.edges)])
-
-
 def sorted_adjacency(g: OrientedHypergraph) -> dict[Node, list[tuple[str, Node]]]:
-    """Adjacency with neighbor lists sorted by (neighbor id, incidence id)."""
+    """Adjacency with neighbor lists sorted by (neighbor id, incidence id).
+
+    No walk of the library reads it: each reads ``_index``, whose link
+    lists reproduce this order.  It stays as the independent reference for
+    that order, from which the tests' forest oracle grows.
+    """
     adj = gamma_adjacency(g)
     return {node: sorted(nbrs, key=lambda t: (t[1][1], t[0]))
             for node, nbrs in adj.items()}
@@ -42,12 +40,14 @@ def sorted_adjacency(g: OrientedHypergraph) -> dict[Node, list[tuple[str, Node]]
 
 @dataclass
 class _Index:
-    """The bipartite representation of one hypergraph on integers.
+    """The bipartite representation of one hypergraph on integers, the one
+    adjacency that spanning forests, blocks, disjoint-path flows and circle
+    enumeration walk.
 
-    Nodes are numbered in ``sorted_nodes`` order, the sorted vertices then
-    the sorted edges, and node x is ``nodes[x]``.  Incidences keep their
-    positions in ``g.incidences``: ``ids``, ``signs`` and ``ends`` (vertex
-    number, edge number) are read by position.  ``links[x]`` holds node x's
+    Nodes are numbered the sorted vertices first, then the sorted edges,
+    and node x is ``nodes[x]``.  Incidences keep their positions in
+    ``g.incidences``: ``ids``, ``signs`` and ``ends`` (vertex number, edge
+    number) are read by position.  ``links[x]`` holds node x's
     (incidence position, neighbour number) pairs in ``sorted_adjacency``
     order: by neighbour id, then incidence id.  Only random forests read
     ``draws``, which is built on first use.
@@ -71,6 +71,13 @@ class _Index:
         order = ([self.vertex_number[v] for v in g.vertices]
                  + [self.edge_number[e] for e in g.edges])
         return [x for x in order if len(links[x]) > 1]
+
+    def number(self, node: Node) -> int | None:
+        """Node's number, or None when it is not a node of the hypergraph."""
+        kind, nid = node
+        if kind == VERTEX:
+            return self.vertex_number.get(nid)
+        return self.edge_number.get(nid) if kind == EDGE else None
 
 
 _NEIGHBOUR = itemgetter(1)
@@ -143,16 +150,9 @@ class SpanningForest:
     def __contains__(self, incidence_id: str) -> bool:
         return incidence_id in self.incidences
 
-    def _number(self, node: Node) -> int | None:
-        """Node's number, or None when the forest does not span it."""
-        kind, nid = node
-        if kind == VERTEX:
-            return self.index.vertex_number.get(nid)
-        return self.index.edge_number.get(nid) if kind == EDGE else None
-
     def path_between(self, a: Node, b: Node) -> tuple[list[Node], list[str]]:
         """Unique forest path a .. b as (node sequence, incidence sequence)."""
-        x, y = self._number(a), self._number(b)
+        x, y = self.index.number(a), self.index.number(b)
         if x is None or y is None:
             raise InputError(f"node {a!r} or {b!r} not spanned by the forest")
         parent, depth = self.parent, self.depth
@@ -380,96 +380,60 @@ def blocks(g: OrientedHypergraph) -> list[frozenset[str]]:
 
     Each block is the set of incidence ids of one maximal 2-connected piece;
     a bridge forms a singleton block.  Parallel incidences land in a common
-    block, as they close a cycle of length two.
+    block, as they close a cycle of length two.  Hopcroft and Tarjan's
+    depth-first search on ``_index``: ``num[x]`` is the order in which node
+    x is reached, ``low[x]`` the least number that x's subtree reaches by
+    one link other than the one it was reached by.
     """
-    adj = sorted_adjacency(g)
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    counter = 0
+    index = _index(g)
+    links, ids = index.links, index.ids
+    n = len(links)
+    num, low = [-1] * n, [0] * n
+    reached = 0
     out: list[frozenset[str]] = []
-    for root in sorted_nodes(g):
-        if root in index:
+    for root in range(n):
+        if num[root] >= 0:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        estack: list[str] = []
-        stack: list[list] = [[root, None, 0]]
-        while stack:
-            node, in_inc, ptr = stack[-1]
-            nbrs = adj[node]
-            if ptr < len(nbrs):
-                stack[-1][2] += 1
-                inc, other = nbrs[ptr]
-                if inc == in_inc:
+        num[root] = low[root] = reached
+        reached += 1
+        # As in ``_grow_forest``, the stack keeps each ancestor's link
+        # iterator; estack holds the positions of the links walked.
+        node, via, nbrs, stack, estack = root, -1, iter(links[root]), [], []
+        while True:
+            for k, other in nbrs:
+                if k == via:
                     continue
-                if other not in index:
-                    estack.append(inc)
-                    index[other] = low[other] = counter
-                    counter += 1
-                    stack.append([other, inc, 0])
-                elif index[other] < index[node]:
-                    estack.append(inc)
-                    if index[other] < low[node]:
-                        low[node] = index[other]
+                if num[other] < 0:
+                    estack.append(k)
+                    num[other] = low[other] = reached
+                    reached += 1
+                    stack.append((node, via, nbrs))
+                    node, via, nbrs = other, k, iter(links[other])
+                    break
+                if num[other] < num[node]:
+                    estack.append(k)
+                    if num[other] < low[node]:
+                        low[node] = num[other]
             else:
-                stack.pop()
-                if stack:
-                    pnode = stack[-1][0]
-                    if low[node] < low[pnode]:
-                        low[pnode] = low[node]
-                    if low[node] >= index[pnode]:
-                        blk = set()
-                        while True:
-                            e = estack.pop()
-                            blk.add(e)
-                            if e == in_inc:
-                                break
-                        out.append(frozenset(blk))
+                if not stack:
+                    break
+                child, child_via = node, via
+                node, via, nbrs = stack.pop()
+                if low[child] < low[node]:
+                    low[node] = low[child]
+                if low[child] >= num[node]:
+                    blk = []
+                    while True:
+                        k = estack.pop()
+                        blk.append(ids[k])
+                        if k == child_via:
+                            break
+                    out.append(frozenset(blk))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Internally disjoint paths (unit vertex capacities)
-
-
-class _FlowNet:
-    def __init__(self):
-        self.adj: dict = {}
-
-    def add_node(self, x):
-        self.adj.setdefault(x, [])
-
-    def add_arc(self, u, v, cap, label=None):
-        self.add_node(u)
-        self.add_node(v)
-        fwd = [v, cap, label, None]
-        rev = [u, 0, None, fwd]
-        fwd[3] = rev
-        self.adj[u].append(fwd)
-        self.adj[v].append(rev)
-        return fwd
-
-    def augment(self, source, sink) -> bool:
-        """One BFS augmenting path of unit flow; True when found."""
-        prev = {source: None}
-        queue = [source]
-        for u in queue:  # breadth first: iterating while appending
-            if u == sink:
-                break
-            for arc in self.adj[u]:
-                v, cap = arc[0], arc[1]
-                if cap > 0 and v not in prev:
-                    prev[v] = arc
-                    queue.append(v)
-        if sink not in prev:
-            return False
-        node = sink
-        while prev[node] is not None:
-            arc = prev[node]
-            arc[1] -= 1
-            arc[3][1] += 1
-            node = arc[3][0]
-        return True
 
 
 # A theta is three internally disjoint paths, so no caller needs more.
@@ -482,48 +446,78 @@ def internally_disjoint_paths(g: OrientedHypergraph, source: Node, sink: Node
     the bipartite representation.
 
     Interior nodes get unit capacity; parallel incidences stay parallel unit
-    links, so distinct parallel incidences can carry distinct paths.
+    links, so distinct parallel incidences can carry distinct paths.  The
+    flow runs on ``_index``: node x splits into an in-node 2x and an
+    out-node 2x + 1 joined by a unit arc, and each incidence gives a unit
+    arc from either end's out-node to the other's in-node.  Each breadth
+    first augmentation takes a node's arcs in the order they were added:
+    the in-out arcs first, then the incidence arcs by incidence position.
     """
     if source == sink:
         raise InputError("path endpoints must differ")
-    adj = sorted_adjacency(g)
-    if source not in adj or sink not in adj:
+    index = _index(g)
+    s, t = index.number(source), index.number(sink)
+    if s is None or t is None:
         raise InputError(f"unknown endpoint {source!r} or {sink!r}")
-    net = _FlowNet()
-    s_out, t_in = ("out", source), ("in", sink)
-    net.add_node(s_out)
-    net.add_node(t_in)
-    for node in adj:
-        if node not in (source, sink):
-            net.add_arc(("in", node), ("out", node), 1)
-    for inc in g.incidences:
-        a, b = (VERTEX, inc.vertex), (EDGE, inc.edge)
-        for u, v in ((a, b), (b, a)):
-            if u == sink or v == source:
-                continue
-            net.add_arc(("out", u), ("in", v), 1, (inc.id, u, v))
+    # Arc a runs to head[a] with residual capacity cap[a]; a ^ 1 is its
+    # reverse.  Arc pair j is incidence position through[j], or -1 for an
+    # in-out arc.
+    arcs: list[list[int]] = [[] for _ in range(2 * len(index.nodes))]
+    head: list[int] = []
+    cap: list[int] = []
+    through: list[int] = []
 
+    def add(u: int, v: int, k: int) -> None:
+        arcs[u].append(len(head))
+        arcs[v].append(len(head) + 1)
+        head.extend((v, u))
+        cap.extend((1, 0))
+        through.append(k)
+
+    for x in range(len(index.nodes)):
+        if x != s and x != t:
+            add(2 * x, 2 * x + 1, -1)
+    for k, (v, e) in enumerate(index.ends):
+        if v != t and e != s:
+            add(2 * v + 1, 2 * e, k)
+        if e != t and v != s:
+            add(2 * e + 1, 2 * v, k)
+
+    s_out, t_in = 2 * s + 1, 2 * t
     flow = 0
-    while flow < THETA_PATHS and net.augment(s_out, t_in):
+    while flow < THETA_PATHS:
+        prev = [-1] * len(arcs)  # the arc each node is reached by
+        prev[s_out] = -2  # reached, by no arc
+        queue = [s_out]
+        for u in queue:  # breadth first: iterating while appending
+            if u == t_in:
+                break
+            for a in arcs[u]:
+                if cap[a] > 0 and prev[head[a]] == -1:
+                    prev[head[a]] = a
+                    queue.append(head[a])
+        if prev[t_in] == -1:
+            break
+        x = t_in
+        while x != s_out:
+            a = prev[x]
+            cap[a] -= 1
+            cap[a ^ 1] += 1
+            x = head[a ^ 1]
         flow += 1
 
-    # Positive-flow labeled arcs decompose into vertex-disjoint paths.
-    used = {}
-    for u, arcs in net.adj.items():
-        for arc in arcs:
-            if arc[2] is not None and arc[3][1] > 0:
-                used.setdefault(u, deque()).append(arc)
+    # Incidence arcs that carry flow decompose into vertex-disjoint paths;
+    # each step takes the first such arc out of the node and spends it.
+    nodes, ids = index.nodes, index.ids
     paths = []
     for _ in range(flow):
-        node, here = s_out, source
-        nodes, incs = [source], []
-        while here != sink:
-            arc = used[node].popleft()
-            arc[3][1] -= 1
-            inc_id, _, nxt = arc[2]
-            incs.append(inc_id)
-            nodes.append(nxt)
-            here = nxt
-            node = ("out", nxt)
-        paths.append((nodes, incs))
+        x, walk, incs = s, [nodes[s]], []
+        while x != t:
+            a = next(a for a in arcs[2 * x + 1]
+                     if through[a >> 1] >= 0 and cap[a ^ 1] > 0)
+            cap[a ^ 1] = 0
+            incs.append(ids[through[a >> 1]])
+            x = head[a] >> 1
+            walk.append(nodes[x])
+        paths.append((walk, incs))
     return paths

@@ -194,3 +194,12 @@ def without_parallels(g: OrientedHypergraph) -> OrientedHypergraph:
             seen.add((inc.vertex, inc.edge))
             incs.append(inc)
     return OrientedHypergraph(g.vertices, g.edges, tuple(incs))
+
+
+def walk_instances() -> list[OrientedHypergraph]:
+    """Random hypergraphs, planted obstructions and trapped hypertrees, on
+    which the walks of the bipartite representation are checked against
+    their node-keyed references."""
+    return ([random_hypergraph(seed) for seed in range(150)]
+            + [plant_obstruction(seed) for seed in range(30)]
+            + [plant_trap(hypertree(m)) for m in (1, 2, 3, 5, 9)])

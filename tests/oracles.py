@@ -6,7 +6,8 @@ balance by checking every circle, balancing sets by trying every
 incidence subset, and ranks through sympy.  The exact eliminations the
 library used before it kept one (Bareiss ranks, Fraction and modular
 RREF, with their own primitive-integer scaling), its one-smaller-subset
-circuit test, its spanning forests keyed by tagged node, its circuit
+circuit test, its spanning forests, blocks, disjoint-path flow and
+circle walk keyed by tagged node, its circuit
 walk that reduces every candidate against its whole prefix basis, its
 memo-free F-maximality loop, its walk over
 every edge combination for flower-part candidates, its local search that
@@ -19,7 +20,7 @@ Slow on purpose; only run at desk scale.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -29,12 +30,12 @@ from operator import mul
 from sympy.polys.domains import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
-from ohg.balance import (ThetaCertificate, Walk, is_balanceable, is_balanced,
-                         walk_sign)
+from ohg.balance import (Circle, ThetaCertificate, Walk, is_balanceable,
+                         is_balanced, walk_sign)
 from ohg.camion import FrustrationResult
 from ohg.errors import InputError, ResourceError
 from ohg.gamma import (blocks, fundamental_cycle, internally_disjoint_paths,
-                       sorted_adjacency, sorted_nodes)
+                       sorted_adjacency)
 from ohg.linalg import Domain, echelon_extend, rank
 from ohg.matroids import CircuitReport
 from ohg.model import (EDGE, VERTEX, OrientedHypergraph,
@@ -188,11 +189,12 @@ class OracleForest:
 def oracle_spanning_forest(g: OrientedHypergraph, strategy: str = "bfs",
                            seed: int = 0) -> OracleForest:
     """The library's ``spanning_forest`` before it grew on an integer index:
-    dicts over tagged nodes, grown from ``sorted_nodes`` and
-    ``sorted_adjacency``.  A random forest shuffles the node order, then
+    dicts over tagged nodes, grown from the sorted vertices, then the sorted
+    edges, and ``sorted_adjacency``.  A random forest shuffles the node order, then
     each neighbour list of two or more links in g's own node order, each
     with ``random.shuffle``'s draws written out."""
-    order, adj = sorted_nodes(g), sorted_adjacency(g)
+    order = _oracle_sorted_nodes(g)
+    adj = sorted_adjacency(g)
     signs = {inc.id: inc.sign for inc in g.incidences}
     if strategy == "random":
         bits = random.Random(seed).getrandbits
@@ -238,6 +240,12 @@ def oracle_spanning_forest(g: OrientedHypergraph, strategy: str = "bfs",
     seed_out = seed if strategy == "random" else None
     return OracleForest(frozenset(chosen), strategy, seed_out, tuple(roots),
                         parent, depth, potential)
+
+
+def _oracle_sorted_nodes(g: OrientedHypergraph) -> list:
+    """Vertex nodes in id order, then edge nodes in id order."""
+    return ([(VERTEX, v) for v in sorted(g.vertices)]
+            + [(EDGE, e) for e in sorted(g.edges)])
 
 
 def _oracle_shuffled(items, getrandbits) -> list:
@@ -343,6 +351,193 @@ def oracle_detect_theta(g: OrientedHypergraph,
             walks = tuple(Walk(tuple(ns), tuple(incs)) for ns, incs in paths[:3])
             return ThetaCertificate(kind, (a, b), walks)
     return None
+
+
+def oracle_blocks(g: OrientedHypergraph) -> list[frozenset[str]]:
+    """The library's ``blocks`` before it walked the integer index: Tarjan's
+    search with dicts over tagged nodes, from the sorted nodes over
+    ``sorted_adjacency``."""
+    adj = sorted_adjacency(g)
+    index: dict = {}
+    low: dict = {}
+    counter = 0
+    out: list[frozenset[str]] = []
+    for root in _oracle_sorted_nodes(g):
+        if root in index:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        estack: list[str] = []
+        stack: list[list] = [[root, None, 0]]
+        while stack:
+            node, in_inc, ptr = stack[-1]
+            nbrs = adj[node]
+            if ptr < len(nbrs):
+                stack[-1][2] += 1
+                inc, other = nbrs[ptr]
+                if inc == in_inc:
+                    continue
+                if other not in index:
+                    estack.append(inc)
+                    index[other] = low[other] = counter
+                    counter += 1
+                    stack.append([other, inc, 0])
+                elif index[other] < index[node]:
+                    estack.append(inc)
+                    if index[other] < low[node]:
+                        low[node] = index[other]
+            else:
+                stack.pop()
+                if stack:
+                    pnode = stack[-1][0]
+                    if low[node] < low[pnode]:
+                        low[pnode] = low[node]
+                    if low[node] >= index[pnode]:
+                        blk = set()
+                        while True:
+                            e = estack.pop()
+                            blk.add(e)
+                            if e == in_inc:
+                                break
+                        out.append(frozenset(blk))
+    return out
+
+
+class _OracleFlowNet:
+    def __init__(self):
+        self.adj: dict = {}
+
+    def add_node(self, x):
+        self.adj.setdefault(x, [])
+
+    def add_arc(self, u, v, cap, label=None):
+        self.add_node(u)
+        self.add_node(v)
+        fwd = [v, cap, label, None]
+        rev = [u, 0, None, fwd]
+        fwd[3] = rev
+        self.adj[u].append(fwd)
+        self.adj[v].append(rev)
+        return fwd
+
+    def augment(self, source, sink) -> bool:
+        prev = {source: None}
+        queue = [source]
+        for u in queue:
+            if u == sink:
+                break
+            for arc in self.adj[u]:
+                v, cap = arc[0], arc[1]
+                if cap > 0 and v not in prev:
+                    prev[v] = arc
+                    queue.append(v)
+        if sink not in prev:
+            return False
+        node = sink
+        while prev[node] is not None:
+            arc = prev[node]
+            arc[1] -= 1
+            arc[3][1] += 1
+            node = arc[3][0]
+        return True
+
+
+def oracle_disjoint_paths(g: OrientedHypergraph, source, sink) -> list:
+    """The library's ``internally_disjoint_paths`` before it ran on the
+    integer index: a flow network of linked arc records over ("in", node)
+    and ("out", node), stopped at three paths."""
+    if source == sink:
+        raise InputError("path endpoints must differ")
+    adj = sorted_adjacency(g)
+    if source not in adj or sink not in adj:
+        raise InputError(f"unknown endpoint {source!r} or {sink!r}")
+    net = _OracleFlowNet()
+    s_out, t_in = ("out", source), ("in", sink)
+    net.add_node(s_out)
+    net.add_node(t_in)
+    for node in adj:
+        if node not in (source, sink):
+            net.add_arc(("in", node), ("out", node), 1)
+    for inc in g.incidences:
+        a, b = (VERTEX, inc.vertex), (EDGE, inc.edge)
+        for u, v in ((a, b), (b, a)):
+            if u == sink or v == source:
+                continue
+            net.add_arc(("out", u), ("in", v), 1, (inc.id, u, v))
+    flow = 0
+    while flow < 3 and net.augment(s_out, t_in):
+        flow += 1
+    used = {}
+    for u, arcs in net.adj.items():
+        for arc in arcs:
+            if arc[2] is not None and arc[3][1] > 0:
+                used.setdefault(u, deque()).append(arc)
+    paths = []
+    for _ in range(flow):
+        node, here = s_out, source
+        nodes, incs = [source], []
+        while here != sink:
+            arc = used[node].popleft()
+            arc[3][1] -= 1
+            inc_id, _, nxt = arc[2]
+            incs.append(inc_id)
+            nodes.append(nxt)
+            here = nxt
+            node = ("out", nxt)
+        paths.append((nodes, incs))
+    return paths
+
+
+def oracle_enumerate_circles(g: OrientedHypergraph,
+                             cap: int = 1_000_000) -> list[Circle]:
+    """The library's ``enumerate_circles`` before it walked the integer
+    index: the same stripped depth-first walk with sets and dicts over
+    tagged nodes, over ``sorted_adjacency``."""
+    adj = sorted_adjacency(g)
+    alive = set(adj)
+    degree = {node: len(links) for node, links in adj.items()}
+
+    def strip(doomed: list) -> None:
+        while doomed:
+            node = doomed.pop()
+            if node not in alive:
+                continue
+            alive.remove(node)
+            for _, other in adj[node]:
+                if other in alive:
+                    degree[other] -= 1
+                    if degree[other] < 2:
+                        doomed.append(other)
+
+    found: set[Circle] = set()
+    strip([node for node, d in degree.items() if d < 2])
+    for root in _oracle_sorted_nodes(g):
+        if root not in alive:
+            continue
+        path_nodes, path_incs, on_path = [root], [], {root}
+        stack = [iter(adj[root])]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                if path_incs:
+                    path_incs.pop()
+                    on_path.discard(path_nodes.pop())
+                continue
+            inc, other = step
+            if other == root:
+                if path_incs and inc != path_incs[0]:
+                    found.add(Circle.from_sequence(path_nodes, path_incs + [inc]))
+                    if len(found) > cap:
+                        raise ResourceError(
+                            f"more than {cap} circles; raise the cap to continue")
+            elif other in alive and other not in on_path:
+                path_nodes.append(other)
+                path_incs.append(inc)
+                on_path.add(other)
+                stack.append(iter(adj[other]))
+        strip([root])
+    return sorted(found, key=lambda c: (len(c.incidences), c.incidences))
 
 
 def oracle_rank(rows, p: int | None = None) -> int:

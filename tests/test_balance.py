@@ -33,12 +33,14 @@ from instances import (
     plant_trap,
     random_balanceable,
     random_hypergraph,
+    walk_instances,
     without_parallels,
 )
 from oracles import (
     oracle_circle_sign,
     oracle_circles,
     oracle_detect_theta,
+    oracle_enumerate_circles,
     oracle_hub_pairs,
     oracle_is_balanceable,
     oracle_is_balanced,
@@ -149,24 +151,41 @@ class TestEnumeration:
 
     def test_one_ring_takes_linear_adjacency_lookups(self, monkeypatch):
         """Finished roots and nodes left with one live link are stripped,
-        so no root re-walks the ring: lookups stay linear in its length."""
+        so no root re-walks the ring: reads of the index's link lists stay
+        linear in its length."""
         lookups = 0
 
-        class Counting(dict):
-            def __getitem__(self, node):
+        class Counting(list):
+            def __getitem__(self, x):
                 nonlocal lookups
                 lookups += 1
-                return super().__getitem__(node)
+                return super().__getitem__(x)
 
-        sorted_adjacency = ohg.balance.sorted_adjacency
-        monkeypatch.setattr(ohg.balance, "sorted_adjacency",
-                            lambda g: Counting(sorted_adjacency(g)))
+        index = ohg.balance._index
+
+        def counted(g):
+            built = index(g)
+            built.links = Counting(built.links)
+            return built
+
+        monkeypatch.setattr(ohg.balance, "_index", counted)
         for n in (175, 350, 700):
             lookups = 0
             assert len(enumerate_circles(self.ring(n))) == 1
             # Two walks around the ring from the first root, then one
-            # lookup per stripped node: about 6n for the ring's 2n nodes.
-            assert lookups <= 8 * n
+            # read per stripped node: about 6n for the ring's 2n nodes.
+            assert 0 < lookups <= 8 * n
+
+    def test_matches_the_node_keyed_walk(self):
+        """The walk on the integer index lists the node-keyed walk's
+        circles, list for list, and the brute-force circles where there
+        are few enough incidences to try every subset."""
+        for g in walk_instances():
+            circles = enumerate_circles(g)
+            assert circles == oracle_enumerate_circles(g), g
+            if len(g.incidences) <= 16:
+                assert ({frozenset(c.incidences) for c in circles}
+                        == oracle_circles(g)), g
 
 
 class TestSigns:
@@ -264,13 +283,6 @@ class TestTheta:
         assert verify_theta(g, cert)
         with pytest.raises(InputError):
             detect_theta(g, "diagonal")
-
-    def test_jobs_parameter_consistent(self):
-        g = plant_obstruction(7)
-        solo = detect_theta(g, "cross", jobs=1)
-        multi = detect_theta(g, "cross", jobs=4)
-        assert (solo is None) == (multi is None)
-        assert verify_theta(g, multi)
 
     def test_balanceable_instances_have_no_theta(self):
         for seed in range(30):

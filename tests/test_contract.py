@@ -1,6 +1,7 @@
 """The library's contract, read off its source: standard library only,
-and never a float; every entry point the benchmark tracer names is
-still defined, and a traced benchmark run still ends with a result."""
+never a float, and one adjacency for the walks of the bipartite
+representation; every entry point the benchmark tracer names is still
+defined, and a traced benchmark run still ends with a result."""
 
 import ast
 import importlib.util
@@ -54,6 +55,24 @@ def test_no_float_or_complex(path):
         if isinstance(node, ast.Name):
             assert node.id not in ("float", "complex"), (
                 f"{path.name}:{node.lineno} names {node.id}")
+
+
+def test_walks_read_only_the_index():
+    """Every walk of the bipartite representation reads ``gamma._index``.
+    The node-keyed adjacencies stay only as ``sorted_adjacency``, the
+    reference order the index reproduces, and under
+    ``model.gamma_components``, whose components come in g's own order."""
+    allowed = {("gamma", "sorted_adjacency"), ("model", "gamma_components")}
+    callers = set()
+    for path in SOURCES:
+        for top in _tree(path).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", getattr(func, "attr", None))
+                    if name in ("sorted_adjacency", "gamma_adjacency"):
+                        callers.add((path.stem, getattr(top, "name", None)))
+    assert callers <= allowed, callers - allowed
 
 
 def test_tracer_finds_every_entry_point():

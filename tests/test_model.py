@@ -45,8 +45,10 @@ from ohg.model import (
     to_dot,
     weak_delete,
 )
-from instances import (plant_obstruction, random_balanceable, random_hypergraph,
-                       random_signed_graph)
+from instances import (hypertree, large_signed_graph, plant_obstruction,
+                       plant_trap, random_balanceable, random_hypergraph,
+                       random_signed_graph, walk_instances)
+from oracles import oracle_blocks, oracle_disjoint_paths
 
 
 def triangle(last_sign=-1):
@@ -254,6 +256,38 @@ class TestGamma:
         g = make_Lk(3, 3)
         paths = internally_disjoint_paths(g, ("v", "v1"), ("e", "e1"))
         assert len(paths) == 3
+        for source, sink, message in (
+                (("v", "v1"), ("v", "v1"), "path endpoints must differ"),
+                (("v", "v1"), ("e", "zz"),
+                 "unknown endpoint ('v', 'v1') or ('e', 'zz')"),
+                (("x", "v1"), ("e", "e1"),
+                 "unknown endpoint ('x', 'v1') or ('e', 'e1')")):
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                internally_disjoint_paths(g, source, sink)
+
+
+def test_blocks_match_the_node_keyed_search():
+    """Blocks on the integer index are the node-keyed search's, list for
+    list; a 40-edge trapped hypertree and 80-vertex signed graphs are
+    deeper cases."""
+    deeper = [plant_trap(hypertree(40))] + [large_signed_graph(80, seed)
+                                            for seed in range(3)]
+    for g in walk_instances() + deeper:
+        assert blocks(g) == oracle_blocks(g), g
+
+
+def test_disjoint_paths_match_the_node_keyed_flow():
+    """The split-node flow on the integer index returns the paths of the
+    flow over linked arc records, path for path, for every ordered pair
+    of nodes."""
+    for g in walk_instances():
+        nodes = gamma_nodes(g)
+        for source in nodes:
+            for sink in nodes:
+                if source != sink:
+                    assert (internally_disjoint_paths(g, source, sink)
+                            == oracle_disjoint_paths(g, source, sink)), (
+                        g, source, sink)
 
 
 @settings(max_examples=100, deadline=None)
