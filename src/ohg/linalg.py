@@ -5,12 +5,13 @@ reduces one column against a forward-echelon basis and either extends
 the basis or reads the column's dependency off the reduction.  Rank
 counts the columns that extend it, and the nullspace collects the
 dependencies of those that do not.  Circuit enumeration does not call
-it per candidate: ``extend_residual`` finishes the same reduction from
-the residual a sibling candidate already reached, in at most one row
-update, and ``_settle`` turns either result into a new pair or a
-normalised dependency.  Rational rows stay arbitrary-precision integers,
-kept small by dividing out each row's gcd; prime-field rows are reduced
-modulo p.  No floating point anywhere.
+it per candidate: the walk in ``matroids.enumerate_circuits`` finishes
+the same reduction from the residual a sibling candidate already
+reached, in at most one row update of its own, and ends it with
+``_settle``, which turns either result into a new pair or a normalised
+dependency.  Rational rows stay arbitrary-precision integers, kept small
+by dividing out each row's gcd; prime-field rows are reduced modulo p.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ def _check_rect(rows) -> tuple[int, int]:
 
 
 def _cancel(x, y, d, f, p) -> list[int]:
-    """The row update of ``echelon_extend`` and ``extend_residual``:
-    ``d*x - f*y``, which clears the entry where ``x`` holds f and ``y``
-    holds d; a ``y`` shorter than ``x`` reads as zeros past its end.
+    """The row update of ``echelon_extend``: ``d*x - f*y``, which clears
+    the entry where ``x`` holds f and ``y`` holds d; a ``y`` shorter than
+    ``x`` reads as zeros past its end.
     Over the rationals (p = 0) the result is divided by the gcd of its
     entries; over GF(p) every entry is reduced modulo p."""
     if p:
@@ -165,42 +166,6 @@ def _settle(x: list[int], n: int, p: int) -> tuple:
     if next(a for a in coeffs if a) < 0:
         g = -g
     return None, tuple(a // g for a in coeffs)
-
-
-def extend_residual(sibling: tuple, last: tuple, n: int,
-                    domain: Domain) -> tuple:
-    """``echelon_extend(basis(S + f), e)`` for columns S, f, e, in at most
-    one row update, from pairs that testing S + f and S + e left behind.
-
-    ``basis(T)`` is the basis ``echelon_extend`` builds by adding the
-    columns of T in order from ``()``, and ``n`` the number of entries of
-    a column.  ``last`` is the pair basis(S + f) ends with, and
-    ``sibling`` the pair (pivot, r(e|S)) that ``echelon_extend(basis(S),
-    e)`` added when it found S + e independent.  Returns ``(pair, None)``,
-    the pair that call would add, or ``(None, dependency)`` exactly as it
-    would return them.
-
-    Proof.  basis(S + f) is basis(S) + (last,).  The call starts from
-    x = e + [0] * (|S| + 1) + [1] and cancels against basis(S) in order
-    before it reaches ``last``.  A vector of basis(S) has at most n + |S|
-    entries (its own slot is the last), so none of these steps reads or
-    writes slot n + |S| of x: that entry stays 0, and a 0 changes neither
-    another entry of d*x - f*y nor the gcd of a rational row.  Every
-    other entry, each multiplier taken at a pivot among the first n, and
-    each gcd are therefore those of ``echelon_extend(basis(S), e)`` on
-    e + [0] * |S| + [1], step for step, so x reaches r(e|S) with a 0
-    inserted before its last entry, and modulo p the same holds
-    entrywise.  The one step left is the cancellation against ``last``,
-    taken when x is nonzero at its pivot, and ``_settle`` ends both
-    calls alike.
-    """
-    x = sibling[1][:]
-    x.insert(-1, 0)
-    pc, y = last
-    f = x[pc]
-    if f:
-        x = _cancel(x, y, y[pc], f, domain.char)
-    return _settle(x, n, domain.char)
 
 
 def rank(rows, domain: Domain) -> int:

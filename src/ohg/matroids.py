@@ -13,14 +13,17 @@ minimality for ``is_circuit``.  Every elimination is one column
 reduction, ``linalg.echelon_extend``: rank, nullity and nullspace feed
 it a matrix's columns in turn.  Enumeration stops at size rank + 1, the
 largest a circuit can have, and counts its subset cap up to there.  It
-is one walk over the sizes that joins each candidate S + f + e from two
-independent sets S + f and S + e of one prefix group, finishes its
-reduction from the residual the sibling S + e reached
-(``linalg.extend_residual``, one row update at most), and reads each
-circuit's witness off the coefficients that reduction carries, so it
-runs no second elimination.  At the last size it reduces only the
-candidates whose residuals r(f|S) and r(e|S) have parallel vertex parts,
-since exactly those are dependent.
+is one walk over the sizes, on edge positions, that carries each size's
+independent sets into the next as prefix groups with bit masks.  It
+joins each candidate S + f + e from two independent sets S + f and
+S + e of one group, checks its other one-smaller subsets by mask
+lookups, finishes its reduction from the residual the sibling S + e
+reached with one inline row update at most, and reads each circuit's
+witness off the coefficients that reduction carries, so it runs no
+second elimination.  At the last size it reduces only the candidates
+whose residuals r(f|S) and r(e|S) have parallel vertex parts, since
+exactly those are dependent.  Edge ids are read back from positions
+only for reports and error messages.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import combinations, groupby, product
+from itertools import product
 from math import comb, gcd
 from operator import mul
 
 from .balance import Circle, circle_sign, enumerate_circles
 from .errors import InputError, ResourceError
-from .linalg import (Domain, echelon_extend, extend_residual, is_prime,
-                     mat_vec, nullspace)
+from .linalg import Domain, _settle, echelon_extend, is_prime, mat_vec, nullspace
 from .linalg import nullity as _nullity_rows
 from .linalg import rank as _rank_rows
 from .model import (
@@ -160,11 +162,11 @@ def _line(pair: tuple, n: int, p: int) -> tuple:
     head = x[lead:n]
     if p:
         inv = pow(head[0], -1, p)
-        return tuple(a * inv % p for a in head)
+        return tuple([a * inv % p for a in head])
     g = gcd(*head)
     if head[0] < 0:
         g = -g
-    return tuple(a // g for a in head)
+    return tuple([a // g for a in head])
 
 
 def enumerate_circuits(g: OrientedHypergraph, domain=None,
@@ -177,36 +179,52 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
     ``top`` must stay under the subset cap (default 2^20, overridable
     through OHG_MAX_SUBSETS).
 
-    One walk runs over the sizes, keeping the independent sets of the
-    current size in ``combinations`` order, so the sets with one prefix
-    come in one run, each with the last pair of its echelon basis.  Size
-    1 reduces each column on its own; a zero column is a circuit.  A
-    larger candidate is joined from two independent sets S + f and
-    S + e, f < e, with one prefix S, as Apriori joins frequent itemsets
-    (Agrawal and Srikant, 1994), and kept only when its other
-    one-smaller subsets are independent too.  A set is a circuit exactly
+    The walk numbers the sorted edges 0..m-1 and runs over the sizes.
+    It keeps the independent sets of the current size in prefix groups,
+    in ``combinations`` order: a group is a prefix S, the bit mask of S,
+    and its members (e, r(e|S)), one per independent set S + e, where
+    r(e|S) is the last pair of the echelon basis of S + e.  Size 1
+    reduces each column on its own; a zero column is a circuit.  A
+    larger candidate is joined from two members S + f and S + e, f < e,
+    of one group, as Apriori joins frequent itemsets (Agrawal and
+    Srikant, 1994), and kept only when its other one-smaller subsets
+    are independent too: each mask S + f + e minus one prefix bit must
+    be among the masks of the current size.  A set is a circuit exactly
     when it is dependent and all its one-smaller subsets are
     independent, and every such set is joined from the two of them that
     drop one of its last two edges.  So the kept candidates are exactly
     the sets that contain no circuit found before, in ``combinations``
-    order, and each dependent one is a circuit.  A candidate
-    C = S + f + e is tested by reducing e's column against the echelon
-    basis of S + f.
-    That reduction first repeats, step for step, the one that left the
-    residual r(e|S) when the sibling S + e was tested, so C takes the
-    sibling's residual through one more row update at most
-    (``linalg.extend_residual``, which proves the identity).  When the
-    column falls in the span, the coefficients the reduction carried
-    span the candidate's one-dimensional nullspace and are its witness;
-    it must have no zero entry and must map the columns to zero.
+    order, and each dependent one is a circuit.  The independent
+    candidates S + f + e with one f form the group S + f of the next
+    size, so the groups carry over without regrouping.
+
+    A candidate C = S + f + e is tested by reducing e's column against
+    the echelon basis of S + f, and that reduction is r(e|S) through one
+    more row update at most, the one against r(f|S), taken inline.
+    Proof.  ``echelon_extend`` starts from x = e + [0] * (|S| + 1) + [1]
+    and cancels against basis(S) in order before it reaches r(f|S).  A
+    vector of basis(S) has at most n + |S| entries (its own slot is the
+    last), so none of these steps reads or writes slot n + |S| of x:
+    that entry stays 0, and a 0 changes neither another entry of
+    d*x - f*y nor the gcd of a rational row.  Every other entry, each
+    multiplier taken at a pivot among the first n, and each gcd are
+    therefore those of ``echelon_extend(basis(S), e)`` on
+    e + [0] * |S| + [1], step for step, so x reaches r(e|S) with a 0
+    inserted before its last entry, and modulo p the same holds
+    entrywise.  The one step left is the cancellation against r(f|S),
+    taken when x is nonzero at its pivot, and ``linalg._settle`` ends
+    both reductions alike.  When the column falls in the span, the
+    coefficients the reduction carried span the candidate's
+    one-dimensional nullspace and are its witness; it must have no zero
+    entry and must map the columns to zero.
 
     The last size keeps no independent set, so it reduces only the
     candidates that are dependent.  Within a group of one prefix S,
     members are bucketed by ``_line`` of their residual's vertex part,
     and only pairs inside a bucket are candidates: by (1) exactly these
     are dependent.  Each one that passes the containment check takes
-    ``extend_residual`` for its witness, the one the candidate test
-    would have read.
+    the row update for its witness, the one the candidate test would
+    have read.
 
     (1) When S + f and S + e are independent, S + f + e is dependent
     exactly when v(f) and v(e), the vertex parts of r(f|S) and r(e|S),
@@ -246,57 +264,92 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
             f"circuit enumeration over {len(ids)} edges needs {total} "
             f"subsets; the cap is {cap} (set {SUBSET_CAP_ENV} to raise it)")
     pos = {e: i for i, e in enumerate(matrix.cols)}
-    column = {e: [row[pos[e]] for row in matrix.entries] for e in ids}
+    columns = [[row[pos[e]] for row in matrix.entries] for e in ids]
     n = len(matrix.rows)
     found = []
 
-    def report(combo: tuple[str, ...], witness: tuple) -> None:
+    def edges_at(combo: tuple[int, ...]) -> tuple[str, ...]:
+        return tuple(map(ids.__getitem__, combo))
+
+    def report(combo: tuple[int, ...], witness: tuple) -> None:
         if not all(witness):
-            raise RuntimeError(
-                f"ascending enumeration reached the non-circuit {combo}")
-        if any(domain.reduce(sum(map(mul, row, witness)))
-               for row in zip(*(column[e] for e in combo))):
-            raise RuntimeError("dependency witness failed verification")
-        found.append(CircuitReport(combo, domain, True, True, witness))
+            raise RuntimeError("ascending enumeration reached the "
+                               f"non-circuit {edges_at(combo)}")
+        for row in zip(*map(columns.__getitem__, combo)):
+            dot = sum(map(mul, row, witness))
+            if dot % p if p else dot:
+                raise RuntimeError("dependency witness failed verification")
+        found.append(CircuitReport(edges_at(combo), domain, True, True,
+                                   witness))
 
     if top < 1:
         return found
-    pairs: dict = {}  # independent set of the current size -> last pair
-    for e in ids:
-        extended, witness = echelon_extend((), column[e], domain)
+    members = []
+    for i, column in enumerate(columns):
+        extended, witness = echelon_extend((), column, domain)
         if witness is None:
-            pairs[(e,)] = extended[0]
+            members.append((i, extended[0]))
         else:
-            report((e,), witness)
+            report((i,), witness)
+    groups = [((), 0, members)]
+    masks = {1 << i for i, _ in members}
     for size in range(2, top + 1):
-        grown: dict = {}
+        last_size = size == top
+        grown_groups = []
+        grown_masks = set()
         circuits = []
-        for prefix, run in groupby(pairs.items(), key=lambda kv: kv[0][:-1]):
-            members = [(combo[-1], pair) for combo, pair in run]
-            if size < top or top > r:
+        for prefix, bits, members in groups:
+            if not last_size or top > r:
                 buckets = [members]
             else:
                 lines: dict = {}
                 for member in members:
                     lines.setdefault(_line(member[1], n, p), []).append(member)
                 buckets = lines.values()
+            prefix_bits = [1 << i for i in prefix]
             for bucket in buckets:
-                for (f, last), (e, sibling) in combinations(bucket, 2):
-                    combo = prefix + (f, e)
-                    if not all(combo[:i] + combo[i + 1:] in pairs
-                               for i in range(size - 2)):
-                        continue
-                    pair, witness = extend_residual(sibling, last, n, domain)
-                    if witness is not None:
-                        circuits.append((combo, witness))
-                    elif size == top:
-                        raise RuntimeError(
-                            f"parallel residuals left {combo} independent")
-                    else:
-                        grown[combo] = pair
+                if len(bucket) < 2:
+                    continue
+                # Each member e as a sibling: its bit, and r(e|S) with a 0
+                # inserted at the slot of f, as the proof above has it.
+                siblings = [(e, 1 << e, x[:-1] + [0, x[-1]])
+                            for e, (_, x) in bucket]
+                for j, (f, (pc, y)) in enumerate(bucket[:-1], 1):
+                    d = y[pc]
+                    y = y + [0]  # r(f|S) is 0 at the slot of e
+                    with_f = bits | 1 << f
+                    others = [with_f ^ b for b in prefix_bits]
+                    grown = []
+                    for e, bit, x in siblings[j:]:
+                        for other in others:
+                            if other | bit not in masks:
+                                break
+                        else:
+                            c = x[pc]
+                            if c:
+                                if p:
+                                    x = [(d * a - c * b) % p
+                                         for a, b in zip(x, y)]
+                                else:
+                                    x = [d * a - c * b for a, b in zip(x, y)]
+                                    h = gcd(*x)
+                                    if h > 1:
+                                        x = [a // h for a in x]
+                            pair, witness = _settle(x, n, p)
+                            if witness is not None:
+                                circuits.append((prefix + (f, e), witness))
+                            elif last_size:
+                                raise RuntimeError(
+                                    "parallel residuals left "
+                                    f"{edges_at(prefix + (f, e))} independent")
+                            else:
+                                grown.append((e, pair))
+                                grown_masks.add(with_f | bit)
+                    if grown:
+                        grown_groups.append((prefix + (f,), with_f, grown))
         for combo, witness in sorted(circuits):
             report(combo, witness)
-        pairs = grown
+        groups, masks = grown_groups, grown_masks
     return found
 
 

@@ -252,7 +252,9 @@ def parse(text: str) -> OrientedHypergraph:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError covers bad syntax and integers past Python's digit
+        # limit; RecursionError, nesting past the recursion limit.
         raise InputError(f"malformed JSON: {err}") from None
     if not isinstance(data, dict):
         raise InputError("top level must be a JSON object")

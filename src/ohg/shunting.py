@@ -407,7 +407,7 @@ class ShuntingDecomposition:
     def from_json(cls, text: str) -> "ShuntingDecomposition":
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # as ``model.parse``
             raise InputError(f"decomposition is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise InputError("decomposition JSON must be an object")

@@ -8,7 +8,8 @@ library used before it kept one (Bareiss ranks, Fraction and modular
 RREF, with their own primitive-integer scaling), its one-smaller-subset
 circuit test, its spanning forests, blocks, disjoint-path flow and
 circle walk keyed by tagged node, its circuit
-walk that reduces every candidate against its whole prefix basis, its
+walk that reduces every candidate against its whole prefix basis and
+the tuple-keyed one that extended each sibling's residual, its
 memo-free F-maximality loop, its walk over
 every edge combination for flower-part candidates, its local search that
 builds every switched set, its hub count over tagged nodes and its
@@ -23,8 +24,8 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations, product
-from math import gcd, lcm
+from itertools import combinations, groupby, permutations, product
+from math import comb, gcd, lcm
 from operator import mul
 
 from sympy.polys.domains import GF, QQ
@@ -36,8 +37,9 @@ from ohg.camion import FrustrationResult
 from ohg.errors import InputError, ResourceError
 from ohg.gamma import (blocks, fundamental_cycle, internally_disjoint_paths,
                        sorted_adjacency)
-from ohg.linalg import Domain, echelon_extend, rank
-from ohg.matroids import CircuitReport
+from ohg.linalg import Domain, _cancel, _settle, echelon_extend, rank
+from ohg.matroids import (SUBSET_CAP_ENV, CircuitReport, _line,
+                          _subset_cap)
 from ohg.model import (EDGE, VERTEX, OrientedHypergraph,
                        contract_degree2_vertex, edge_induced,
                        gamma_components, incidence_matrix, minimal_subsets,
@@ -739,6 +741,181 @@ def oracle_prefix_circuits(g: OrientedHypergraph, domain: Domain,
                for row in zip(*(column[e] for e in combo))):
             raise RuntimeError("dependency witness failed verification")
         found.append(CircuitReport(combo, domain, True, True, witness))
+    return found
+
+
+def oracle_extend_residual(sibling: tuple, last: tuple, n: int,
+                           domain: Domain) -> tuple:
+    """``linalg.extend_residual`` as it was before the circuit walk took
+    its row update inline: ``echelon_extend(basis(S + f), e)`` for columns S, f, e, in at most
+    one row update, from pairs that testing S + f and S + e left behind.
+
+    ``basis(T)`` is the basis ``echelon_extend`` builds by adding the
+    columns of T in order from ``()``, and ``n`` the number of entries of
+    a column.  ``last`` is the pair basis(S + f) ends with, and
+    ``sibling`` the pair (pivot, r(e|S)) that ``echelon_extend(basis(S),
+    e)`` added when it found S + e independent.  Returns ``(pair, None)``,
+    the pair that call would add, or ``(None, dependency)`` exactly as it
+    would return them.
+
+    Proof.  basis(S + f) is basis(S) + (last,).  The call starts from
+    x = e + [0] * (|S| + 1) + [1] and cancels against basis(S) in order
+    before it reaches ``last``.  A vector of basis(S) has at most n + |S|
+    entries (its own slot is the last), so none of these steps reads or
+    writes slot n + |S| of x: that entry stays 0, and a 0 changes neither
+    another entry of d*x - f*y nor the gcd of a rational row.  Every
+    other entry, each multiplier taken at a pivot among the first n, and
+    each gcd are therefore those of ``echelon_extend(basis(S), e)`` on
+    e + [0] * |S| + [1], step for step, so x reaches r(e|S) with a 0
+    inserted before its last entry, and modulo p the same holds
+    entrywise.  The one step left is the cancellation against ``last``,
+    taken when x is nonzero at its pivot, and ``_settle`` ends both
+    calls alike.
+    """
+    x = sibling[1][:]
+    x.insert(-1, 0)
+    pc, y = last
+    f = x[pc]
+    if f:
+        x = _cancel(x, y, y[pc], f, domain.char)
+    return _settle(x, n, domain.char)
+
+
+def oracle_sibling_circuits(g: OrientedHypergraph, domain=None,
+                            max_size: int | None = None
+                            ) -> list[CircuitReport]:
+    """``enumerate_circuits`` as it was before it walked edge positions in
+    prefix groups carried between sizes, with its row update inline.
+
+    All circuits, ascending by size then lexicographic edge ids.
+
+    A circuit C has rank |C| - 1, so none is larger than the rank r of
+    the whole matrix plus one, and candidates stop at that size ``top``
+    (at ``max_size`` if that is smaller).  The candidate count up to
+    ``top`` must stay under the subset cap (default 2^20, overridable
+    through OHG_MAX_SUBSETS).
+
+    One walk runs over the sizes, keeping the independent sets of the
+    current size in ``combinations`` order, so the sets with one prefix
+    come in one run, each with the last pair of its echelon basis.  Size
+    1 reduces each column on its own; a zero column is a circuit.  A
+    larger candidate is joined from two independent sets S + f and
+    S + e, f < e, with one prefix S, as Apriori joins frequent itemsets
+    (Agrawal and Srikant, 1994), and kept only when its other
+    one-smaller subsets are independent too.  A set is a circuit exactly
+    when it is dependent and all its one-smaller subsets are
+    independent, and every such set is joined from the two of them that
+    drop one of its last two edges.  So the kept candidates are exactly
+    the sets that contain no circuit found before, in ``combinations``
+    order, and each dependent one is a circuit.  A candidate
+    C = S + f + e is tested by reducing e's column against the echelon
+    basis of S + f.
+    That reduction first repeats, step for step, the one that left the
+    residual r(e|S) when the sibling S + e was tested, so C takes the
+    sibling's residual through one more row update at most
+    (``oracle_extend_residual``, which proves the identity).  When the
+    column falls in the span, the coefficients the reduction carried
+    span the candidate's one-dimensional nullspace and are its witness;
+    it must have no zero entry and must map the columns to zero.
+
+    The last size keeps no independent set, so it reduces only the
+    candidates that are dependent.  Within a group of one prefix S,
+    members are bucketed by ``_line`` of their residual's vertex part,
+    and only pairs inside a bucket are candidates: by (1) exactly these
+    are dependent.  Each one that passes the containment check takes
+    ``oracle_extend_residual`` for its witness, the one the candidate test
+    would have read.
+
+    (1) When S + f and S + e are independent, S + f + e is dependent
+    exactly when v(f) and v(e), the vertex parts of r(f|S) and r(e|S),
+    are parallel.  v(x) equals c*x + s with s in the span of S and c the
+    coefficient at x's slot: that starts at 1 and each row update
+    multiplies it by a pivot entry and divides it by a common factor, so
+    c is not zero.  v(x) is zero at every pivot of basis(S), since each
+    cancellation clears its own pivot and later vectors are zero there,
+    and it is not zero, since S + x is independent.  If v(e) = m*v(f),
+    then c_e*e - m*c_f*f + s_e - m*s_f = 0 is a dependency of S + f + e,
+    nonzero at e.  Conversely, if S + f + e is dependent, e lies in the
+    span of S + f, as S + f is independent, so v(e) = m*v(f) + s with s
+    in the span of S.  s is zero at every pivot of basis(S), as both
+    residuals are.  A nonzero combination of basis(S) is not: at the
+    pivot of its first vector with a nonzero coefficient every later
+    vector is zero.  So s = 0, and m is not zero because v(e) is not.
+    Over GF(p) the same holds entrywise modulo p.
+
+    (2) When top = r + 1, every pair in a group is parallel: S + f is an
+    independent set of r columns, so it spans the column space, which
+    holds e, and S + f + e is dependent.  Each group is then one bucket
+    and no key is computed, so a census without ``max_size`` pays
+    nothing for the buckets.
+    """
+    domain = Domain.coerce(domain)
+    p = domain.char
+    ids = sorted(g.edges)
+    matrix = incidence_matrix(g, domain)
+    r = rank(matrix.entries, domain)
+    top = min(len(ids), r + 1)
+    if max_size is not None:
+        top = min(top, max_size)
+    total = sum(comb(len(ids), k) for k in range(1, top + 1))
+    cap = _subset_cap()
+    if total > cap:
+        raise ResourceError(
+            f"circuit enumeration over {len(ids)} edges needs {total} "
+            f"subsets; the cap is {cap} (set {SUBSET_CAP_ENV} to raise it)")
+    pos = {e: i for i, e in enumerate(matrix.cols)}
+    column = {e: [row[pos[e]] for row in matrix.entries] for e in ids}
+    n = len(matrix.rows)
+    found = []
+
+    def report(combo: tuple[str, ...], witness: tuple) -> None:
+        if not all(witness):
+            raise RuntimeError(
+                f"ascending enumeration reached the non-circuit {combo}")
+        if any(domain.reduce(sum(map(mul, row, witness)))
+               for row in zip(*(column[e] for e in combo))):
+            raise RuntimeError("dependency witness failed verification")
+        found.append(CircuitReport(combo, domain, True, True, witness))
+
+    if top < 1:
+        return found
+    pairs: dict = {}  # independent set of the current size -> last pair
+    for e in ids:
+        extended, witness = echelon_extend((), column[e], domain)
+        if witness is None:
+            pairs[(e,)] = extended[0]
+        else:
+            report((e,), witness)
+    for size in range(2, top + 1):
+        grown: dict = {}
+        circuits = []
+        for prefix, run in groupby(pairs.items(), key=lambda kv: kv[0][:-1]):
+            members = [(combo[-1], pair) for combo, pair in run]
+            if size < top or top > r:
+                buckets = [members]
+            else:
+                lines: dict = {}
+                for member in members:
+                    lines.setdefault(_line(member[1], n, p), []).append(member)
+                buckets = lines.values()
+            for bucket in buckets:
+                for (f, last), (e, sibling) in combinations(bucket, 2):
+                    combo = prefix + (f, e)
+                    if not all(combo[:i] + combo[i + 1:] in pairs
+                               for i in range(size - 2)):
+                        continue
+                    pair, witness = oracle_extend_residual(sibling, last, n,
+                                                           domain)
+                    if witness is not None:
+                        circuits.append((combo, witness))
+                    elif size == top:
+                        raise RuntimeError(
+                            f"parallel residuals left {combo} independent")
+                    else:
+                        grown[combo] = pair
+        for combo, witness in sorted(circuits):
+            report(combo, witness)
+        pairs = grown
     return found
 
 

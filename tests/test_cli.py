@@ -400,7 +400,7 @@ _FILE_TEXT = (_hypergraph_docs() | _VALID_GRAPHS | _JSON.map(json.dumps)
 _DECOMPOSITION_TEXT = (_decomposition_docs() | _JSON.map(json.dumps)
                        | st.text(max_size=20)).map(str.encode) | _NOT_UTF8
 
-_COMMANDS = st.sampled_from([
+_FILE_COMMANDS = [
     ["validate"], ["info"], ["info", "--human"], ["matrix"],
     ["matrix", "--field", "2", "--csv", "{dir}/m.csv"], ["matrix", "--field", "x"],
     ["gamma", "--dot", "{dir}/g.dot"], ["balance", "--certificate"],
@@ -410,23 +410,59 @@ _COMMANDS = st.sampled_from([
     ["frustration", "--mode", "local-search", "--budget", "5"],
     ["circuits", "--field", "q"], ["circuits", "--field", "3", "--max-size", "2"],
     ["shunt-verify", "{decomposition}"],
-])
+]
+
+
+def _file_argv(command, tmp, text, decomposition):
+    """``command`` run on a graph file and a decomposition file holding
+    ``text`` and ``decomposition`` (bytes), both written under ``tmp``."""
+    graph_path = Path(tmp) / "g.json"
+    graph_path.write_bytes(text)
+    decomposition_path = Path(tmp) / "d.json"
+    decomposition_path.write_bytes(decomposition)
+    return [command[0], str(graph_path)] + [
+        arg.format(dir=tmp, decomposition=decomposition_path)
+        for arg in command[1:]]
 
 
 @settings(max_examples=150, deadline=None)
-@given(_COMMANDS, _FILE_TEXT, _DECOMPOSITION_TEXT)
+@given(st.sampled_from(_FILE_COMMANDS), _FILE_TEXT, _DECOMPOSITION_TEXT)
 def test_fuzzed_files_keep_the_exit_code_contract(command, text, decomposition):
     """Whatever the files hold, every subcommand exits 0, 1, 2 or 3, and
     stderr is empty or one JSON error object."""
     with tempfile.TemporaryDirectory() as tmp:
-        graph_path = Path(tmp) / "g.json"
-        graph_path.write_bytes(text)
-        decomposition_path = Path(tmp) / "d.json"
-        decomposition_path.write_bytes(decomposition)
-        argv = [command[0], str(graph_path)] + [
-            arg.format(dir=tmp, decomposition=decomposition_path)
-            for arg in command[1:]]
-        _assert_contract(argv)
+        _assert_contract(_file_argv(command, tmp, text, decomposition))
+
+
+# Valid JSON syntax past the parser's limits, which the fuzzer's small
+# documents never reach: nesting past the recursion limit, and an
+# integer literal past Python's digit limit for int().
+_DEEP_JSON = b"[" * 200_000
+_LONG_INTEGER_JSON = b"1" * 5_000
+
+
+@pytest.mark.parametrize("text", [_DEEP_JSON, _LONG_INTEGER_JSON],
+                         ids=["deep", "long-integer"])
+@pytest.mark.parametrize("command", _FILE_COMMANDS,
+                         ids=lambda command: " ".join(command))
+def test_json_past_the_parser_limits_is_an_input_error(tmp_path, command,
+                                                       text):
+    """Exit 2 with one JSON error, from the graph file for every
+    subcommand, and from the decomposition file for ``shunt-verify``."""
+    valid = serialize(generate_optimal_shunting(0)[0]).encode()
+    cases = [(text, valid)]
+    if command[0] == "shunt-verify":
+        cases.append((valid, text))
+    for graph_text, decomposition_text in cases:
+        argv = _file_argv(command, tmp_path, graph_text, decomposition_text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code == 2, argv
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        assert json.loads(lines[0])["kind"] == "input", argv
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,7 +1,7 @@
 """Rank, circuits, sign-profile dependencies, and the census demo."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, prod
 
 import pytest
@@ -39,6 +39,7 @@ from oracles import (
     oracle_nullspace,
     oracle_prefix_circuits,
     oracle_rank,
+    oracle_sibling_circuits,
 )
 
 FIELDS = (Domain.rationals(), Domain.prime_field(2), Domain.prime_field(3),
@@ -227,15 +228,15 @@ class TestEnumerate:
             [("i1", "v1", "a", 1), ("i2", "v2", "b", 1),
              ("i3", "v2", "c", 1)])
         assert [r.edges for r in enumerate_circuits(g)] == [("b", "c")]
-        extend = ohg.matroids.extend_residual
+        settle = ohg.matroids._settle
 
-        def misses_pairs(sibling, last, n, domain):
-            pair, witness = extend(sibling, last, n, domain)
+        def misses_pairs(x, n, p):
+            pair, witness = settle(x, n, p)
             if witness is not None and len(witness) == 2:
-                return last, None
+                return (0, x), None
             return pair, witness
 
-        monkeypatch.setattr(ohg.matroids, "extend_residual", misses_pairs)
+        monkeypatch.setattr(ohg.matroids, "_settle", misses_pairs)
         with pytest.raises(RuntimeError,
                            match=r"non-circuit \('a', 'b', 'c'\)"):
             enumerate_circuits(g)
@@ -243,17 +244,17 @@ class TestEnumerate:
     def test_wrong_witness_raises(self, monkeypatch):
         """A witness with no zero entry that does not map the columns to
         zero is refused: the balanced triangle's is (1, 1, 1)."""
-        extend = ohg.matroids.extend_residual
+        settle = ohg.matroids._settle
 
-        def wrong_witness(sibling, last, n, domain):
-            pair, witness = extend(sibling, last, n, domain)
+        def wrong_witness(x, n, p):
+            pair, witness = settle(x, n, p)
             if witness is not None:
                 witness = tuple(range(1, len(witness) + 1))
             return pair, witness
 
         assert [r.witness for r in enumerate_circuits(triangle(-1))] \
             == [(1, 1, 1)]
-        monkeypatch.setattr(ohg.matroids, "extend_residual", wrong_witness)
+        monkeypatch.setattr(ohg.matroids, "_settle", wrong_witness)
         with pytest.raises(RuntimeError,
                            match="dependency witness failed verification"):
             enumerate_circuits(triangle(-1))
@@ -262,10 +263,10 @@ class TestEnumerate:
         """Every candidate the last size reduces is dependent by the
         parallel-residual facts; one found independent is an error, not
         a skipped candidate."""
-        def never_dependent(sibling, last, n, domain):
-            return last, None
+        def never_dependent(x, n, p):
+            return (0, x), None
 
-        monkeypatch.setattr(ohg.matroids, "extend_residual", never_dependent)
+        monkeypatch.setattr(ohg.matroids, "_settle", never_dependent)
         with pytest.raises(RuntimeError, match=r"parallel residuals left "
                            r"\('e1', 'e2', 'e3'\) independent"):
             enumerate_circuits(triangle(-1))
@@ -275,11 +276,34 @@ class TestEnumerate:
            st.sampled_from((None, 1, 2, 3, 4)))
     def test_matches_the_prefix_basis_walk(self, seed, domain, max_size):
         """Extending the sibling's residual gives the reports, witnesses
-        included, that reducing against the whole prefix basis gave."""
+        included, that reducing against the whole prefix basis gave, and
+        walking edge positions in carried prefix groups gives those the
+        tuple-keyed walk gave."""
         g = random_hypergraph(seed, max_incidences=14, extra_range=(0, 6),
                               nv_range=(1, 4), ne_range=(2, 7))
-        assert enumerate_circuits(g, domain, max_size) \
-            == oracle_prefix_circuits(g, domain, max_size)
+        got = enumerate_circuits(g, domain, max_size)
+        assert got == oracle_prefix_circuits(g, domain, max_size)
+        assert got == oracle_sibling_circuits(g, domain, max_size)
+
+    @pytest.mark.parametrize("domain", FIELDS + (GF7,), ids=str)
+    def test_complete_hypergraphs_match_the_tuple_keyed_walk(self, domain):
+        for sign in (1, -1):
+            for n, max_size in ((3, None), (4, None), (5, 2), (5, 3), (5, 4)):
+                g = make_complete_hypergraph(n, sign)
+                assert enumerate_circuits(g, domain, max_size) \
+                    == oracle_sibling_circuits(g, domain, max_size)
+
+    @pytest.mark.parametrize("domain", FIELDS + (GF7,), ids=str)
+    def test_degenerate_inputs_match_the_tuple_keyed_walk(self, domain):
+        """No edges, no vertices, and a column that is zero in the
+        domain."""
+        graphs = (OrientedHypergraph.build(["v1", "v2"], [], []),
+                  OrientedHypergraph.build([], ["e1", "e2", "e3"], []),
+                  with_vanishing_column(triangle(-1), domain))
+        for g in graphs:
+            for max_size in (None, 0, 1, 2, 5):
+                assert enumerate_circuits(g, domain, max_size) \
+                    == oracle_sibling_circuits(g, domain, max_size)
 
     @pytest.mark.parametrize("domain", FIELDS, ids=str)
     def test_cut_off_last_sizes_match_the_prefix_basis_walk(self, domain):
@@ -291,9 +315,9 @@ class TestEnumerate:
                 assert enumerate_circuits(g, domain, max_size) \
                     == oracle_prefix_circuits(g, domain, max_size)
 
-    # ``extend_residual`` calls by candidate size: K4 in full, then K5
-    # with ``max_size`` 3 and 4.  Below the last size every candidate
-    # past size 1 makes one call; at the last size only the circuits do.
+    # ``_settle`` calls by candidate size: K4 in full, then K5 with
+    # ``max_size`` 3 and 4.  Below the last size every candidate past
+    # size 1 makes one call; at the last size only the circuits do.
     CALLS = {
         "Q": ({2: 105, 3: 455, 4: 1065, 5: 488}, {2: 465, 3: 90},
               {2: 465, 3: 4495, 4: 955}),
@@ -307,33 +331,26 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("domain", FIELDS, ids=str)
     def test_one_cancellation_per_candidate(self, monkeypatch, domain):
-        """Each ``extend_residual`` call updates at most one row, and the
-        calls per candidate size are pinned."""
-        cancels = []
-        calls = []  # (candidate size, row updates) per call
-        cancel = ohg.linalg._cancel
-        extend = ohg.matroids.extend_residual
+        """What each candidate hands ``_settle`` is the sibling's residual
+        through at most one row update, so it must equal what reducing
+        the candidate's last column against its prefix's whole echelon
+        basis leaves; and the calls per candidate size are pinned."""
+        calls = []  # (candidate size, reduction) per call
+        settle = ohg.matroids._settle
 
-        def counted_cancel(*args):
-            cancels.append(1)
-            return cancel(*args)
+        def counted_settle(x, n, p):
+            calls.append((len(x) - n, tuple(x)))
+            return settle(x, n, p)
 
-        def counted_extend(sibling, last, n, domain):
-            before = len(cancels)
-            out = extend(sibling, last, n, domain)
-            calls.append((len(sibling[1]) - n + 1, len(cancels) - before))
-            return out
-
-        monkeypatch.setattr(ohg.linalg, "_cancel", counted_cancel)
-        monkeypatch.setattr(ohg.matroids, "extend_residual", counted_extend)
+        monkeypatch.setattr(ohg.matroids, "_settle", counted_settle)
         runs = ((4, None), (5, 3), (5, 4))
         for (n, max_size), want in zip(runs, self.CALLS[domain.label()]):
             calls.clear()
-            found = enumerate_circuits(make_complete_hypergraph(n, 1),
-                                       domain, max_size)
-            assert max(updates for _, updates in calls) == 1
+            g = make_complete_hypergraph(n, 1)
+            found = enumerate_circuits(g, domain, max_size)
             assert dict(Counter(size for size, _ in calls)) == want
             top = max(want)
+            assert Counter(calls) == whole_basis_reductions(g, domain, top)
             assert want[top] == sum(len(rep.edges) == top for rep in found)
 
     @staticmethod
@@ -372,6 +389,40 @@ def from_columns(columns):
             for k in range(abs(x))]
     return OrientedHypergraph.build([f"v{j + 1}" for j in range(n)],
                                     list(columns), incs)
+
+
+def whole_basis_reductions(g, domain, top):
+    """(size, reduction) of every candidate past size 1 that the walk up
+    to size ``top`` reduces, counted: each kept candidate below ``top``
+    and each dependent one at ``top``.  The reduction is that of the
+    candidate's last column against the whole echelon basis of the rest,
+    as ``linalg.echelon_extend`` runs it, before ``_settle``."""
+    p = domain.char
+    m = incidence_matrix(g, domain)
+    n = len(m.rows)
+    pos = {e: i for i, e in enumerate(m.cols)}
+    ids = sorted(g.edges)
+    bases = {(): ()}  # independent set of the size below -> echelon basis
+    out = Counter()
+    for size in range(1, top + 1):
+        grown = {}
+        for combo in combinations(ids, size):
+            if not all(combo[:i] + combo[i + 1:] in bases
+                       for i in range(size)):
+                continue
+            basis = bases[combo[:-1]]
+            x = [row[pos[combo[-1]]] % p if p else row[pos[combo[-1]]]
+                 for row in m.entries] + [0] * len(basis) + [1]
+            for pc, y in basis:
+                if x[pc]:
+                    x = ohg.linalg._cancel(x, y, y[pc], x[pc], p)
+            lead = next((i for i in range(n) if x[i]), None)
+            if size > 1 and (size < top or lead is None):
+                out[(size, tuple(x))] += 1
+            if lead is not None:
+                grown[combo] = basis + ((lead, x),)
+        bases = grown
+    return out
 
 
 class TestParallelResiduals:
@@ -501,6 +552,77 @@ class TestFieldDependence:
             balanceable = sum(verdicts[edges][1] for edges in differ)
             pairs[a, b] = (balanceable, len(differ) - balanceable)
         assert pairs == self.PAIRS[n]
+
+    # Criterion 1 on the whole matroid of the all-entrant K3.  Over GF(2)
+    # the three-edge circuits are the seven Fano lines and the four-edge
+    # ones their complements.  Over GF(3), GF(5) and Q the line
+    # {e4 e5 e6}, the support of the negative triangle, drops out, and
+    # its four one-edge extensions become circuits.
+    FANO = (
+        [("e1", "e2", "e4"), ("e1", "e3", "e5"), ("e1", "e6", "e7"),
+         ("e2", "e3", "e6"), ("e2", "e5", "e7"), ("e3", "e4", "e7"),
+         ("e4", "e5", "e6")],
+        [("e1", "e2", "e3", "e7"), ("e1", "e2", "e5", "e6"),
+         ("e1", "e3", "e4", "e6"), ("e1", "e4", "e5", "e7"),
+         ("e2", "e3", "e4", "e5"), ("e2", "e4", "e6", "e7"),
+         ("e3", "e5", "e6", "e7")])
+    NON_FANO = (
+        FANO[0][:6],
+        [("e1", "e2", "e3", "e7"), ("e1", "e2", "e5", "e6"),
+         ("e1", "e3", "e4", "e6"), ("e1", "e4", "e5", "e6"),
+         ("e1", "e4", "e5", "e7"), ("e2", "e3", "e4", "e5"),
+         ("e2", "e4", "e5", "e6"), ("e2", "e4", "e6", "e7"),
+         ("e3", "e4", "e5", "e6"), ("e3", "e5", "e6", "e7"),
+         ("e4", "e5", "e6", "e7")])
+
+    @pytest.mark.parametrize("domain", FIELDS, ids=str)
+    def test_all_entrant_k3_is_the_fano_or_the_non_fano_matroid(self,
+                                                                domain):
+        """Both matroids are built here on the seven nonzero 0/1 vectors
+        of length 3, of rank 3, so their circuits have three or four
+        elements: the Fano matroid's lines are the triples that sum to
+        zero modulo 2, the non-Fano matroid's those with determinant 0
+        over Q, and its other circuits are the four-sets that hold no
+        line.  One relabelling maps each edge e_k to the 0/1 vector of
+        its vertex set."""
+        g = make_complete_hypergraph(3, 1)
+        vector = {e: tuple(int(any(inc.vertex == v for inc in g.incidences
+                                   if inc.edge == e)) for v in g.vertices)
+                  for e in g.edges}
+        assert sorted(vector.values()) \
+            == sorted(set(product((0, 1), repeat=3)) - {(0, 0, 0)})
+
+        def fano_line(a, b, c):
+            return all((x + y + z) % 2 == 0 for x, y, z in zip(a, b, c))
+
+        def non_fano_line(a, b, c):
+            return (a[0] * (b[1] * c[2] - b[2] * c[1])
+                    - a[1] * (b[0] * c[2] - b[2] * c[0])
+                    + a[2] * (b[0] * c[1] - b[1] * c[0])) == 0
+
+        def circuits(line):
+            points = sorted(vector.values())
+            lines = {frozenset(t) for t in combinations(points, 3)
+                     if line(*t)}
+            fours = {frozenset(q) for q in combinations(points, 4)
+                     if not any(t <= frozenset(q) for t in lines)}
+            return lines, fours
+
+        lines, fours = self.FANO
+        assert {frozenset(g.edges) - set(t) for t in lines} \
+            == set(map(frozenset, fours))
+        assert set(self.NON_FANO[1]) - set(fours) == {
+            tuple(sorted(("e4", "e5", "e6", e))) for e in ("e1", "e2", "e3",
+                                                           "e7")}
+        want = self.FANO if domain.char == 2 else self.NON_FANO
+        got = [rep.edges for rep in enumerate_circuits(g, domain)]
+        assert got == want[0] + want[1]
+        assert (len(want[0]), len(want[1])) \
+            == ((7, 7) if domain.char == 2 else (6, 11))
+        matroid = circuits(fano_line if domain.char == 2 else non_fano_line)
+        for edges, elements in zip(want, matroid):
+            assert {frozenset(vector[e] for e in c) for c in edges} \
+                == elements
 
 
 class TestLkMinimum:
