@@ -37,7 +37,8 @@ from operator import mul
 
 from .balance import Circle, circle_sign, enumerate_circles
 from .errors import InputError, ResourceError
-from .linalg import Domain, _settle, echelon_extend, is_prime, mat_vec, nullspace
+from .linalg import (Domain, _settle, echelon_extend, is_prime, mat_vec,
+                     nullspace)
 from .linalg import nullity as _nullity_rows
 from .linalg import rank as _rank_rows
 from .model import (
@@ -318,10 +319,11 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
                     d = y[pc]
                     y = y + [0]  # r(f|S) is 0 at the slot of e
                     with_f = bits | 1 << f
-                    others = [with_f ^ b for b in prefix_bits]
+                    # S + f without one prefix element, for each of them
+                    shorter = [with_f ^ b for b in prefix_bits]
                     grown = []
                     for e, bit, x in siblings[j:]:
-                        for other in others:
+                        for other in shorter:
                             if other | bit not in masks:
                                 break
                         else:

@@ -747,8 +747,9 @@ def oracle_prefix_circuits(g: OrientedHypergraph, domain: Domain,
 def oracle_extend_residual(sibling: tuple, last: tuple, n: int,
                            domain: Domain) -> tuple:
     """``linalg.extend_residual`` as it was before the circuit walk took
-    its row update inline: ``echelon_extend(basis(S + f), e)`` for columns S, f, e, in at most
-    one row update, from pairs that testing S + f and S + e left behind.
+    its row update inline: ``echelon_extend(basis(S + f), e)`` for
+    columns S, f, e, in at most one row update, from pairs that testing
+    S + f and S + e left behind.
 
     ``basis(T)`` is the basis ``echelon_extend`` builds by adding the
     columns of T in order from ``()``, and ``n`` the number of entries of
