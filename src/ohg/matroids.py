@@ -14,16 +14,19 @@ reduction, ``linalg.echelon_extend``: rank, nullity and nullspace feed
 it a matrix's columns in turn.  Enumeration stops at size rank + 1, the
 largest a circuit can have, and counts its subset cap up to there.  It
 is one walk over the sizes, on edge positions, that carries each size's
-independent sets into the next as prefix groups with bit masks.  It
-joins each candidate S + f + e from two independent sets S + f and
-S + e of one group, checks its other one-smaller subsets by mask
-lookups, finishes its reduction from the residual the sibling S + e
-reached with one inline row update at most, and reads each circuit's
-witness off the coefficients that reduction carries, so it runs no
-second elimination.  At the last size it reduces only the candidates
-whose residuals r(f|S) and r(e|S) have parallel vertex parts, since
-exactly those are dependent.  Edge ids are read back from positions
-only for reports and error messages.
+independent sets into the next as prefix groups, each keyed by the bit
+mask of its prefix.  It joins each candidate S + f + e from two
+independent sets S + f and S + e of one group, checks its other
+one-smaller subsets by one membership test in the intersection of the
+member sets of the groups (S - s) + f, made once per (S, f), finishes
+its reduction from the residual the sibling S + e reached with one
+inline row update at most, and reads each circuit's witness off the
+coefficients that reduction carries, so it runs no second elimination.
+Each witness is checked against columns packed into one integer each,
+so that its product with them is one integer sum.  At the last size it
+reduces only the candidates whose residuals r(f|S) and r(e|S) have
+parallel vertex parts, since exactly those are dependent.  Edge ids are
+read back from positions only for reports and error messages.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ import json
 import os
 from dataclasses import dataclass
 from itertools import product
-from math import comb, gcd
-from operator import mul
+from math import comb, gcd, isqrt
+from operator import lshift, mul
 
 from .balance import Circle, circle_sign, enumerate_circles
 from .errors import InputError, ResourceError
@@ -99,6 +102,16 @@ class CircuitReport:
     dependent: bool
     minimal: bool
     witness: tuple | None
+
+    @classmethod
+    def _trusted(cls, edges: tuple[str, ...], domain: Domain,
+                 witness: tuple) -> CircuitReport:
+        """A circuit's report, built without the frozen dataclass's five
+        guarded setattrs.  Only for a witness the caller has verified."""
+        rep = object.__new__(cls)
+        rep.__dict__.update(edges=edges, domain=domain, dependent=True,
+                            minimal=True, witness=witness)
+        return rep
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,6 +183,25 @@ def _line(pair: tuple, n: int, p: int) -> tuple:
     return tuple([a // g for a in head])
 
 
+def _packed_columns(columns: list, n: int, p: int, top: int) -> tuple:
+    """The columns of ``n`` entries packed for ``enumerate_circuits``'s
+    witness check, the bounds a correct witness's entries keep, and the
+    width of one field: ``(packed, low, high, width)``, entry k of a
+    column in bits k*width onwards of its packed integer.  The docstring
+    there proves the bounds and the width."""
+    if p:
+        low, high = 0, p - 1
+        width = (top * high * high).bit_length()
+    else:
+        norm = max([sum(map(mul, column, column)) for column in columns])
+        high = isqrt(norm ** (top - 1))
+        low = -high
+        width = (top * isqrt(norm) * high).bit_length()
+    shifts = [k * width for k in range(n)]
+    packed = [sum(map(lshift, column, shifts)) for column in columns]
+    return packed, low, high, width
+
+
 def enumerate_circuits(g: OrientedHypergraph, domain=None,
                        max_size: int | None = None) -> list[CircuitReport]:
     """All circuits, ascending by size then lexicographic edge ids.
@@ -189,15 +221,25 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
     larger candidate is joined from two members S + f and S + e, f < e,
     of one group, as Apriori joins frequent itemsets (Agrawal and
     Srikant, 1994), and kept only when its other one-smaller subsets
-    are independent too: each mask S + f + e minus one prefix bit must
-    be among the masks of the current size.  A set is a circuit exactly
-    when it is dependent and all its one-smaller subsets are
-    independent, and every such set is joined from the two of them that
-    drop one of its last two edges.  So the kept candidates are exactly
-    the sets that contain no circuit found before, in ``combinations``
-    order, and each dependent one is a circuit.  The independent
-    candidates S + f + e with one f form the group S + f of the next
-    size, so the groups carry over without regrouping.
+    are independent too.  A set is a circuit exactly when it is
+    dependent and all its one-smaller subsets are independent, and every
+    such set is joined from the two of them that drop one of its last
+    two edges.  So the kept candidates are exactly the sets that contain
+    no circuit found before, in ``combinations`` order, and each
+    dependent one is a circuit.  The independent candidates S + f + e
+    with one f form the group S + f of the next size, so the groups
+    carry over without regrouping.
+
+    Containment is one membership test per candidate.  The walk maps the
+    mask of each group's prefix to the set of its member positions.
+    Every s in S is below f < e, so (S + f + e) - s lists in ascending
+    order as (S - s), f, e: its prefix is (S - s) + f and its last edge
+    is e.  Every independent set of the current size is a member of the
+    group of its prefix, and a prefix with no group has no member, so
+    (S + f + e) - s is independent exactly when e lies in the member set
+    of (S + f) - s.  The walk intersects those |S| sets once per (S, f),
+    skips f when the intersection is empty, and keeps e exactly when it
+    lies in the intersection.
 
     A candidate C = S + f + e is tested by reducing e's column against
     the echelon basis of S + f, and that reduction is r(e|S) through one
@@ -218,6 +260,28 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
     coefficients the reduction carried span the candidate's
     one-dimensional nullspace and are its witness; it must have no zero
     entry and must map the columns to zero.
+
+    That product is one integer sum.  At the first report the walk packs
+    each column a_i into P_i = sum_k a_ki * 2^(k*W), so sum_i w_i * P_i
+    = sum_k d_k * 2^(k*W) with d = A_C w.  When every |d_k| < 2^W, that
+    sum is zero only if d is: were k0 the first k with d_k nonzero, the
+    sum would be d_k0 * 2^(k0*W) modulo 2^((k0+1)*W), which is not zero.
+    The width W comes from a bound on a correct witness's entries, and a
+    witness outside the bound is refused before the product, since its
+    fields could carry into each other.  Over the rationals, let N be
+    the largest squared Euclidean norm of a column.  Some |C| - 1 rows
+    of A_C are independent and form a matrix B with the nullspace of
+    A_C, and the signed maximal minors (-1)^i * det(B without column i)
+    are a nonzero vector of it, an integer multiple of the primitive
+    witness w.  By Hadamard's inequality each minor is at most the
+    product of the norms of its |C| - 1 columns, each at most sqrt(N).
+    So |w_i| <= sqrt(N^(|C| - 1)) <= H = isqrt(N^(top - 1)), as N >= 1
+    when any column is nonzero (when none is, top <= 1 and H = 1 bounds
+    a single edge's witness (1,)).  Each |a_ki| is at most isqrt(N), so
+    |d_k| <= top * isqrt(N) * H, and W is the bit length of that bound.
+    Over GF(p) the columns and a correct witness have entries in
+    0..p - 1, so 0 <= d_k <= top * (p - 1)^2, and W is the bit length of
+    that; the fields are nonnegative, and each is tested modulo p.
 
     The last size keeps no independent set, so it reduces only the
     candidates that are dependent.  Within a group of one prefix S,
@@ -268,36 +332,58 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
     columns = [[row[pos[e]] for row in matrix.entries] for e in ids]
     n = len(matrix.rows)
     found = []
+    packing = None  # _packed_columns, made at the first report
 
     def edges_at(combo: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(map(ids.__getitem__, combo))
 
-    def report(combo: tuple[int, ...], witness: tuple) -> None:
-        if not all(witness):
+    def report(circuits: list) -> None:
+        """Verify the (combo, witness) pairs of one size and report them
+        in ascending order."""
+        nonlocal packing
+        if not circuits:
+            return
+        circuits.sort()
+        witnesses = [witness for _, witness in circuits]
+        if not all(map(all, witnesses)):
+            combo = next(c for c, witness in circuits if not all(witness))
             raise RuntimeError("ascending enumeration reached the "
                                f"non-circuit {edges_at(combo)}")
-        for row in zip(*map(columns.__getitem__, combo)):
-            dot = sum(map(mul, row, witness))
-            if dot % p if p else dot:
+        if packing is None:
+            packing = _packed_columns(columns, n, p, top)
+        packed, low, high, width = packing
+        if min(map(min, witnesses)) < low or max(map(max, witnesses)) > high:
+            raise RuntimeError("dependency witness failed verification")
+        field = (1 << width) - 1
+        column_at, id_at = packed.__getitem__, ids.__getitem__
+        trusted = CircuitReport._trusted
+        for combo, witness in circuits:
+            dot = sum(map(mul, map(column_at, combo), witness))
+            if p:
+                while dot and not (dot & field) % p:
+                    dot >>= width
+            if dot:
                 raise RuntimeError("dependency witness failed verification")
-        found.append(CircuitReport(edges_at(combo), domain, True, True,
-                                   witness))
+            found.append(trusted(tuple(map(id_at, combo)), domain, witness))
 
     if top < 1:
         return found
     members = []
+    circuits = []
     for i, column in enumerate(columns):
         extended, witness = echelon_extend((), column, domain)
         if witness is None:
             members.append((i, extended[0]))
         else:
-            report((i,), witness)
+            circuits.append(((i,), witness))
+    report(circuits)
     groups = [((), 0, members)]
-    masks = {1 << i for i, _ in members}
+    member_sets: dict[int, set[int]] = {}
+    no_members: set[int] = set()
     for size in range(2, top + 1):
         last_size = size == top
         grown_groups = []
-        grown_masks = set()
+        grown_sets = {}
         circuits = []
         for prefix, bits, members in groups:
             if not last_size or top > r:
@@ -307,51 +393,53 @@ def enumerate_circuits(g: OrientedHypergraph, domain=None,
                 for member in members:
                     lines.setdefault(_line(member[1], n, p), []).append(member)
                 buckets = lines.values()
-            prefix_bits = [1 << i for i in prefix]
+            drops = [bits ^ 1 << s for s in prefix]  # the masks of S - s
             for bucket in buckets:
                 if len(bucket) < 2:
                     continue
-                # Each member e as a sibling: its bit, and r(e|S) with a 0
-                # inserted at the slot of f, as the proof above has it.
-                siblings = [(e, 1 << e, x[:-1] + [0, x[-1]])
-                            for e, (_, x) in bucket]
+                # Each member e as a sibling: r(e|S) with a 0 inserted at
+                # the slot of f, as the proof above has it.
+                siblings = [(e, x[:-1] + [0, x[-1]]) for e, (_, x) in bucket]
                 for j, (f, (pc, y)) in enumerate(bucket[:-1], 1):
+                    bit = 1 << f
+                    later = siblings[j:]
+                    if drops:
+                        # The members of every group (S - s) + f
+                        allowed = member_sets.get(drops[0] | bit, no_members)
+                        for drop in drops[1:]:
+                            allowed = allowed & member_sets.get(drop | bit,
+                                                                no_members)
+                        if not allowed:
+                            continue
+                        later = [s for s in later if s[0] in allowed]
                     d = y[pc]
                     y = y + [0]  # r(f|S) is 0 at the slot of e
-                    with_f = bits | 1 << f
-                    # S + f without one prefix element, for each of them
-                    shorter = [with_f ^ b for b in prefix_bits]
                     grown = []
-                    for e, bit, x in siblings[j:]:
-                        for other in shorter:
-                            if other | bit not in masks:
-                                break
-                        else:
-                            c = x[pc]
-                            if c:
-                                if p:
-                                    x = [(d * a - c * b) % p
-                                         for a, b in zip(x, y)]
-                                else:
-                                    x = [d * a - c * b for a, b in zip(x, y)]
-                                    h = gcd(*x)
-                                    if h > 1:
-                                        x = [a // h for a in x]
-                            pair, witness = _settle(x, n, p)
-                            if witness is not None:
-                                circuits.append((prefix + (f, e), witness))
-                            elif last_size:
-                                raise RuntimeError(
-                                    "parallel residuals left "
-                                    f"{edges_at(prefix + (f, e))} independent")
+                    for e, x in later:
+                        c = x[pc]
+                        if c:
+                            if p:
+                                x = [(d * a - c * b) % p
+                                     for a, b in zip(x, y)]
                             else:
-                                grown.append((e, pair))
-                                grown_masks.add(with_f | bit)
+                                x = [d * a - c * b for a, b in zip(x, y)]
+                                h = gcd(*x)
+                                if h > 1:
+                                    x = [a // h for a in x]
+                        pair, witness = _settle(x, n, p)
+                        if witness is not None:
+                            circuits.append((prefix + (f, e), witness))
+                        elif last_size:
+                            raise RuntimeError(
+                                "parallel residuals left "
+                                f"{edges_at(prefix + (f, e))} independent")
+                        else:
+                            grown.append((e, pair))
                     if grown:
-                        grown_groups.append((prefix + (f,), with_f, grown))
-        for combo, witness in sorted(circuits):
-            report(combo, witness)
-        groups, masks = grown_groups, grown_masks
+                        grown_groups.append((prefix + (f,), bits | bit, grown))
+                        grown_sets[bits | bit] = {e for e, _ in grown}
+        report(circuits)
+        groups, member_sets = grown_groups, grown_sets
     return found
 
 

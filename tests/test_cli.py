@@ -243,6 +243,19 @@ class TestCircuits:
         assert code == 3
         assert "OHG_MAX_SUBSETS" in json.loads(err)["error"]
 
+    def test_characteristic_past_2_to_the_64_is_an_input_error(
+            self, capsys, tmp_path):
+        """A 128-bit prime is refused at once, not tested for primality
+        by a search that never returns."""
+        from ohg.model import make_complete_hypergraph
+        path = write(tmp_path, "k3.json", make_complete_hypergraph(3, 1))
+        code, _, err = run(capsys, "circuits", path, "--field",
+                           "340282366920938463463374607431768211507")
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["kind"] == "input"
+        assert "2^64" in payload["error"]
+
 
 class TestShuntVerify:
     def test_valid_decomposition(self, capsys, tmp_path):

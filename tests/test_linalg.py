@@ -1,10 +1,16 @@
 """The one exact elimination against the eliminations it replaced."""
 
+import time
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ohg.linalg
+from ohg.errors import InputError
 from ohg.linalg import (
     Domain,
     echelon_extend,
+    is_prime,
     mat_vec,
     nullity,
     nullspace,
@@ -107,3 +113,62 @@ def test_rank_stops_once_every_row_has_a_pivot(monkeypatch):
         calls.clear()
         assert rank(WIDE, Domain(char)) == 2
         assert calls == [(1, 0), (0, 1)]
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_10_to_the_5(self):
+        assert [n for n in range(-3, 10**5) if is_prime(n)] \
+            == [n for n in range(-3, 10**5) if _trial_division(n)]
+
+    @pytest.mark.parametrize("n", (
+        561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+        321197185,  # Carmichael numbers
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # ... and to every prime base up to 23
+    ))
+    def test_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_primes_below_2_to_the_64(self):
+        for p in (2**31 - 1, 2**61 - 1, 2**64 - 59):
+            assert is_prime(p)
+        assert not is_prime((2**31 - 1) * (2**31 + 11))
+        assert not is_prime(2**64 - 1)
+        start = time.perf_counter()
+        assert Domain.prime_field(2**61 - 1).char == 2**61 - 1
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("p", (2**64, 2**64 + 13,
+                                   340282366920938463463374607431768211507))
+    def test_characteristics_from_2_to_the_64_are_refused(self, p):
+        for make in (lambda: Domain.prime_field(p), lambda: Domain(p),
+                     lambda: Domain.coerce(str(p)), lambda: is_prime(p)):
+            with pytest.raises(InputError, match=r"2\^64"):
+                make()
+
+    def test_one_primality_test_per_construction(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(ohg.linalg, "is_prime", counted)
+        for make in (Domain.prime_field, Domain, Domain.coerce,
+                     lambda p: Domain.coerce(str(p))):
+            calls.clear()
+            assert make(7).char == 7
+            assert calls == [7]
+        calls.clear()
+        assert Domain.rationals().is_rational and calls == []
