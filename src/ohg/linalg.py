@@ -76,7 +76,8 @@ class Domain:
 
     @classmethod
     def prime_field(cls, p: int) -> Domain:
-        """GF(p); the constructor refuses 0, a composite p and p >= 2^64."""
+        """GF(p).  0 is refused here, as ``Domain(0)`` is the rationals; a
+        composite p and p >= 2^64 are refused by the constructor."""
         if p == 0:
             raise InputError("0 is not prime; use a prime field or the rationals")
         return cls(p)
