@@ -25,9 +25,9 @@ from .gamma import (
     SpanningForest,
     _grow_forest,
     _index,
-    component_count,
     fundamental_circle_signs,
     fundamental_cycle,
+    gamma_components,
     spanning_forest,
 )
 from .model import (
@@ -35,7 +35,6 @@ from .model import (
     VERTEX,
     Incidence,
     OrientedHypergraph,
-    gamma_components,
     minimal_subsets,
     reverse_incidences,
 )
@@ -151,13 +150,16 @@ def is_balancing_set(g: OrientedHypergraph, ids: Iterable[str]) -> bool:
 def is_minimal_balancing_set(g: OrientedHypergraph, ids: Iterable[str]) -> bool:
     """True when ``ids`` is a balancing set and no proper subset is one.
 
-    A balancing set S is minimal exactly when removing its incidences from
-    the bipartite representation leaves the component count unchanged.
-    Proof: g is balanceable.  Switching the nodes on one side of a cut
-    reverses exactly the cut's incidences and keeps every circle's sign,
-    and two balancing sets differ by a cut.  So a proper subset T of S
-    balances g exactly when S - T is a nonempty cut, and S contains a
-    nonempty cut exactly when deleting S splits a component.
+    A balancing set S is minimal exactly when, in the union-find over the
+    incidences outside S, the two ends of every incidence of S are already
+    joined.  Proof: g is balanceable.  Switching the nodes on one side of a
+    cut reverses exactly the cut's incidences and keeps every circle's
+    sign, and two balancing sets differ by a cut.  So a proper subset T of
+    S balances g exactly when S - T is a nonempty cut, and S contains a
+    nonempty cut exactly when deleting S splits a component.  Put S back
+    one incidence at a time into the union-find over the others: each joins
+    two sets or none, so no component is split exactly when none joins two,
+    that is, when each finds its ends already joined.
     """
     return _is_minimal_balancing(g, _check_incidence_ids(g, ids),
                                  _balancing_circles(g))
@@ -167,8 +169,14 @@ def _is_minimal_balancing(g: OrientedHypergraph, chosen: frozenset[str],
                           circles: list | None) -> bool:
     """``is_minimal_balancing_set`` on g's ``_balancing_circles``, which a
     caller that holds them already passes in."""
-    return (_balances(circles, chosen)
-            and component_count(g) == component_count(g, exclude=chosen))
+    if not _balances(circles, chosen):
+        return False
+    sets = DisjointSets()
+    # A stable sort puts the incidences outside S first.
+    for inc in sorted(g.incidences, key=lambda inc: inc.id in chosen):
+        if sets.union((VERTEX, inc.vertex), (EDGE, inc.edge)) and inc.id in chosen:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -254,7 +262,8 @@ def _frustration_exact(g: OrientedHypergraph,
 
 def _component_partition(g: OrientedHypergraph
                           ) -> list[tuple[list[Node], list[Incidence]]]:
-    """(nodes, incidences) per connected component, in discovery order."""
+    """(nodes, incidences) per connected component, in order of each
+    component's first node."""
     comps = []
     for nodes in gamma_components(g):
         node_set = set(nodes)

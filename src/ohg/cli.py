@@ -3,7 +3,7 @@
 JSON is the default payload; ``--human`` renders the same data as
 aligned text.  Exit codes: 0 means computed (and, for predicate
 commands, the property holds), 1 means the property fails, 2 means bad
-input, 3 means a resource cap was hit.
+input, 3 means a resource cap was hit or memory ran out.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ from .balance import (circle_sign, is_balanceable, is_balanced,
                       negative_fundamental_circle)
 from .camion import camion_reorient, frustration
 from .errors import InputError, ResourceError
+from .gamma import cyclomatic_number
 from .linalg import Domain
 from .matroids import enumerate_circuits, fano_demo, lk_negative_circle_minimum
 from .model import (
     dump,
-    gamma_components,
     incidence_matrix,
     load,
     matrix_csv,
@@ -93,15 +93,15 @@ def _cmd_info(args) -> int:
     g = load(args.file)
     balanceable, _ = is_balanceable(g)
     balanced = balanceable and negative_fundamental_circle(g) is None
-    components = len(gamma_components(g))
+    cyclomatic = cyclomatic_number(g)
     _emit({
         "command": "info",
         "vertices": len(g.vertices),
         "edges": len(g.edges),
         "incidences": len(g.incidences),
-        "components": components,
-        "cyclomatic_number": len(g.incidences) - len(g.vertices)
-        - len(g.edges) + components,
+        "components": len(g.vertices) + len(g.edges) - len(g.incidences)
+        + cyclomatic,
+        "cyclomatic_number": cyclomatic,
         "two_uniform": g.is_two_uniform(),
         "balanced": balanced,
         "balanceable": balanceable,
@@ -343,9 +343,9 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except ResourceError as exc:
-        print(json.dumps({"error": str(exc), "kind": "resource"}),
-              file=sys.stderr)
+    except (ResourceError, MemoryError) as exc:
+        print(json.dumps({"error": str(exc) or "out of memory",
+                          "kind": "resource"}), file=sys.stderr)
         return 3
     except InputError as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}),

@@ -5,8 +5,9 @@ bipartite representation: nodes are tagged vertices and edges, links are
 incidences.  This module supplies deterministic spanning forests,
 biconnected blocks and internally disjoint path searches, each walking a
 per-call integer index of that multigraph (``_index``), and the one
-union-find (``DisjointSets``) of the package.  Connected components come
-from ``model.gamma_components``; every walk and circle sign comes from
+union-find (``DisjointSets``) of the package, from which every
+connectivity fact comes: ``gamma_components`` and ``cyclomatic_number``,
+and so every tree test.  Every walk and circle sign comes from
 ``balance.walk_sign``, and the signs of all fundamental circles of a forest
 from its one-pass form here, ``fundamental_circle_signs``.
 """
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .errors import InputError
 from .model import (EDGE, VERTEX, Incidence, OrientedHypergraph,
-                    gamma_adjacency, gamma_components)
+                    gamma_adjacency, gamma_nodes)
 
 Node = tuple[str, str]
 
@@ -73,7 +74,11 @@ class _Index:
         return [x for x in order if len(links[x]) > 1]
 
     def number(self, node: Node) -> int | None:
-        """Node's number, or None when it is not a node of the hypergraph."""
+        """Node's number, or None when it is not a node (a tag and a string
+        id) of the hypergraph."""
+        if not (isinstance(node, tuple) and len(node) == 2
+                and isinstance(node[1], str)):
+            return None
         kind, nid = node
         if kind == VERTEX:
             return self.vertex_number.get(nid)
@@ -343,12 +348,6 @@ def fundamental_circle_signs(g: OrientedHypergraph, forest: SpanningForest,
     return forest._signs(rows())
 
 
-def component_count(g: OrientedHypergraph,
-                    exclude: Iterable[str] = ()) -> int:
-    """Number of connected components, optionally ignoring some incidences."""
-    return len(gamma_components(g, exclude))
-
-
 class DisjointSets:
     """Union-find over hashable items; an item not yet seen is a singleton."""
 
@@ -369,6 +368,28 @@ class DisjointSets:
             return False
         self._parent[ra] = rb
         return True
+
+
+def gamma_components(g: OrientedHypergraph) -> list[list[Node]]:
+    """Connected components of the bipartite representation, grouped by
+    ``DisjointSets`` root: nodes keep g's own order (its vertices, then its
+    edges), so components come in order of their first node, their least."""
+    sets = DisjointSets()
+    for inc in g.incidences:
+        sets.union((VERTEX, inc.vertex), (EDGE, inc.edge))
+    groups: dict[Node, list[Node]] = {}
+    for node in gamma_nodes(g):
+        groups.setdefault(sets.find(node), []).append(node)
+    return list(groups.values())
+
+
+def cyclomatic_number(g: OrientedHypergraph) -> int:
+    """|I| - (|V| + |E|) + number of connected components: the incidences
+    whose ends are already joined when the union-find reaches them, since
+    each other incidence merges two components."""
+    sets = DisjointSets()
+    return sum([not sets.union((VERTEX, inc.vertex), (EDGE, inc.edge))
+                for inc in g.incidences])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ carrying a sign (+1 entering, -1 exiting).  Parallel incidences between the
 same vertex/edge pair are allowed and are how entries of magnitude >= 2
 arise in the incidence matrix.
 
-The one components traversal of the bipartite representation,
-``gamma_components``, lives here beside ``gamma_adjacency``; spanning
-forests, blocks, flows and the one union-find (``DisjointSets``) live in
+The node-keyed ``gamma_adjacency`` of the bipartite representation lives
+here only as the reference order of ``gamma.sorted_adjacency``; spanning
+forests, blocks, flows, components and the cyclomatic number, on the one
+integer index and the one union-find (``DisjointSets``), live in
 ``gamma``, and the one walk-sign rule (``walk_sign``) lives in ``balance``.
 
 Validation happens where data enters, by one checker, ``_check_rows``:
@@ -342,34 +343,6 @@ def gamma_adjacency(g: OrientedHypergraph):
         adj[vnode].append((inc.id, enode))
         adj[enode].append((inc.id, vnode))
     return adj
-
-
-def gamma_components(g: OrientedHypergraph, exclude: Iterable[str] = ()
-                     ) -> list[list[tuple[str, str]]]:
-    """Connected components of the bipartite representation, optionally
-    ignoring some incidences; components come in order of their first node."""
-    skip = set(exclude)
-    adj = gamma_adjacency(g)
-    seen = set()
-    comps = []
-    for start in adj:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        for node in comp:  # breadth first: comp doubles as the queue
-            for inc, other in adj[node]:
-                if inc not in skip and other not in seen:
-                    seen.add(other)
-                    comp.append(other)
-        comps.append(comp)
-    return comps
-
-
-def cyclomatic_number(g: OrientedHypergraph) -> int:
-    """|I| - (|V| + |E|) + number of connected components."""
-    return len(g.incidences) - (len(g.vertices) + len(g.edges)) + len(
-        gamma_components(g))
 
 
 # ---------------------------------------------------------------------------

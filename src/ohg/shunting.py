@@ -23,16 +23,15 @@ from .balance import is_balanceable
 from .camion import (_balances, _balancing_circles, _check_incidence_ids,
                      _is_minimal_balancing)
 from .errors import InputError, ResourceError
-from .gamma import DisjointSets, blocks, spanning_forest
+from .gamma import (DisjointSets, blocks, cyclomatic_number, gamma_components,
+                    spanning_forest)
 from .linalg import Domain, nullity
 from .model import (
     EDGE,
     VERTEX,
     OrientedHypergraph,
     contract_degree2_vertex,
-    cyclomatic_number,
     edge_induced,
-    gamma_components,
     incidence_matrix,
     minimal_subsets,
     weak_delete,
@@ -226,13 +225,9 @@ class _PartFacts:
         return self._memo(("ends", edges),
                           lambda: artery_external_vertices(self.view(edges)))
 
-    def connected(self, edges: frozenset[str]) -> bool:
-        return self._memo(("connected", edges),
-                          lambda: len(gamma_components(self.view(edges))) == 1)
-
     def artery(self, edges: frozenset[str]) -> bool:
-        return self._memo(("artery", edges), lambda: _is_artery(
-            self.view(edges), lambda: self.connected(edges)))
+        return self._memo(("artery", edges),
+                          lambda: is_artery(self.view(edges)))
 
     def thorns(self, edges: frozenset[str]) -> frozenset[str]:
         return self._memo(("thorns", edges),
@@ -326,17 +321,9 @@ def is_artery(g: OrientedHypergraph) -> bool:
     Equivalently: the bipartite representation is a tree, every vertex has
     degree 1 or 2, and every edge has at least two incidences.
     """
-    return _is_artery(g, lambda: len(gamma_components(g)) == 1)
-
-
-def _is_artery(g: OrientedHypergraph, connected) -> bool:
-    """``is_artery`` with the connectivity of ``g`` asked of ``connected``."""
     if len(g.vertices) == 1 and not g.edges and not g.incidences:
         return True
-    if not g.edges or not g.vertices:
-        return False
-    # A tree: |I| = |V| + |E| - 1 links, all in one component.
-    if len(g.incidences) != len(g.vertices) + len(g.edges) - 1 or not connected():
+    if not g.edges or not g.vertices or not _is_tree(g):
         return False
     for v in g.vertices:
         if g.degree(v) not in (1, 2):
@@ -345,6 +332,13 @@ def _is_artery(g: OrientedHypergraph, connected) -> bool:
         if g.edge_size(e) < 2:
             return False
     return True
+
+
+def _is_tree(g: OrientedHypergraph) -> bool:
+    """The bipartite representation is a tree: |I| = |V| + |E| - 1 and
+    cyclomatic number 0."""
+    return (len(g.incidences) == len(g.vertices) + len(g.edges) - 1
+            and cyclomatic_number(g) == 0)
 
 
 def artery_external_vertices(g: OrientedHypergraph) -> frozenset[str]:
@@ -1199,7 +1193,7 @@ def upsilon_tree(d: ShuntingDecomposition,
             raise RuntimeError(
                 f"attachment vertex {u!r} joins {tree.edge_size(u)} parts; "
                 f"a balanceable F-maximal shunting must give exactly 2")
-    if len(gamma_components(tree)) != 1 or cyclomatic_number(tree) != 0:
+    if not _is_tree(tree):
         raise RuntimeError("attachment structure is not a tree")
     return tree
 

@@ -7,7 +7,8 @@ incidence subset, and ranks through sympy.  The exact eliminations the
 library used before it kept one (Bareiss ranks, Fraction and modular
 RREF, with their own primitive-integer scaling), its one-smaller-subset
 circuit test, its spanning forests, blocks, disjoint-path flow and
-circle walk keyed by tagged node, its circuit
+circle walk keyed by tagged node, its breadth-first components over the
+node-keyed adjacency, its circuit
 walk that reduces every candidate against its whole prefix basis and
 the tuple-keyed one that extended each sibling's residual, its
 memo-free F-maximality loop, its walk over
@@ -41,9 +42,8 @@ from ohg.linalg import Domain, _cancel, _settle, echelon_extend, rank
 from ohg.matroids import (SUBSET_CAP_ENV, CircuitReport, _line,
                           _subset_cap)
 from ohg.model import (EDGE, VERTEX, OrientedHypergraph,
-                       contract_degree2_vertex, edge_induced,
-                       gamma_components, incidence_matrix, minimal_subsets,
-                       weak_delete)
+                       contract_degree2_vertex, edge_induced, gamma_adjacency,
+                       incidence_matrix, minimal_subsets, weak_delete)
 from ohg.shunting import (DEFAULT_MAX_FLOWER_EDGES, Hypercircle, find_thorns,
                           is_flower, is_inseparable, is_pseudo_flower)
 
@@ -353,6 +353,30 @@ def oracle_detect_theta(g: OrientedHypergraph,
             walks = tuple(Walk(tuple(ns), tuple(incs)) for ns, incs in paths[:3])
             return ThetaCertificate(kind, (a, b), walks)
     return None
+
+
+def oracle_gamma_components(g: OrientedHypergraph, exclude=()
+                            ) -> list[list[tuple[str, str]]]:
+    """Connected components of the bipartite representation by breadth
+    first search over ``gamma_adjacency``, optionally ignoring some
+    incidences; components come in order of their first node, and each
+    lists its nodes in discovery order."""
+    skip = set(exclude)
+    adj = gamma_adjacency(g)
+    seen = set()
+    comps = []
+    for start in adj:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for node in comp:  # breadth first: comp doubles as the queue
+            for inc, other in adj[node]:
+                if inc not in skip and other not in seen:
+                    seen.add(other)
+                    comp.append(other)
+        comps.append(comp)
+    return comps
 
 
 def oracle_blocks(g: OrientedHypergraph) -> list[frozenset[str]]:
@@ -989,7 +1013,8 @@ def oracle_flower_part_candidates(g: OrientedHypergraph, spend
             if any(d > 2 for d in degree.values()):
                 continue
             view = edge_induced(g, combo)
-            if len(gamma_components(view)) != 1 or not is_balanceable(view)[0]:
+            if (len(oracle_gamma_components(view)) != 1
+                    or not is_balanceable(view)[0]):
                 continue
             flower = oracle_is_flower(view)
             one_edge = (len(view.vertices) == len(view.edges)

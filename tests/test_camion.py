@@ -33,6 +33,7 @@ from oracles import (
     oracle_circle_signs,
     oracle_frustration,
     oracle_frustration_local,
+    oracle_gamma_components,
     oracle_in_cycle_orthogonal,
     oracle_local_start,
     oracle_minimal_balancing_sets,
@@ -187,6 +188,22 @@ class TestBalancingSets:
             minimal = oracle_minimal_balancing_sets(g)
             for bal in oracle_balancing_sets(g):
                 assert is_minimal_balancing_set(g, bal) == (bal in minimal)
+
+    def test_minimality_rule_matches_the_component_count(self):
+        """On every incidence subset S, the union-find rule gives the old
+        rule's verdict: S balances g and deleting it from the bipartite
+        representation leaves the component count unchanged."""
+        minimal = 0
+        for g in small_corpus(25, max_incidences=9):
+            whole = len(oracle_gamma_components(g))
+            ids = sorted(i.id for i in g.incidences)
+            for size in range(len(ids) + 1):
+                for sub in itertools.combinations(ids, size):
+                    want = is_balancing_set(g, sub) and whole == len(
+                        oracle_gamma_components(g, exclude=sub))
+                    assert is_minimal_balancing_set(g, sub) == want, (g, sub)
+                    minimal += want
+        assert minimal >= 25
 
     def test_minimal_sets_listed_by_oracle(self):
         g = unbalanced_triangle()

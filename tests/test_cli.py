@@ -327,6 +327,15 @@ class TestDemo:
         code, _, err = run(capsys, "demo", "lk", "--k", "1")
         assert code == 2
 
+    def test_lk_past_memory_is_a_resource_error(self, capsys):
+        """A witness of 10^18 signs is refused by the allocator at once;
+        the refusal exits 3 with a resource payload, not a traceback."""
+        code, out, err = run(capsys, "demo", "lk", "--k",
+                             "1000000000000000000")
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["kind"] == "resource"
+
 
 class TestRepeatedCalls:
     def test_calls_in_one_process_match_fresh_processes(

@@ -58,11 +58,11 @@ def test_no_float_or_complex(path):
 
 
 def test_walks_read_only_the_index():
-    """Every walk of the bipartite representation reads ``gamma._index``.
-    The node-keyed adjacencies stay only as ``sorted_adjacency``, the
-    reference order the index reproduces, and under
-    ``model.gamma_components``, whose components come in g's own order."""
-    allowed = {("gamma", "sorted_adjacency"), ("model", "gamma_components")}
+    """Every walk of the bipartite representation reads ``gamma._index``,
+    and every connectivity fact comes from ``gamma.DisjointSets``.  The
+    node-keyed adjacencies stay only as ``sorted_adjacency``, the reference
+    order the index reproduces."""
+    allowed = {("gamma", "sorted_adjacency")}
     callers = set()
     for path in SOURCES:
         for top in _tree(path).body:

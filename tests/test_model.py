@@ -14,8 +14,9 @@ from ohg.balance import _block_view
 from ohg.errors import InputError
 from ohg.gamma import (
     blocks,
-    component_count,
+    cyclomatic_number,
     fundamental_cycle,
+    gamma_components,
     internally_disjoint_paths,
     spanning_forest,
 )
@@ -25,11 +26,9 @@ from ohg.model import (
     OrientedHypergraph,
     SwitchingFunction,
     contract_degree2_vertex,
-    cyclomatic_number,
     dual,
     dump,
     edge_induced,
-    gamma_components,
     gamma_nodes,
     incidence_matrix,
     load,
@@ -48,7 +47,7 @@ from ohg.model import (
 from instances import (hypertree, large_signed_graph, plant_obstruction,
                        plant_trap, random_balanceable, random_hypergraph,
                        random_signed_graph, walk_instances)
-from oracles import oracle_blocks, oracle_disjoint_paths
+from oracles import oracle_blocks, oracle_disjoint_paths, oracle_gamma_components
 
 
 def triangle(last_sign=-1):
@@ -249,8 +248,8 @@ class TestGamma:
 
     def test_component_count_with_exclusion(self):
         g = triangle()
-        assert component_count(g) == 1
-        assert component_count(g, exclude=["i1", "i6"]) == 2
+        assert len(gamma_components(g)) == 1
+        assert len(gamma_components(without(g, {"i1", "i6"}))) == 2
 
     def test_disjoint_paths_on_obstruction(self):
         g = make_Lk(3, 3)
@@ -261,9 +260,18 @@ class TestGamma:
                 (("v", "v1"), ("e", "zz"),
                  "unknown endpoint ('v', 'v1') or ('e', 'zz')"),
                 (("x", "v1"), ("e", "e1"),
-                 "unknown endpoint ('x', 'v1') or ('e', 'e1')")):
+                 "unknown endpoint ('x', 'v1') or ('e', 'e1')"),
+                (("v", "v1", "z"), ("e", "e1"),
+                 "unknown endpoint ('v', 'v1', 'z') or ('e', 'e1')"),
+                (("v", ["v1"]), ("e", "e1"),
+                 "unknown endpoint ('v', ['v1']) or ('e', 'e1')"),
+                ("vv1", ("e", "e1"), "unknown endpoint 'vv1' or ('e', 'e1')")):
             with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
                 internally_disjoint_paths(g, source, sink)
+        forest = spanning_forest(g)
+        with pytest.raises(InputError, match=re.escape(
+                "node ('v', 'v1', 'z') or ('e', 'e1') not spanned by the forest")):
+            forest.path_between(("v", "v1", "z"), ("e", "e1"))
 
 
 def test_blocks_match_the_node_keyed_search():
@@ -452,35 +460,60 @@ def test_two_uniform_means_every_edge_size_is_two(family, seed, bare_edge):
         assert g.is_two_uniform()
 
 
-def _nx_multigraph(g, exclude=frozenset()):
+def _nx_multigraph(g):
     """The bipartite representation as a networkx MultiGraph keyed by
     incidence id."""
     mg = nx.MultiGraph()
     mg.add_nodes_from(gamma_nodes(g))
     for inc in g.incidences:
-        if inc.id not in exclude:
-            mg.add_edge(("v", inc.vertex), ("e", inc.edge), key=inc.id)
+        mg.add_edge(("v", inc.vertex), ("e", inc.edge), key=inc.id)
     return mg
+
+
+def without(g, ids):
+    """g with the incidences ``ids`` removed and every node kept."""
+    return OrientedHypergraph(g.vertices, g.edges, tuple(
+        inc for inc in g.incidences if inc.id not in ids))
+
+
+def _check_component_order(g, comps):
+    """Components come in order of their first node, which is each one's
+    least, and every component lists its nodes in g's own order."""
+    position = {node: k for k, node in enumerate(gamma_nodes(g))}
+    firsts = [position[c[0]] for c in comps]
+    assert firsts == sorted(firsts)
+    for comp in comps:
+        assert [position[n] for n in comp] == sorted(position[n] for n in comp)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=4000),
        st.sets(st.integers(min_value=1, max_value=12)))
 def test_components_match_networkx(seed, dropped):
-    g = random_hypergraph(seed)
-    exclude = {f"i{k}" for k in dropped}
-    comps = gamma_components(g, exclude)
-    want = {frozenset(c)
-            for c in nx.connected_components(_nx_multigraph(g, exclude))}
+    g = without(random_hypergraph(seed), {f"i{k}" for k in dropped})
+    comps = gamma_components(g)
+    want = {frozenset(c) for c in nx.connected_components(_nx_multigraph(g))}
     assert {frozenset(c) for c in comps} == want
     assert sum(len(c) for c in comps) == len(gamma_nodes(g))
-    position = {node: k for k, node in enumerate(gamma_nodes(g))}
-    firsts = [position[c[0]] for c in comps]
-    assert firsts == sorted(firsts)
-    assert all(position[c[0]] == min(position[n] for n in c) for c in comps)
-    assert component_count(g, exclude=exclude) == len(want)
-    assert component_count(g) == nx.number_connected_components(
-        _nx_multigraph(g))
+    _check_component_order(g, comps)
+    assert len(comps) == nx.number_connected_components(_nx_multigraph(g))
+
+
+def test_components_match_the_breadth_first_oracle():
+    """The union-find components partition the nodes as the breadth-first
+    search over the node-keyed adjacency does, component for component in
+    the same order, and the cyclomatic number is |I| - |V| - |E| plus the
+    component count that the search and networkx find."""
+    for g in walk_instances() + [random_hypergraph(seed, extra_range=(0, 6))
+                                 for seed in range(150, 300)]:
+        comps, want = gamma_components(g), oracle_gamma_components(g)
+        assert [set(c) for c in comps] == [set(c) for c in want], g
+        assert [c[0] for c in comps] == [c[0] for c in want], g
+        _check_component_order(g, comps)
+        count = nx.number_connected_components(_nx_multigraph(g))
+        assert len(want) == count
+        assert cyclomatic_number(g) == (len(g.incidences) - len(g.vertices)
+                                        - len(g.edges) + count), g
 
 
 @settings(max_examples=80, deadline=None)
