@@ -9,22 +9,25 @@ forests gives the frustration number.  One rule, proved at
 ``_balancing_circles``, decides every balancing set: reversing S balances H
 exactly when H is balanceable and S meets each negative fundamental circle
 of H's BFS forest an odd number of times, each positive one an even number.
+The local search and the spanning-tree search work on incidence positions
+of ``gamma._index``, one index per call or per component, and read each
+forest's change set off its arrays (``SpanningForest._changes``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .balance import is_balanceable
 from .errors import InputError, ResourceError
 from .gamma import (
     DisjointSets,
-    Node,
     SpanningForest,
     _grow_forest,
     _index,
+    _Index,
     fundamental_circle_signs,
     fundamental_cycle,
     gamma_components,
@@ -72,18 +75,10 @@ def camion_reorient(g: OrientedHypergraph,
     """
     if forest is None:
         forest = spanning_forest(g, "bfs")
-    changed = _negative_fundamental_circles(g, g.incidences, forest)
+    changed = [inc.id for inc, sign in fundamental_circle_signs(g, forest)
+               if sign == -1]
     return CamionResult(reverse_incidences(g, changed), frozenset(changed),
                         is_balanceable(g)[0], forest)
-
-
-def _negative_fundamental_circles(g: OrientedHypergraph,
-                                  incidences: Iterable[Incidence],
-                                  forest: SpanningForest) -> list[str]:
-    """Non-forest incidences among ``incidences`` whose fundamental circle
-    is negative: exactly those a reorientation along the forest flips."""
-    signs = fundamental_circle_signs(g, forest, incidences)
-    return [inc.id for inc, sign in signs if sign == -1]
 
 
 def signed_graph_balance(g: OrientedHypergraph,
@@ -260,134 +255,114 @@ def _frustration_exact(g: OrientedHypergraph,
     return FrustrationResult(len(combo), combo, "exact", True, evaluations)
 
 
-def _component_partition(g: OrientedHypergraph
-                          ) -> list[tuple[list[Node], list[Incidence]]]:
-    """(nodes, incidences) per connected component, in order of each
-    component's first node."""
-    comps = []
-    for nodes in gamma_components(g):
-        node_set = set(nodes)
-        comps.append((nodes, [inc for inc in g.incidences
-                              if (VERTEX, inc.vertex) in node_set]))
-    return comps
-
-
 DEFAULT_TREE_CAP = 100_000
 
 
 def _frustration_trees(g: OrientedHypergraph,
                        budget: int | None) -> FrustrationResult:
+    """The least reorientation change set over spanning forests, one
+    component at a time, each on its own view and index.
+
+    A component's spanning trees are its acyclic sets of |nodes| - 1
+    incidences, tried in ``combinations`` order over their sorted ids; each
+    tree's forest grows on the component's index with only the tree's
+    links kept.  The cap counts trees over all components; a component it
+    cuts off before its first tree takes its BFS forest's change set.
+    """
     cap = DEFAULT_TREE_CAP if budget is None else budget
     inspected = 0
     exact = True
-    total = 0
     witness: list[str] = []
-    position = {inc.id: k for k, inc in enumerate(g.incidences)}
-    for nodes, incs in _component_partition(g):
-        best: list[str] | None = None
-        # A component's spanning trees are its acyclic sets of |nodes| - 1
-        # incidences.
-        for combo in combinations(sorted(incs, key=lambda i: i.id),
-                                  len(nodes) - 1):
+    components = gamma_components(g)
+    member = {node: c for c, nodes in enumerate(components) for node in nodes}
+    parts: list[list[Incidence]] = [[] for _ in components]
+    for inc in g.incidences:
+        parts[member[(VERTEX, inc.vertex)]].append(inc)
+    for nodes, incs in zip(components, parts):
+        index = _index(OrientedHypergraph._trusted(
+            tuple([nid for kind, nid in nodes if kind == VERTEX]),
+            tuple([nid for kind, nid in nodes if kind == EDGE]), tuple(incs)))
+        ids, ends = index.ids, index.ends
+        best: list[int] | None = None
+        for tree in combinations(sorted(range(len(ids)), key=ids.__getitem__),
+                                 len(nodes) - 1):
             if inspected >= cap:
                 exact = False
                 break
             sets = DisjointSets()
-            if not all(sets.union((VERTEX, i.vertex), (EDGE, i.edge))
-                       for i in combo):
+            if not all(sets.union(*ends[k]) for k in tree):
                 continue
             inspected += 1
-            # A trusted view keeps its parent's incidence order.
-            tree = OrientedHypergraph._trusted(
-                g.vertices, g.edges,
-                tuple(sorted(combo, key=lambda i: position[i.id])))
-            changed = _negative_fundamental_circles(
-                g, incs, spanning_forest(tree))
+            kept = set(tree)
+            links = [[link for link in nbrs if link[0] in kept]
+                     for nbrs in index.links]
+            changed = _grow_forest(replace(index, links=links), "bfs",
+                                   0)._changes()
             if best is None or len(changed) < len(best):
                 best = changed
                 if not best:
                     break
         if best is None:  # the cap ran out before the first tree
-            best = _negative_fundamental_circles(g, incs, spanning_forest(g))
+            best = _grow_forest(index, "bfs", 0)._changes()
             exact = False
-        total += len(best)
-        witness.extend(best)
-    return FrustrationResult(total, tuple(sorted(witness)), "trees", exact,
-                             inspected)
+        witness.extend([ids[k] for k in best])
+    return FrustrationResult(len(witness), tuple(sorted(witness)), "trees",
+                             exact, inspected)
 
 
-def _star_sets(g: OrientedHypergraph) -> list[frozenset[str]]:
-    """Incidence stars of vertices then edges, each a switching move."""
-    at = {(VERTEX, v): [] for v in sorted(g.vertices)}
-    at.update({(EDGE, e): [] for e in sorted(g.edges)})
-    for inc in g.incidences:
-        at[(VERTEX, inc.vertex)].append(inc.id)
-        at[(EDGE, inc.edge)].append(inc.id)
-    return [frozenset(ids) for ids in at.values()]
-
-
-def _hill_climb(start: frozenset[str], stars: Sequence[frozenset[str]],
-                where: dict[str, list[int]], evaluations: int,
-                budget: int) -> tuple[frozenset[str], int]:
+def _hill_climb(start: Iterable[int], index: _Index, evaluations: int,
+                budget: int) -> tuple[set[int], int]:
     """Switch by the first star that shrinks the set, pass after pass.
 
-    A pass tries the stars in order, one evaluation each, and moves by the
-    first improving one; a pass with none ends the climb, as does the
-    budget.  Switching by star T shrinks S exactly when 2|S & T| > |T|, so
-    with each star's overlap with S kept (an incidence lies in the two
-    stars ``where`` names) the first improving star is the least index in
-    ``better``, and a pass costs its evaluations in one step.
+    Star x is the incidence positions in ``index.links[x]``, for the nodes
+    in index order: the sorted vertices, then the sorted edges.  A pass
+    tries the stars in order, one evaluation each, and moves by the first
+    improving one; a pass with none ends the climb, as does the budget.
+    Switching by star T shrinks S exactly when 2|S & T| > |T|, so with each
+    star's overlap with S kept (position k lies in the two stars
+    ``index.ends[k]``) the first improving star is the least in ``better``,
+    and a pass costs its evaluations in one step.
     """
+    stars, ends = index.links, index.ends
     current = set(start)
     overlap = [0] * len(stars)
-    for inc in current:
-        for k in where[inc]:
-            overlap[k] += 1
-    better = {k for k, star in enumerate(stars) if 2 * overlap[k] > len(star)}
+    for k in current:
+        for x in ends[k]:
+            overlap[x] += 1
+    better = {x for x, star in enumerate(stars) if 2 * overlap[x] > len(star)}
     while evaluations < budget:
         if not better:
             evaluations += min(len(stars), budget - evaluations)
             break
-        k = min(better)
-        if evaluations + k + 1 > budget:  # the budget ends before star k
+        x = min(better)
+        if evaluations + x + 1 > budget:  # the budget ends before star x
             evaluations = budget
             break
-        evaluations += k + 1
-        for inc in stars[k]:
-            if inc in current:
-                current.remove(inc)
+        evaluations += x + 1
+        for k, _ in stars[x]:
+            if k in current:
+                current.remove(k)
                 step = -1
             else:
-                current.add(inc)
+                current.add(k)
                 step = 1
-            for j in where[inc]:
-                overlap[j] += step
-                if 2 * overlap[j] > len(stars[j]):
-                    better.add(j)
+            for y in ends[k]:
+                overlap[y] += step
+                if 2 * overlap[y] > len(stars[y]):
+                    better.add(y)
                 else:
-                    better.discard(j)
-    return frozenset(current), evaluations
+                    better.discard(y)
+    return current, evaluations
 
 
-def _local_starts(g: OrientedHypergraph, seed: int) -> Iterator[frozenset[str]]:
-    """The change sets of reorientations along the BFS forest, then along
-    random forests seeded seed + 1, seed + 2, ...: the local search's
-    starts.  The reoriented hypergraphs themselves are not needed.
-
-    Every forest grows on one integer index of g, built before the first
-    start, and each start is read off the forest's arrays: the non-forest
-    incidence positions whose fundamental circle is negative.
+def _local_starts(index: _Index, seed: int) -> Iterator[list[int]]:
+    """The change sets, as incidence positions, of reorientations along the
+    BFS forest, then along random forests seeded seed + 1, seed + 2, ...:
+    the local search's starts.  Every forest grows on the one index.
     """
-    index = _index(g)
-    ids = index.ids
-    rows = [(k, a, b, s) for k, ((a, b), s)
-            in enumerate(zip(index.ends, index.signs))]
-    everything = frozenset(range(len(rows)))
     forest = _grow_forest(index, "bfs", 0)
     while True:
-        outside = everything.difference(forest.via)
-        yield frozenset([ids[k] for k, sign in forest._signs(
-            map(rows.__getitem__, outside)) if sign == -1])
+        yield forest._changes()
         seed += 1
         forest = _grow_forest(index, "random", seed)
 
@@ -395,22 +370,18 @@ def _local_starts(g: OrientedHypergraph, seed: int) -> Iterator[frozenset[str]]:
 def _frustration_local(g: OrientedHypergraph, budget: int | None,
                        seed: int) -> FrustrationResult:
     """Hill climbs from ``_local_starts``, one start after another while
-    the budget lasts and the best set is nonempty."""
+    the budget lasts and the best set is nonempty, on one index of g."""
     cap = 10_000 if budget is None else budget
-    stars = _star_sets(g)
-    where: dict[str, list[int]] = {inc.id: [] for inc in g.incidences}
-    for k, star in enumerate(stars):
-        for inc in star:
-            where[inc].append(k)
-    starts = _local_starts(g, seed)
-    best, evaluations = _hill_climb(next(starts), stars, where, 0, cap)
+    index = _index(g)
+    starts = _local_starts(index, seed)
+    best, evaluations = _hill_climb(next(starts), index, 0, cap)
     while evaluations < cap and best:
-        found, evaluations = _hill_climb(next(starts), stars, where,
-                                         evaluations, cap)
+        found, evaluations = _hill_climb(next(starts), index, evaluations, cap)
         if len(found) < len(best):
             best = found
-    return FrustrationResult(len(best), tuple(sorted(best)), "local_search",
-                             len(best) == 0, evaluations, seed)
+    ids = index.ids
+    return FrustrationResult(len(best), tuple(sorted([ids[k] for k in best])),
+                             "local_search", len(best) == 0, evaluations, seed)
 
 
 def frustration(g: OrientedHypergraph, mode: str = "exact",

@@ -245,10 +245,12 @@ def _cmd_demo(args) -> int:
     if args.what == "fano":
         sys.stdout.write(fano_demo())
         return 0
-    result = lk_negative_circle_minimum(args.k)
     entrant = args.entrant
-    if not 0 <= entrant <= args.k:
+    # Checked before the witness of k signs is built, which a huge k cannot
+    # afford; a k below 2 is left to the construction's own message.
+    if args.k >= 2 and not 0 <= entrant <= args.k:
         raise InputError("entrant count must lie between 0 and k")
+    result = lk_negative_circle_minimum(args.k)
     _emit({
         "command": "demo-lk",
         "k": args.k,

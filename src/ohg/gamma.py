@@ -209,6 +209,17 @@ class SpanningForest:
             half = (depth[a] + depth[b] + 1) // 2 - top
             yield key, (-1 if half % 2 else 1) * potential[a] * potential[b] * s
 
+    def _changes(self) -> list[int]:
+        """Positions of the non-forest incidences whose fundamental circle
+        is negative, ascending: the change set of a reorientation along the
+        forest, in the index's own positions."""
+        index = self.index
+        on = set(self.via)
+        return [k for k, sign in self._signs(
+            [(k, a, b, s) for k, ((a, b), s)
+             in enumerate(zip(index.ends, index.signs)) if k not in on])
+            if sign == -1]
+
 
 def spanning_forest(g: OrientedHypergraph, strategy: str = "bfs",
                     seed: int = 0) -> SpanningForest:
@@ -321,22 +332,23 @@ def fundamental_cycle(g: OrientedHypergraph, forest: SpanningForest,
     return nodes, incs + [incidence_id]
 
 
-def fundamental_circle_signs(g: OrientedHypergraph, forest: SpanningForest,
-                             incidences: Iterable[Incidence] | None = None
+def fundamental_circle_signs(g: OrientedHypergraph, forest: SpanningForest
                              ) -> Iterator[tuple[Incidence, int]]:
     """(incidence, sign of its fundamental circle) for each non-forest
-    incidence, in the order given (all of ``g``'s by default).
+    incidence of g, in g's order.
 
     The incremental form of ``balance.walk_sign``, in one pass over a forest
     that ``spanning_forest`` grew on ``g`` or on a view of g with all its
-    nodes; the rule is ``SpanningForest._signs``.
+    nodes; the rule is ``SpanningForest._signs``.  Searches that grow their
+    forests on g's own index read the negative ones by position instead,
+    with ``SpanningForest._changes``.
     """
     vertex_number = forest.index.vertex_number
     edge_number = forest.index.edge_number
     chosen = forest.incidences
 
     def rows():
-        for inc in g.incidences if incidences is None else incidences:
+        for inc in g.incidences:
             if inc.id in chosen:
                 continue
             a, b = vertex_number.get(inc.vertex), edge_number.get(inc.edge)

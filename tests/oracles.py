@@ -13,7 +13,8 @@ walk that reduces every candidate against its whole prefix basis and
 the tuple-keyed one that extended each sibling's residual, its
 memo-free F-maximality loop, its walk over
 every edge combination for flower-part candidates, its local search that
-builds every switched set, its hub count over tagged nodes and its
+builds every switched set, its tree search that builds a whole hypergraph
+and forest per spanning tree, its hub count over tagged nodes and its
 hypercircle contraction that scans again after each contraction live here
 as references.
 Slow on purpose; only run at desk scale.
@@ -34,10 +35,10 @@ from sympy.polys.matrices import DomainMatrix
 
 from ohg.balance import (Circle, ThetaCertificate, Walk, is_balanceable,
                          is_balanced, walk_sign)
-from ohg.camion import FrustrationResult
+from ohg.camion import DEFAULT_TREE_CAP, FrustrationResult
 from ohg.errors import InputError, ResourceError
-from ohg.gamma import (blocks, fundamental_cycle, internally_disjoint_paths,
-                       sorted_adjacency)
+from ohg.gamma import (DisjointSets, blocks, fundamental_cycle,
+                       internally_disjoint_paths, sorted_adjacency)
 from ohg.linalg import Domain, _cancel, _settle, echelon_extend, rank
 from ohg.matroids import (SUBSET_CAP_ENV, CircuitReport, _line,
                           _subset_cap)
@@ -304,6 +305,74 @@ def oracle_frustration_local(g: OrientedHypergraph, budget: int | None = None,
             best = found
     return FrustrationResult(len(best), tuple(sorted(best)), "local_search",
                              len(best) == 0, evaluations, seed)
+
+
+def _oracle_component_partition(g: OrientedHypergraph) -> list:
+    """(nodes, incidences) per connected component, in order of each
+    component's first node."""
+    comps = []
+    for nodes in oracle_gamma_components(g):
+        node_set = set(nodes)
+        comps.append((nodes, [inc for inc in g.incidences
+                              if (VERTEX, inc.vertex) in node_set]))
+    return comps
+
+
+def _oracle_negative_circles(g: OrientedHypergraph, incs, forest) -> list:
+    """Ids of the incidences among ``incs`` outside the forest whose
+    fundamental circle has walk sign -1."""
+    return [inc.id for inc in incs if inc.id not in forest.incidences
+            and walk_sign(g, fundamental_cycle(g, forest, inc.id)[1]) == -1]
+
+
+def oracle_frustration_trees(g: OrientedHypergraph,
+                             budget: int | None = None) -> FrustrationResult:
+    """``frustration(g, "trees", budget)`` as the library ran it before it
+    searched on incidence positions: a whole hypergraph and a forest of it
+    for every spanning tree, and the components grouped by scanning every
+    incidence once per component.
+
+    Each component's spanning trees are its acyclic sets of |nodes| - 1
+    incidences, in ``combinations`` order over their sorted ids; the cap
+    (``DEFAULT_TREE_CAP`` when budget is None) counts trees over all
+    components, and a component it cuts off before its first tree takes
+    the change set of g's BFS forest.
+    """
+    cap = DEFAULT_TREE_CAP if budget is None else budget
+    inspected = 0
+    exact = True
+    total = 0
+    witness: list[str] = []
+    position = {inc.id: k for k, inc in enumerate(g.incidences)}
+    for nodes, incs in _oracle_component_partition(g):
+        best = None
+        for combo in combinations(sorted(incs, key=lambda i: i.id),
+                                  len(nodes) - 1):
+            if inspected >= cap:
+                exact = False
+                break
+            sets = DisjointSets()
+            if not all(sets.union((VERTEX, i.vertex), (EDGE, i.edge))
+                       for i in combo):
+                continue
+            inspected += 1
+            tree = OrientedHypergraph(
+                g.vertices, g.edges,
+                tuple(sorted(combo, key=lambda i: position[i.id])))
+            changed = _oracle_negative_circles(
+                g, incs, oracle_spanning_forest(tree))
+            if best is None or len(changed) < len(best):
+                best = changed
+                if not best:
+                    break
+        if best is None:  # the cap ran out before the first tree
+            best = _oracle_negative_circles(g, incs,
+                                            oracle_spanning_forest(g))
+            exact = False
+        total += len(best)
+        witness.extend(best)
+    return FrustrationResult(total, tuple(sorted(witness)), "trees", exact,
+                             inspected)
 
 
 def oracle_hub_pairs(incidences, kind: str) -> list:

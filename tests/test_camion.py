@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,7 @@ from oracles import (
     oracle_circle_signs,
     oracle_frustration,
     oracle_frustration_local,
+    oracle_frustration_trees,
     oracle_gamma_components,
     oracle_in_cycle_orthogonal,
     oracle_local_start,
@@ -347,6 +349,38 @@ class TestFrustration:
                                   "b.i6", "b.i8", "b.i9")
         assert result.evaluations == 56 and result.exact
 
+    def test_trees_match_the_oracle(self):
+        """Value, witness, exactness and tree count equal those of the
+        search that builds a hypergraph and a forest per spanning tree, on
+        one and several components, at every budget."""
+        for seed in range(30):
+            bare = random_signed_graph(seed, max_edges=5)
+            bare = OrientedHypergraph.build(
+                bare.vertices + ("bare",), bare.edges + ("empty",),
+                [(i.id, i.vertex, i.edge, i.sign) for i in bare.incidences])
+            for g in (random_balanceable(seed, max_incidences=14,
+                                         extra_range=(2, 5)),
+                      bare,
+                      disjoint_union(random_balanceable(seed, 10), bare)):
+                for budget in (None, 0, 3):
+                    assert frustration(g, "trees", budget) == \
+                        oracle_frustration_trees(g, budget)
+
+    def test_trees_take_linear_time_in_the_component_count(self):
+        """2,000 components of two parallel incidences each: one view and
+        one index per component, and no scan of every incidence per
+        component."""
+        n = 2000
+        g = OrientedHypergraph.build(
+            [f"v{k}" for k in range(n)], [f"e{k}" for k in range(n)],
+            [(f"a{k}", f"v{k}", f"e{k}", 1) for k in range(n)]
+            + [(f"b{k}", f"v{k}", f"e{k}", 1) for k in range(n)])
+        start = time.perf_counter()
+        result = frustration(g, "trees")
+        assert time.perf_counter() - start < 1.0
+        assert (result.value, result.evaluations, result.exact) == \
+            (n, 2 * n, True)
+
     def test_unbalanceable_raises(self):
         with pytest.raises(UnbalanceableError):
             frustration(make_Lk(3, 3))
@@ -380,10 +414,6 @@ def test_forest_pass_matches_walk_sign(seed, other, data):
         want = [(i, walk_sign(g, fundamental_cycle(g, forest, i.id)[1]))
                 for i in g.incidences if i.id not in forest]
         assert list(fundamental_circle_signs(g, forest)) == want
-        some = data.draw(st.lists(st.sampled_from(g.incidences), unique=True))
-        signs = dict(want)
-        assert list(fundamental_circle_signs(g, forest, some)) == [
-            (i, signs[i]) for i in some if i in signs]
 
 
 def test_forest_pass_rejects_a_forest_that_does_not_span_the_circle():
@@ -452,14 +482,17 @@ def test_forests_match_the_node_keyed_oracle(family):
                     _path_or_error(want, a, b)
             assert list(fundamental_circle_signs(g, forest)) == \
                 oracle_circle_signs(g, want)
-        starts = list(itertools.islice(ohg.camion._local_starts(g, seed), 4))
+        index = ohg.gamma._index(g)
+        starts = [frozenset([index.ids[k] for k in start]) for start in
+                  itertools.islice(ohg.camion._local_starts(index, seed), 4)]
         assert starts == [oracle_local_start(g, oracle_spanning_forest(
             g, *(("random", seed + k) if k else ("bfs",)))) for k in range(4)]
 
 
 def test_one_index_per_call(monkeypatch, tmp_path, capsys):
     """The local search builds g's index once, however many random
-    restarts it grows, and ``spanning_forest`` builds one per call."""
+    restarts it grows, the tree search one per component, however many
+    spanning trees it grows, and ``spanning_forest`` one per call."""
     builds = grown = 0
     index, grow = ohg.gamma._index, ohg.gamma._grow_forest
 
@@ -489,6 +522,13 @@ def test_one_index_per_call(monkeypatch, tmp_path, capsys):
         builds = 0
         spanning_forest(g, strategy, 1)
         assert builds == 1
+    g = disjoint_union(
+        random_balanceable(6, max_incidences=14, extra_range=(2, 5)),
+        random_balanceable(21, max_incidences=14, extra_range=(2, 5)))
+    builds = grown = 0
+    result = ohg.camion._frustration_trees(g, None)
+    assert result.evaluations == 56
+    assert builds == 2 and grown == 56
 
 
 def wheel(n):

@@ -336,6 +336,17 @@ class TestDemo:
         assert out == ""
         assert json.loads(err)["kind"] == "resource"
 
+    def test_lk_bad_entrant_is_refused_before_the_witness(self, capsys):
+        """A bad --entrant is an input error even where k is too large for
+        its witness."""
+        code, out, err = run(capsys, "demo", "lk", "--k",
+                             "1000000000000000000", "--entrant", "-1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {
+            "kind": "input",
+            "error": "entrant count must lie between 0 and k"}
+
 
 class TestRepeatedCalls:
     def test_calls_in_one_process_match_fresh_processes(
