@@ -275,10 +275,9 @@ def _parser() -> argparse.ArgumentParser:
                     "matroid circuits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, file_arg=True):
+    def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        if file_arg:
-            p.add_argument("file", help="hypergraph JSON file")
+        p.add_argument("file", help="hypergraph JSON file")
         p.add_argument("--human", action="store_true",
                        help="render text instead of JSON")
         p.set_defaults(func=func)
@@ -349,11 +348,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc) or "out of memory",
                           "kind": "resource"}), file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(json.dumps({"error": str(exc), "kind": "input"}),
-              file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": str(exc), "kind": "input"}),
               file=sys.stderr)
         return 2

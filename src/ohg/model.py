@@ -15,9 +15,9 @@ integer index and the one union-find (``DisjointSets``), live in
 Validation happens where data enters, by one checker, ``_check_rows``:
 the ``OrientedHypergraph`` constructor (and so ``build``) and ``parse``
 (and so ``load`` and the CLI) call it on the ids, references and signs.
-It checks whole lists at once and walks the entries only to name the first
-fault, with its source line when it has the text; ``parse`` checks the
-JSON shape first and then builds without validating again.  Views derived
+It walks the entries once, in order, and names the first fault, with its
+source line when it has the text; ``parse`` checks the JSON shape first
+and then builds without validating again.  Views derived
 from a valid hypergraph (``edge_induced``, ``weak_delete``, ``with_signs``,
 ``reverse_incidences``, ``contract_degree2_vertex`` and the block views of
 ``balance``) check only the arguments they are given, such as unknown ids
@@ -163,7 +163,6 @@ def reverse_incidences(g: OrientedHypergraph,
 # Validation
 
 
-_STR = {str}
 _incidence_row = attrgetter("id", "vertex", "edge", "sign")
 
 
@@ -173,23 +172,13 @@ def _check_rows(vertices: Sequence, edges: Sequence,
     distinct string, each (id, vertex, edge, sign) row references a listed
     vertex and edge, and every sign is 1 or -1 (not a bool).
 
-    The one set of validation rules, for the constructor and ``parse``.
-    Whole-list set checks come first, types before sets, so no value that
-    cannot be hashed is put in a set.  Only when one fails are the ids and
-    rows walked in order, to name the first fault, with its line in
-    ``text`` when the source text is given.  A float sign equal to 1 or -1
-    fails the set checks and passes the walk.
+    The one set of validation rules, for the constructor and ``parse``, in
+    one walk over the vertex ids, the edge ids and then the rows, in order.
+    Each value's type is checked before it is put in a set, so no value
+    that cannot be hashed reaches one.  The first fault is named, with its
+    line in ``text`` when the source text is given.  A float sign equal to
+    1 or -1 passes.
     """
-    ids, vs, es, signs = zip(*rows) if rows else ((), (), (), ())
-    if (set(map(type, vertices)) <= _STR and set(map(type, edges)) <= _STR
-            and set(map(type, ids + vs + es)) <= _STR
-            and set(map(type, signs)) <= {int}):
-        vset, eset = set(vertices), set(edges)
-        if (len(vset) == len(vertices) and len(eset) == len(edges)
-                and len(set(ids)) == len(ids)
-                and vset.issuperset(vs) and eset.issuperset(es)
-                and set(signs) <= {1, -1}):
-            return
     vset, eset = set(), set()
     for kind, names, seen in (("vertex", vertices, vset),
                               ("edge", edges, eset)):

@@ -1306,19 +1306,13 @@ def build_arterial_connection(
             incs.append((f"p{i}.{inc.id}", f"p{i}.{inc.vertex}",
                          f"p{i}.{inc.edge}", inc.sign))
 
-    merged: dict[str, str] = {}
-
-    def resolve(name: str) -> str:
-        while name in merged:
-            name = merged[name]
-        return name
-
+    merged = DisjointSets()  # vertex names; a length-0 connection joins two
     artery_info: list[tuple[tuple[str, ...], tuple[str, str]]] = []
     for idx, ((pa, va), (pb, vb), length) in enumerate(connections):
-        a = resolve(rename[(pa, va)])
-        b = resolve(rename[(pb, vb)])
+        a = merged.find(rename[(pa, va)])
+        b = merged.find(rename[(pb, vb)])
         if length == 0:
-            merged[b] = a
+            merged.union(b, a)  # b's root joins a's: a keeps its name
             artery_info.append(((), (a, a)))
             continue
         chain = [a] + [f"a{idx}.w{n}" for n in range(1, length)] + [b]
@@ -1332,9 +1326,9 @@ def build_arterial_connection(
             incs.append((f"a{idx}.i{n + 1}b", chain[n + 1], e, -1))
         artery_info.append((tuple(edge_ids), (a, b)))
 
-    final_vertices = [v for v in vertices if v not in merged]
-    final_incs = [(i, resolve(v), e, s) for i, v, e, s in incs]
-    final_info = tuple((edges_, (resolve(x), resolve(y)))
+    final_vertices = [v for v in vertices if merged.find(v) == v]
+    final_incs = [(i, merged.find(v), e, s) for i, v, e, s in incs]
+    final_info = tuple((edges_, (merged.find(x), merged.find(y)))
                        for edges_, (x, y) in artery_info)
     return ArterialConnection(
         OrientedHypergraph.build(final_vertices, edges, final_incs),

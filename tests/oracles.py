@@ -15,8 +15,9 @@ memo-free F-maximality loop, its walk over
 every edge combination for flower-part candidates, its local search that
 builds every switched set, its tree search that builds a whole hypergraph
 and forest per spanning tree, its hub count over tagged nodes and its
-hypercircle contraction that scans again after each contraction live here
-as references.
+hypercircle contraction that scans again after each contraction, and its
+validator that checked whole lists before walking them, live here as
+references.
 Slow on purpose; only run at desk scale.
 """
 
@@ -42,7 +43,7 @@ from ohg.gamma import (DisjointSets, blocks, fundamental_cycle,
 from ohg.linalg import Domain, _cancel, _settle, echelon_extend, rank
 from ohg.matroids import (SUBSET_CAP_ENV, CircuitReport, _line,
                           _subset_cap)
-from ohg.model import (EDGE, VERTEX, OrientedHypergraph,
+from ohg.model import (EDGE, VERTEX, OrientedHypergraph, _located,
                        contract_degree2_vertex, edge_induced, gamma_adjacency,
                        incidence_matrix, minimal_subsets, weak_delete)
 from ohg.shunting import (DEFAULT_MAX_FLOWER_EDGES, Hypercircle, find_thorns,
@@ -130,6 +131,38 @@ def oracle_frustration(g: OrientedHypergraph) -> int:
     if not sets:
         raise ValueError("not balanceable")
     return min(len(b) for b in sets)
+
+
+def oracle_frustration_exact(g: OrientedHypergraph,
+                             budget: int | None = None) -> FrustrationResult:
+    """``frustration(g, "exact", budget)`` from the first balancing set in
+    ``combinations`` order over the sorted ids, each candidate checked on
+    every circle, with the evaluation count and the budget refusal computed
+    from the witness alone.
+
+    The witness of size k is preceded by every smaller set and by its rank
+    among the k-sets in lexicographic order.  A budget B refuses at the
+    size that holds the (B + 1)-th candidate.
+    """
+    circles = [(c, oracle_circle_sign(g, c)) for c in oracle_circles(g)]
+    ids = sorted(i.id for i in g.incidences)
+    n = len(ids)
+    witness = next(
+        combo for k in range(n + 1) for combo in combinations(ids, k)
+        if all(sign * (-1) ** len(c.intersection(combo)) == 1
+               for c, sign in circles))
+    k = len(witness)
+    rank, prev = 0, -1
+    for slot, pos in enumerate(map(ids.index, witness)):
+        rank += sum(comb(n - 1 - q, k - 1 - slot) for q in range(prev + 1, pos))
+        prev = pos
+    evaluations = sum(comb(n, j) for j in range(k)) + rank + 1
+    if budget is not None and evaluations > budget:
+        size = next(s for s in range(n + 1)
+                    if sum(comb(n, j) for j in range(s + 1)) > budget)
+        raise ResourceError(f"exact frustration budget of {budget} candidate "
+                            f"sets exhausted at size {size}")
+    return FrustrationResult(k, witness, "exact", True, evaluations)
 
 
 def _oracle_hill_climb(start, stars, evaluations, budget):
@@ -1120,3 +1153,49 @@ def oracle_to_hypercircle(g: OrientedHypergraph) -> Hypercircle:
     cyclic = sum(1 for blk in blocks(current) if len(blk) >= 2)
     one_edges = sum(1 for e in current.edges if current.edge_size(e) == 1)
     return Hypercircle(current, t, cyclic + one_edges)
+
+
+_STR = {str}
+
+
+def oracle_check_rows(vertices, edges, rows, text: str = "") -> None:
+    """The library's ``_check_rows`` before it kept one walk: whole-list
+    type and set checks first, and the in-order walk only when one fails,
+    to name the first fault."""
+    ids, vs, es, signs = zip(*rows) if rows else ((), (), (), ())
+    if (set(map(type, vertices)) <= _STR and set(map(type, edges)) <= _STR
+            and set(map(type, ids + vs + es)) <= _STR
+            and set(map(type, signs)) <= {int}):
+        vset, eset = set(vertices), set(edges)
+        if (len(vset) == len(vertices) and len(eset) == len(edges)
+                and len(set(ids)) == len(ids)
+                and vset.issuperset(vs) and eset.issuperset(es)
+                and set(signs) <= {1, -1}):
+            return
+    vset, eset = set(), set()
+    for kind, names, seen in (("vertex", vertices, vset),
+                              ("edge", edges, eset)):
+        for name in names:
+            if not isinstance(name, str):
+                raise InputError(f"{kind} id {name!r} must be a string")
+            if name in seen:
+                raise InputError(
+                    f"duplicate {kind} id {name!r}{_located(text, name, 2)}")
+            seen.add(name)
+    seen = set()
+    for iid, vertex, edge, sign in rows:
+        if not isinstance(iid, str):
+            raise InputError(f"incidence id {iid!r} must be a string")
+        if iid in seen:
+            raise InputError(
+                f"duplicate incidence id {iid!r}{_located(text, iid, 2)}")
+        seen.add(iid)
+        if not isinstance(vertex, str) or vertex not in vset:
+            raise InputError(f"incidence {iid!r} references unknown vertex "
+                             f"{vertex!r}{_located(text, iid)}")
+        if not isinstance(edge, str) or edge not in eset:
+            raise InputError(f"incidence {iid!r} references unknown edge "
+                             f"{edge!r}{_located(text, iid)}")
+        if isinstance(sign, bool) or sign not in (1, -1):
+            raise InputError(f"incidence {iid!r} has sign {sign!r}, "
+                             f"expected 1 or -1{_located(text, iid)}")

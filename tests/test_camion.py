@@ -12,7 +12,8 @@ import ohg.balance
 import ohg.camion
 import ohg.cli
 import ohg.gamma
-from ohg.balance import circle_sign, enumerate_circles, is_balanced, walk_sign
+from ohg.balance import (circle_sign, enumerate_circles, is_balanceable,
+                         is_balanced, walk_sign)
 from ohg.camion import (
     UnbalanceableError,
     balancing_set_difference,
@@ -33,6 +34,7 @@ from oracles import (
     oracle_balancing_sets,
     oracle_circle_signs,
     oracle_frustration,
+    oracle_frustration_exact,
     oracle_frustration_local,
     oracle_frustration_trees,
     oracle_gamma_components,
@@ -322,6 +324,26 @@ class TestFrustration:
                 f"exhausted at size {size}")
         g = random_balanceable(6, max_incidences=14, extra_range=(2, 5))
         assert frustration(g, mode="exact", budget=31).evaluations == 31
+
+    def test_exact_mode_matches_the_counting_oracle(self):
+        """Value, witness, evaluations and refusal text equal those of the
+        brute force that counts the candidates before its witness by
+        formula, on every balanceable instance of at most 14 incidences."""
+        for seed in range(120):
+            for g in (random_balanceable(seed, max_incidences=14),
+                      random_signed_graph(seed),
+                      random_hypergraph(seed, max_incidences=14)):
+                if len(g.incidences) > 14 or not is_balanceable(g)[0]:
+                    continue
+                for budget in (None, 0, 1, 7, 50, 300):
+                    try:
+                        want = oracle_frustration_exact(g, budget)
+                    except ResourceError as err:
+                        with pytest.raises(ResourceError) as info:
+                            frustration(g, "exact", budget)
+                        assert str(info.value) == str(err)
+                    else:
+                        assert frustration(g, "exact", budget) == want
 
     def test_trees_mode_pinned(self):
         """Witness and tree count of the spanning-tree search, recorded."""

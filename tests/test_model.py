@@ -4,6 +4,7 @@ import json
 import random
 import re
 from itertools import combinations, islice
+from operator import itemgetter
 
 import networkx as nx
 import pytest
@@ -33,6 +34,7 @@ from ohg.model import (
     incidence_matrix,
     load,
     make_Lk,
+    _check_rows,
     make_complete_hypergraph,
     matrix_csv,
     minimal_subsets,
@@ -47,7 +49,8 @@ from ohg.model import (
 from instances import (hypertree, large_signed_graph, plant_obstruction,
                        plant_trap, random_balanceable, random_hypergraph,
                        random_signed_graph, walk_instances)
-from oracles import oracle_blocks, oracle_disjoint_paths, oracle_gamma_components
+from oracles import (oracle_blocks, oracle_check_rows, oracle_disjoint_paths,
+                     oracle_gamma_components)
 
 
 def triangle(last_sign=-1):
@@ -403,6 +406,65 @@ def test_parse_names_the_first_of_two_faults(vertices, edges, incidences,
     with pytest.raises(InputError) as info:
         parse(json.dumps(doc, indent=2))
     assert str(info.value) == message
+
+
+class _Name(str):
+    """A str subclass: a string id, though not of type str."""
+
+
+# Odd values for an id or a reference (wrong types, a str subclass,
+# unhashable lists, names that duplicate or dangle) and for a sign.
+_ODD_NAMES = st.sampled_from([None, 7, 1.5, True, "a", "b", "z", "i0", "i1",
+                              _Name("a"), _Name("i0"), ["a"], ["i0"]])
+_ODD_SIGNS = st.sampled_from([1, -1, 0, 2, True, 1.0, "1"])
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except InputError as err:
+        return str(err)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_one_walk_gives_the_two_phase_verdict(data):
+    """``_check_rows``, ``build`` and ``parse`` accept and reject what the
+    validator that checked whole lists first did, with its exact message,
+    line numbers included.  A valid document gets up to three fields
+    replaced by odd values, each field drawn from one of four kinds:
+    vertex or edge ids, incidence ids, references and signs."""
+    names = st.lists(st.sampled_from(["a", "b", "c"]), unique=True,
+                     min_size=1, max_size=3)
+    vertices, edges = data.draw(names), data.draw(names)
+    rows = [[f"i{k}", data.draw(st.sampled_from(vertices)),
+             data.draw(st.sampled_from(edges)),
+             data.draw(st.sampled_from([1, -1]))]
+            for k in range(data.draw(st.integers(0, 4)))]
+    kinds = [([(vertices, k) for k in range(len(vertices))]
+              + [(edges, k) for k in range(len(edges))], _ODD_NAMES),
+             ([(row, 0) for row in rows], _ODD_NAMES),
+             ([(row, k) for row in rows for k in (1, 2)], _ODD_NAMES),
+             ([(row, 3) for row in rows], _ODD_SIGNS)]
+    kinds = [kind for kind in kinds if kind[0]]
+    for _ in range(data.draw(st.integers(0, 3))):
+        slots, values = data.draw(st.sampled_from(kinds))
+        where, key = data.draw(st.sampled_from(slots))
+        where[key] = data.draw(values)
+    rows = [tuple(row) for row in rows]
+    text = json.dumps({"vertices": vertices, "edges": edges, "incidences": [
+        dict(zip(("id", "vertex", "edge", "sign"), row)) for row in rows]},
+        indent=2)
+    want = _verdict(oracle_check_rows, vertices, edges, rows, text)
+    assert _verdict(_check_rows, vertices, edges, rows, text) == want
+    bare = _verdict(oracle_check_rows, tuple(vertices), tuple(edges), rows)
+    assert _verdict(OrientedHypergraph.build, vertices, edges, rows) == bare
+    doc = json.loads(text)  # the str subclass comes back a str
+    rows = list(map(itemgetter("id", "vertex", "edge", "sign"),
+                    doc["incidences"]))
+    assert _verdict(parse, text) == _verdict(
+        oracle_check_rows, doc["vertices"], doc["edges"], rows, text)
 
 
 _TRICKY_IDS = st.text(alphabet=st.sampled_from('ab"\\/\n\x00\x7féß☃\U0001d11e'),

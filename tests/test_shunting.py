@@ -512,6 +512,43 @@ class TestArterialBuilder:
             build_arterial_connection([loop(), loop()],
                                       [((0, "v"), (1, "w"), 1)])
 
+    def test_chained_merges_and_a_path_artery_are_pinned(self):
+        """Three parts joined at one vertex by two length-0 connections, the
+        second naming a vertex the first merged away, and a fourth part
+        joined to that vertex by a length-2 artery."""
+        def part(s1, s2):
+            return OrientedHypergraph.build(
+                ["u", "w"], ["e"], [("i", "u", "e", s1), ("j", "w", "e", s2)])
+
+        built = build_arterial_connection(
+            [part(1, 1), part(1, -1), part(-1, 1), part(-1, -1)],
+            [((0, "u"), (1, "u"), 0), ((2, "w"), (1, "u"), 0),
+             ((3, "u"), (0, "u"), 2)])
+        assert built.hypergraph == OrientedHypergraph.build(
+            ["p0.w", "p1.w", "p2.u", "p2.w", "p3.u", "p3.w", "a2.w1"],
+            ["p0.e", "p1.e", "p2.e", "p3.e", "a2.e1", "a2.e2"],
+            [("p0.i", "p2.w", "p0.e", 1), ("p0.j", "p0.w", "p0.e", 1),
+             ("p1.i", "p2.w", "p1.e", 1), ("p1.j", "p1.w", "p1.e", -1),
+             ("p2.i", "p2.u", "p2.e", -1), ("p2.j", "p2.w", "p2.e", 1),
+             ("p3.i", "p3.u", "p3.e", -1), ("p3.j", "p3.w", "p3.e", -1),
+             ("a2.i1a", "p3.u", "a2.e1", 1), ("a2.i1b", "a2.w1", "a2.e1", -1),
+             ("a2.i2a", "a2.w1", "a2.e2", 1), ("a2.i2b", "p2.w", "a2.e2", -1)])
+        assert hashlib.sha256(serialize(built.hypergraph).encode()).hexdigest() \
+            == "dda675a98c0930f8b5fee7bf929729aacc3f528f198075ab774c61f26ad2a1d0"
+        assert built.arteries == (((), ("p2.w", "p2.w")),
+                                  ((), ("p2.w", "p2.w")),
+                                  (("a2.e1", "a2.e2"), ("p3.u", "p2.w")))
+
+    def test_generated_instances_are_pinned(self):
+        """Graph and decomposition JSON of seeds 0-49, as one SHA-256."""
+        digest = hashlib.sha256()
+        for seed in range(50):
+            g, d = generate_optimal_shunting(seed)
+            digest.update(serialize(g).encode())
+            digest.update(d.to_json().encode())
+        assert digest.hexdigest() == (
+            "3ab605ad956a69cc261f741ce459a7ae801b7b837c9ac21b969a6cea3b982a1b")
+
 
 class TestSearch:
     def test_rediscovers_generated_instances(self):
