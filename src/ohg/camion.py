@@ -6,41 +6,27 @@ forest of the bipartite representation and flips exactly those non-forest
 incidences whose fundamental circle comes out negative.  The set of flipped
 incidences is a minimal balancing set, and minimizing its size over spanning
 forests gives the frustration number.  One rule, proved at
-``_balancing_circles``, decides every balancing set: reversing S balances H
-exactly when H is balanceable and S meets each negative fundamental circle
-of H's BFS forest an odd number of times, each positive one an even number.
-The local search and the spanning-tree search work on incidence positions
-of ``gamma._index``, one index per call or per component, and read each
-forest's change set off its arrays (``SpanningForest._changes``).
+``_balancing_masks``, decides every balancing set: reversing S balances H
+exactly when H is balanceable and the masks of S (the fundamental circles
+of H's BFS forest each incidence lies on) XOR to the negative circles.
+Exact frustration is that coset's least weight, found by decoding; the
+local search works on incidence positions of ``gamma._index``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from math import comb
+from operator import xor
 from typing import Iterable, Iterator
 
 from .balance import is_balanceable
 from .errors import InputError, ResourceError
-from .gamma import (
-    DisjointSets,
-    SpanningForest,
-    _grow_forest,
-    _index,
-    _Index,
-    fundamental_circle_signs,
-    fundamental_cycle,
-    gamma_components,
-    spanning_forest,
-)
-from .model import (
-    EDGE,
-    VERTEX,
-    Incidence,
-    OrientedHypergraph,
-    minimal_subsets,
-    reverse_incidences,
-)
+from .gamma import (DisjointSets, SpanningForest, _grow_forest, _index,
+                    _Index, fundamental_circle_signs, spanning_forest)
+from .model import EDGE, VERTEX, OrientedHypergraph, reverse_incidences
 
 
 class UnbalanceableError(InputError):
@@ -105,41 +91,67 @@ def _check_incidence_ids(g: OrientedHypergraph, ids: Iterable[str]) -> frozenset
     return out
 
 
-def _balancing_circles(g: OrientedHypergraph, balanceable: bool | None = None
-                       ) -> list[tuple[tuple[str, ...], int]] | None:
-    """(incidence ids in path order, sign) of each fundamental circle of g's
-    BFS forest, in g's incidence order; None when g is not balanceable (a
-    caller that knows whether it is passes that in).
+def _balancing_masks(g: OrientedHypergraph, balanceable: bool | None = None
+                     ) -> tuple[dict[str, int], int] | None:
+    """(each incidence id's mask, the negative mask): bit t stands for the
+    fundamental circle of the t-th non-forest incidence of g's BFS forest,
+    in g's order, and is set in the masks of the incidences on it and in
+    the negative mask when it is negative.  None when g is not balanceable
+    (a caller that knows whether it is passes that in).
 
     The balancing-set rule (``_balances``): reversing S balances g exactly
-    when g is balanceable and S meets each negative circle listed an odd
-    number of times, each positive one an even number.  Proof: reversal
-    keeps g's thetas and its BFS forest, which grows from ids alone, and
-    each reversed incidence on a circle flips that circle's sign.  If g is
-    not balanceable, the copy has a theta, hence a negative circle; if it
-    is, so is the copy, where positive fundamental circles make every
-    circle positive.  Nothing here needs the forest to be the BFS one.
+    when g is balanceable and S's masks XOR to the negative mask, that is,
+    S meets each negative circle an odd number of times, each positive one
+    an even number.  Proof: reversal keeps g's thetas and its BFS forest,
+    which grows from ids alone, and each reversed incidence on a circle
+    flips its sign.  If g is not balanceable, the copy has a theta, hence a
+    negative circle; if it is, so is the copy, where positive fundamental
+    circles make every circle positive.
+
+    One pass: the forest incidence up from node x lies on a circle exactly
+    when one end of the circle's own incidence is below x, so its mask is
+    the XOR of those end bits over x's subtree, summed deepest node first.
     """
     if balanceable is None:
         balanceable = is_balanceable(g)[0]
     if not balanceable:
         return None
     forest = spanning_forest(g, "bfs")
-    return [(tuple(fundamental_cycle(g, forest, inc.id)[1]), sign)
-            for inc, sign in fundamental_circle_signs(g, forest)]
+    index, parent, via = forest.index, forest.parent, forest.via
+    masks = dict.fromkeys(index.ids, 0)
+    below = [0] * len(parent)  # end bits, then subtree sums
+    negative = 0
+    for t, (inc, sign) in enumerate(fundamental_circle_signs(g, forest)):
+        bit = masks[inc.id] = 1 << t
+        below[index.vertex_number[inc.vertex]] ^= bit
+        below[index.edge_number[inc.edge]] ^= bit
+        if sign == -1:
+            negative |= bit
+    for x in sorted(range(len(parent)), key=forest.depth.__getitem__,
+                    reverse=True):
+        if parent[x] >= 0:
+            masks[index.ids[via[x]]] = below[x]
+            below[parent[x]] ^= below[x]
+    return masks, negative
 
 
-def _balances(circles: list | None, chosen: frozenset[str]) -> bool:
-    """The balancing-set rule applied to ``_balancing_circles``' output."""
-    return circles is not None and all(
-        sign == (-1) ** len(chosen.intersection(incs)) for incs, sign in circles)
+def _balances(rule: tuple[dict[str, int], int] | None,
+              chosen: Iterable[str]) -> bool:
+    """The balancing-set rule on ``_balancing_masks``' output, for a set of
+    ids; an id without a mask, such as one outside a part, counts as 0."""
+    if rule is None:
+        return False
+    masks, rest = rule
+    for inc_id in chosen:
+        rest ^= masks.get(inc_id, 0)
+    return rest == 0
 
 
 def is_balancing_set(g: OrientedHypergraph, ids: Iterable[str]) -> bool:
     """True when reversing exactly these incidences balances the hypergraph:
     it is balanceable and they meet each negative fundamental circle of its
     BFS forest an odd number of times, each positive one an even number."""
-    return _balances(_balancing_circles(g), _check_incidence_ids(g, ids))
+    return _balances(_balancing_masks(g), _check_incidence_ids(g, ids))
 
 
 def is_minimal_balancing_set(g: OrientedHypergraph, ids: Iterable[str]) -> bool:
@@ -157,14 +169,14 @@ def is_minimal_balancing_set(g: OrientedHypergraph, ids: Iterable[str]) -> bool:
     that is, when each finds its ends already joined.
     """
     return _is_minimal_balancing(g, _check_incidence_ids(g, ids),
-                                 _balancing_circles(g))
+                                 _balancing_masks(g))
 
 
 def _is_minimal_balancing(g: OrientedHypergraph, chosen: frozenset[str],
-                          circles: list | None) -> bool:
-    """``is_minimal_balancing_set`` on g's ``_balancing_circles``, which a
+                          rule: tuple[dict[str, int], int] | None) -> bool:
+    """``is_minimal_balancing_set`` on g's ``_balancing_masks``, which a
     caller that holds them already passes in."""
-    if not _balances(circles, chosen):
+    if not _balances(rule, chosen):
         return False
     sets = DisjointSets()
     # A stable sort puts the incidences outside S first.
@@ -179,9 +191,9 @@ class BalancingSetDifference:
     """Symmetric difference of two balancing sets, as a binary vector.
 
     ``vector`` follows the hypergraph's stored incidence order.  The
-    difference of two balancing sets always lies in the cut space of the
-    bipartite representation; ``in_cut_space`` reports the verification,
-    with a fundamental circle of odd overlap as counterexample otherwise.
+    difference always lies in the cut space of the bipartite representation
+    (proved at ``balancing_set_difference``): ``in_cut_space`` is always
+    True, and ``counterexample`` (an odd-overlap circle) always None.
     """
 
     vector: tuple[int, ...]
@@ -193,24 +205,19 @@ class BalancingSetDifference:
 def balancing_set_difference(g: OrientedHypergraph,
                              first: Iterable[str],
                              second: Iterable[str]) -> BalancingSetDifference:
-    """Symmetric difference of two balancing sets with a cut-space check.
-
-    Membership in the cut space is verified by orthogonality against every
-    fundamental circle of the BFS forest, which spans the cycle space.
-    """
+    """Symmetric difference of two balancing sets, in the cut space: the
+    masks of each XOR to the negative mask, so the difference meets every
+    fundamental circle evenly, and those span the cycle space."""
     a = _check_incidence_ids(g, first)
     b = _check_incidence_ids(g, second)
-    circles = _balancing_circles(g)
-    if not _balances(circles, a):
+    rule = _balancing_masks(g)
+    if not _balances(rule, a):
         raise InputError("first incidence set is not a balancing set")
-    if not _balances(circles, b):
+    if not _balances(rule, b):
         raise InputError("second incidence set is not a balancing set")
     diff = a ^ b
     vector = tuple(1 if inc.id in diff else 0 for inc in g.incidences)
-    counterexample = next((incs for incs, _ in circles
-                           if len(diff.intersection(incs)) % 2), None)
-    return BalancingSetDifference(vector, tuple(sorted(diff)),
-                                  counterexample is None, counterexample)
+    return BalancingSetDifference(vector, tuple(sorted(diff)), True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +228,9 @@ def balancing_set_difference(g: OrientedHypergraph,
 class FrustrationResult:
     """A frustration value with its witness balancing set.
 
-    ``exact`` is True when the value is the true minimum; search modes that
-    stop early report an upper bound instead and say so.  ``evaluations``
-    counts candidate sets or spanning trees inspected, depending on mode.
+    ``exact`` is True when the value is the true minimum; the local search
+    reports an upper bound instead and says so.  ``evaluations`` counts
+    candidate sets (``exact``) or switching moves (``local_search``).
     """
 
     value: int
@@ -236,78 +243,73 @@ class FrustrationResult:
 
 def _frustration_exact(g: OrientedHypergraph,
                        budget: int | None) -> FrustrationResult:
-    circles = _balancing_circles(g, balanceable=True)  # checked by the caller
-    ids = sorted(inc.id for inc in g.incidences)
-    evaluations = 0
+    """The first least balancing set W, of size k, in ``combinations``
+    order over the n sorted ids, and the candidates an ascending search
+    tries up to it, by least-weight coset decoding on ``_balancing_masks``.
 
-    def count(combo: tuple[str, ...]) -> None:
-        nonlocal evaluations
-        evaluations += 1
-        if budget is not None and evaluations > budget:
-            raise ResourceError(
-                f"exact frustration budget of {budget} candidate sets "
-                f"exhausted at size {len(combo)}")
+    Reductions.  W has no zero mask and no two equal masks (dropping them
+    keeps the XOR), and each id of W is the least of its mask (a smaller
+    one, not in W, gives an earlier tuple).  So only those ids are searched.
 
-    # g is balanceable, so the reorientation's change set balances it.
-    combo = next(minimal_subsets(
-        ids, lambda c: _balances(circles, frozenset(c)),
-        range(len(ids) + 1), count))
-    return FrustrationResult(len(combo), combo, "exact", True, evaluations)
+    Search, size by size (``_first_word``).  Write X1 for the ⌈k/2⌉ least
+    ids of a k-set X, X2 for the rest.  A match (A, B) is disjoint, or A ^ B
+    would be a smaller balancing set, so X = A | B balances g and W1 <= X1
+    <= A: no A before W1 matches, and W1 does, with W2.  There W1 <= X1 puts
+    the table's B after W1, so W <= X = W1 + B <= W1 + W2 = W.
 
-
-DEFAULT_TREE_CAP = 100_000
-
-
-def _frustration_trees(g: OrientedHypergraph,
-                       budget: int | None) -> FrustrationResult:
-    """The least reorientation change set over spanning forests, one
-    component at a time, each on its own view and index.
-
-    A component's spanning trees are its acyclic sets of |nodes| - 1
-    incidences, tried in ``combinations`` order over their sorted ids; each
-    tree's forest grows on the component's index with only the tree's
-    links kept.  The cap counts trees over all components; a component it
-    cuts off before its first tree takes its BFS forest's change set.
+    Count.  Σ_{j<k} C(n, j) + rank(W) + 1, where a k-set before W first
+    differs at slot i by a smaller position q, p < q < P between W's slots
+    i - 1 and i: rank(W) = Σ_i Σ_q C(n-1-q, k-1-i) = Σ_i C(n-1-p, k-i) -
+    C(n-P, k-i).  A budget B runs out at the least s with Σ_{j<=s} C(n, j)
+    > B, and size k is searched only while Σ_{j<k} C(n, j) < B, so for
+    k >= 1 a table holds C(n, ⌊k/2⌋) <= Σ_{j<k} C(n, j) < B sets.
     """
-    cap = DEFAULT_TREE_CAP if budget is None else budget
-    inspected = 0
-    exact = True
-    witness: list[str] = []
-    components = gamma_components(g)
-    member = {node: c for c, nodes in enumerate(components) for node in nodes}
-    parts: list[list[Incidence]] = [[] for _ in components]
-    for inc in g.incidences:
-        parts[member[(VERTEX, inc.vertex)]].append(inc)
-    for nodes, incs in zip(components, parts):
-        index = _index(OrientedHypergraph._trusted(
-            tuple([nid for kind, nid in nodes if kind == VERTEX]),
-            tuple([nid for kind, nid in nodes if kind == EDGE]), tuple(incs)))
-        ids, ends = index.ids, index.ends
-        best: list[int] | None = None
-        for tree in combinations(sorted(range(len(ids)), key=ids.__getitem__),
-                                 len(nodes) - 1):
-            if inspected >= cap:
-                exact = False
-                break
-            sets = DisjointSets()
-            if not all(sets.union(*ends[k]) for k in tree):
-                continue
-            inspected += 1
-            kept = set(tree)
-            links = [[link for link in nbrs if link[0] in kept]
-                     for nbrs in index.links]
-            changed = _grow_forest(replace(index, links=links), "bfs",
-                                   0)._changes()
-            if best is None or len(changed) < len(best):
-                best = changed
-                if not best:
-                    break
-        if best is None:  # the cap ran out before the first tree
-            best = _grow_forest(index, "bfs", 0)._changes()
-            exact = False
-        witness.extend([ids[k] for k in best])
-    return FrustrationResult(len(witness), tuple(sorted(witness)), "trees",
-                             exact, inspected)
+    masks, negative = _balancing_masks(g, balanceable=True)  # by the caller
+    ids = sorted(masks)
+    n = len(ids)
+    least: dict[int, int] = {}  # nonzero mask -> position of its least id
+    for pos, inc_id in enumerate(ids):
+        if masks[inc_id]:
+            least.setdefault(masks[inc_id], pos)
+    columns = [(pos, mask) for mask, pos in least.items()]
+    before = 0  # Σ_{j<k} C(n, j)
+    for k in range(n + 1):
+        if budget is not None and before >= budget:
+            break
+        witness = _first_word(columns, negative, k)
+        if witness is not None:
+            rank, p = 0, -1
+            for i, q in enumerate(witness):
+                rank += comb(n - 1 - p, k - i) - comb(n - q, k - i)
+                p = q
+            evaluations = before + rank + 1
+            if budget is None or evaluations <= budget:
+                return FrustrationResult(k, tuple([ids[q] for q in witness]),
+                                         "exact", True, evaluations)
+            break
+        before += comb(n, k)
+    size, total = 0, 1
+    while total <= budget:
+        size += 1
+        total += comb(n, size)
+    raise ResourceError(f"exact frustration budget of {budget} candidate "
+                        f"sets exhausted at size {size}")
+
+
+def _first_word(columns: list[tuple[int, int]], target: int, k: int
+                ) -> list[int] | None:
+    """Positions of the first k-set of ``columns`` ((position, mask), by
+    position) whose masks XOR to ``target``, when no smaller set does: the
+    ⌈k/2⌉-sets in order, each against a table of the first ⌊k/2⌋-set for
+    each XOR (Stern's meet-in-the-middle step)."""
+    table: dict[int, tuple] = {}
+    for half in combinations(columns, k // 2):
+        table.setdefault(reduce(xor, [m for _, m in half], 0), half)
+    for half in combinations(columns, k - k // 2):
+        match = table.get(reduce(xor, [m for _, m in half], target))
+        if match is not None:
+            return [pos for pos, _ in half + match]
+    return None
 
 
 def _hill_climb(start: Iterable[int], index: _Index, evaluations: int,
@@ -388,21 +390,17 @@ def frustration(g: OrientedHypergraph, mode: str = "exact",
                 budget: int | None = None, seed: int = 0) -> FrustrationResult:
     """Smallest number of incidence reversals that balance the hypergraph.
 
-    Three modes: ``exact`` tries candidate sets in ascending size and is
-    guaranteed minimal; ``trees`` minimizes the reorientation change set
-    over spanning forests, enumerated up to a cap; ``local_search`` improves
-    a reorientation witness by switching moves within an evaluation budget.
-    The latter two flag their answer as a bound when the search was cut off.
-    Undefined for unbalanceable inputs.
+    ``exact`` returns the first least balancing set in ``combinations``
+    order over the sorted ids, with the candidates an ascending search
+    tries up to it; ``local_search`` improves a reorientation witness by
+    switching moves within an evaluation budget, and flags its answer as a
+    bound unless it is 0.  Undefined for unbalanceable inputs.
     """
     if not is_balanceable(g)[0]:
         raise UnbalanceableError(
             "frustration is undefined: the hypergraph is not balanceable")
     if mode == "exact":
         return _frustration_exact(g, budget)
-    if mode == "trees":
-        return _frustration_trees(g, budget)
     if mode == "local_search":
         return _frustration_local(g, budget, seed)
-    raise InputError(f"unknown mode {mode!r}; use 'exact', 'trees', "
-                     "or 'local_search'")
+    raise InputError(f"unknown mode {mode!r}; use 'exact' or 'local_search'")

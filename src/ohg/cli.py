@@ -314,7 +314,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("frustration", _cmd_frustration,
             "fewest incidence reversals to balance")
-    p.add_argument("--mode", choices=("exact", "trees", "local-search"),
+    p.add_argument("--mode", choices=("exact", "local-search"),
                    required=True)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -20,7 +20,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .balance import is_balanceable
-from .camion import (_balances, _balancing_circles, _check_incidence_ids,
+from .camion import (_balances, _balancing_masks, _check_incidence_ids,
                      _is_minimal_balancing)
 from .errors import InputError, ResourceError
 from .gamma import (DisjointSets, blocks, cyclomatic_number, gamma_components,
@@ -250,14 +250,14 @@ class _PartFacts:
         return self._memo(("balanceable", edges),
                           lambda: is_balanceable(self.view(edges))[0])
 
-    def circles(self, edges: frozenset[str]) -> list | None:
-        """The part's ``_balancing_circles``, listed once."""
-        return self._memo(("circles", edges), lambda: _balancing_circles(
+    def masks(self, edges: frozenset[str]) -> tuple | None:
+        """The part's ``_balancing_masks``, computed once."""
+        return self._memo(("masks", edges), lambda: _balancing_masks(
             self.view(edges), self.balanceable(edges)))
 
     def balancing(self, edges: frozenset[str], ids: Iterable[str]) -> bool:
-        """The balancing-set rule on the part's circles."""
-        return _balances(self.circles(edges), frozenset(ids))
+        """The balancing-set rule on the part's masks, for a set of ids."""
+        return _balances(self.masks(edges), ids)
 
     def part_notes(self, edges: frozenset[str]) -> list[str]:
         """Why the part cannot be a flower part of a decomposition: it must
@@ -595,8 +595,8 @@ def _validate(d: ShuntingDecomposition, g: OrientedHypergraph,
         "" if thorns_ok else f"computed {sorted(computed_thorns)}, "
                              f"declared {sorted(d.thorns)}"))
 
-    # The balancing set lies in the flower parts and balances each; a part's
-    # circles hold only its own incidences.  The union may still be
+    # The balancing set lies in the flower parts and balances each (an id
+    # outside a part has mask 0 there).  The union may still be
     # unbalanceable when a shunt closes a bad circle (is_balanceable_shunting).
     notes = []
     outside = [i for i in d.balancing_set
@@ -828,12 +828,12 @@ def is_S_minimal(d: ShuntingDecomposition, g: OrientedHypergraph) -> bool:
 
 
 def _is_S_minimal(d: ShuntingDecomposition, facts: _PartFacts) -> bool:
-    """``is_S_minimal`` with the circles of ``g`` read from a memo on it, as
+    """``is_S_minimal`` with the masks of ``g`` read from a memo on it, as
     those of the part of all its edges: the vertices on no edge that its
     view drops close no circle."""
     g = facts.g
     return _is_minimal_balancing(g, _check_incidence_ids(g, d.balancing_set),
-                                 facts.circles(frozenset(g.edges)))
+                                 facts.masks(frozenset(g.edges)))
 
 
 def is_optimal_shunting(d: ShuntingDecomposition, g: OrientedHypergraph

@@ -36,10 +36,11 @@ from sympy.polys.matrices import DomainMatrix
 
 from ohg.balance import (Circle, ThetaCertificate, Walk, is_balanceable,
                          is_balanced, walk_sign)
-from ohg.camion import DEFAULT_TREE_CAP, FrustrationResult
+from ohg.camion import FrustrationResult
 from ohg.errors import InputError, ResourceError
 from ohg.gamma import (DisjointSets, blocks, fundamental_cycle,
-                       internally_disjoint_paths, sorted_adjacency)
+                       internally_disjoint_paths, sorted_adjacency,
+                       spanning_forest)
 from ohg.linalg import Domain, _cancel, _settle, echelon_extend, rank
 from ohg.matroids import (SUBSET_CAP_ENV, CircuitReport, _line,
                           _subset_cap)
@@ -152,17 +153,51 @@ def oracle_frustration_exact(g: OrientedHypergraph,
         if all(sign * (-1) ** len(c.intersection(combo)) == 1
                for c, sign in circles))
     k = len(witness)
-    rank, prev = 0, -1
-    for slot, pos in enumerate(map(ids.index, witness)):
-        rank += sum(comb(n - 1 - q, k - 1 - slot) for q in range(prev + 1, pos))
-        prev = pos
-    evaluations = sum(comb(n, j) for j in range(k)) + rank + 1
+    evaluations = oracle_ascending_count(ids, witness)
     if budget is not None and evaluations > budget:
         size = next(s for s in range(n + 1)
                     if sum(comb(n, j) for j in range(s + 1)) > budget)
         raise ResourceError(f"exact frustration budget of {budget} candidate "
                             f"sets exhausted at size {size}")
     return FrustrationResult(k, witness, "exact", True, evaluations)
+
+
+def oracle_ascending_count(ids: list[str], witness: tuple[str, ...]) -> int:
+    """The candidate sets that ``combinations`` over the sorted ``ids``,
+    size by size, tries up to and including ``witness``: every smaller set,
+    then the witness's rank among the sets of its size, plus 1."""
+    n, k = len(ids), len(witness)
+    rank, prev = 0, -1
+    for slot, pos in enumerate(map(ids.index, witness)):
+        rank += sum(comb(n - 1 - q, k - 1 - slot) for q in range(prev + 1, pos))
+        prev = pos
+    return sum(comb(n, j) for j in range(k)) + rank + 1
+
+
+def oracle_balancing_circles(g: OrientedHypergraph,
+                             balanceable: bool | None = None
+                             ) -> list[tuple[tuple[str, ...], int]] | None:
+    """(incidence ids in path order, sign) of each fundamental circle of g's
+    BFS forest, in g's incidence order, each path walked and signed on its
+    own; None when g is not balanceable (a caller may pass that verdict
+    in).  The reference for the library's ``_balancing_masks``: circle t
+    is bit t."""
+    if balanceable is None:
+        balanceable = is_balanceable(g)[0]
+    if not balanceable:
+        return None
+    forest = spanning_forest(g, "bfs")
+    paths = [fundamental_cycle(g, forest, inc.id)[1]
+             for inc in g.incidences if inc.id not in forest]
+    return [(tuple(incs), walk_sign(g, incs)) for incs in paths]
+
+
+def oracle_balances(circles, chosen: frozenset[str]) -> bool:
+    """The balancing-set rule by one set intersection per circle of
+    ``oracle_balancing_circles``: reversing ``chosen`` makes each circle
+    positive."""
+    return circles is not None and all(
+        sign == (-1) ** len(chosen.intersection(incs)) for incs, sign in circles)
 
 
 def _oracle_hill_climb(start, stars, evaluations, budget):
@@ -360,18 +395,17 @@ def _oracle_negative_circles(g: OrientedHypergraph, incs, forest) -> list:
 
 def oracle_frustration_trees(g: OrientedHypergraph,
                              budget: int | None = None) -> FrustrationResult:
-    """``frustration(g, "trees", budget)`` as the library ran it before it
-    searched on incidence positions: a whole hypergraph and a forest of it
-    for every spanning tree, and the components grouped by scanning every
-    incidence once per component.
+    """The paper's frustration: the least reorientation change set over
+    spanning forests, with a whole hypergraph and a forest of it for every
+    spanning tree, and the components grouped by scanning every incidence
+    once per component.
 
     Each component's spanning trees are its acyclic sets of |nodes| - 1
-    incidences, in ``combinations`` order over their sorted ids; the cap
-    (``DEFAULT_TREE_CAP`` when budget is None) counts trees over all
-    components, and a component it cuts off before its first tree takes
-    the change set of g's BFS forest.
+    incidences, in ``combinations`` order over their sorted ids; a budget
+    counts trees over all components (none when budget is None), and a
+    component it cuts off before its first tree takes the change set of
+    g's BFS forest.
     """
-    cap = DEFAULT_TREE_CAP if budget is None else budget
     inspected = 0
     exact = True
     total = 0
@@ -381,7 +415,7 @@ def oracle_frustration_trees(g: OrientedHypergraph,
         best = None
         for combo in combinations(sorted(incs, key=lambda i: i.id),
                                   len(nodes) - 1):
-            if inspected >= cap:
+            if budget is not None and inspected >= budget:
                 exact = False
                 break
             sets = DisjointSets()

@@ -31,6 +31,9 @@ from instances import (large_signed_graph, plant_obstruction,
                        random_balanceable, random_hypergraph,
                        random_signed_graph)
 from oracles import (
+    oracle_ascending_count,
+    oracle_balances,
+    oracle_balancing_circles,
     oracle_balancing_sets,
     oracle_circle_signs,
     oracle_frustration,
@@ -63,18 +66,6 @@ def disjoint_union(a, b):
         incs += [(f"{tag}.{i.id}", f"{tag}.{i.vertex}", f"{tag}.{i.edge}",
                   i.sign) for i in g.incidences]
     return OrientedHypergraph.build(vertices, edges, incs)
-
-
-# frustration(mode="trees") on random_balanceable(seed, 14, extra_range=(2, 5)):
-# seed -> (witness, spanning trees inspected).
-TREE_PINS = {
-    0: (("i7",), 4), 1: (("i4", "i5"), 4), 2: (("i4",), 4),
-    3: (("i8",), 4), 4: (("i6", "i8"), 16), 5: (("i5", "i9"), 12),
-    6: (("i5", "i6", "i7"), 8), 7: (("i6", "i7"), 4), 8: (("i8",), 8),
-    9: (("i6", "i7"), 4), 10: (("i6",), 8), 11: (("i6",), 8),
-    12: (("i4",), 4), 13: (("i9",), 8), 14: (("i9",), 16),
-    15: (("i8",), 12),
-}
 
 
 # frustration(mode="local_search", budget=400, seed=seed) on
@@ -221,6 +212,34 @@ class TestBalancingSets:
         with pytest.raises(InputError):
             is_balancing_set(unbalanced_triangle(), ["nope"])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 4000))
+    def test_masks_match_the_circle_oracle(self, seed):
+        """Bit t of an incidence's mask is set exactly when the incidence
+        lies on the fundamental circle of the t-th non-forest incidence, bit
+        t of the negative mask when that circle is negative, and the XOR
+        rule agrees with one set intersection per circle on every subset."""
+        for g in (random_hypergraph(seed, max_incidences=10),
+                  random_balanceable(seed, max_incidences=10),
+                  with_parallels(random_hypergraph(seed, max_incidences=8),
+                                 seed)):
+            masks, negative = ohg.camion._balancing_masks(g, balanceable=True)
+            circles = oracle_balancing_circles(g, balanceable=True)
+            assert list(masks) == [inc.id for inc in g.incidences]
+            for inc_id, mask in masks.items():
+                assert mask == sum(1 << t for t, (incs, _) in
+                                   enumerate(circles) if inc_id in incs)
+            assert negative == sum(1 << t for t, (_, sign) in
+                                   enumerate(circles) if sign == -1)
+            rule = ohg.camion._balancing_masks(g)
+            circles = oracle_balancing_circles(g)
+            assert (rule is None) == (circles is None)
+            ids = sorted(masks)
+            for size in range(len(ids) + 1):
+                for sub in itertools.combinations(ids, size):
+                    assert ohg.camion._balances(rule, sub) == \
+                        oracle_balances(circles, frozenset(sub))
+
 
 class TestDifference:
     def test_pairs_lie_in_cut_space(self):
@@ -245,7 +264,7 @@ class TestFrustration:
         for g in small_corpus(25):
             want = oracle_frustration(g)
             exact = frustration(g, "exact")
-            trees = frustration(g, "trees")
+            trees = oracle_frustration_trees(g)
             assert exact.value == want
             assert exact.exact
             assert trees.value == want
@@ -345,63 +364,33 @@ class TestFrustration:
                     else:
                         assert frustration(g, "exact", budget) == want
 
-    def test_trees_mode_pinned(self):
-        """Witness and tree count of the spanning-tree search, recorded."""
-        for seed, (witness, evaluations) in TREE_PINS.items():
-            g = random_balanceable(seed, max_incidences=14, extra_range=(2, 5))
-            result = frustration(g, mode="trees")
-            assert (result.witness, result.evaluations) == (witness, evaluations)
-            assert result.value == len(witness) and result.exact
-
-    def test_trees_mode_pinned_under_budget(self):
-        for seed, budget, witness in ((4, 5, ("i6", "i8")),
-                                      (21, 10, ("i6", "i8", "i9"))):
-            g = random_balanceable(seed, max_incidences=14, extra_range=(2, 5))
-            result = frustration(g, mode="trees", budget=budget)
-            assert result.witness == witness
-            assert result.evaluations == budget
-            assert not result.exact
-
-    def test_trees_mode_pinned_two_components(self):
-        g = disjoint_union(
-            random_balanceable(6, max_incidences=14, extra_range=(2, 5)),
-            random_balanceable(21, max_incidences=14, extra_range=(2, 5)))
-        result = frustration(g, mode="trees")
-        assert result.witness == ("a.i5", "a.i6", "a.i7",
-                                  "b.i6", "b.i8", "b.i9")
-        assert result.evaluations == 56 and result.exact
-
-    def test_trees_match_the_oracle(self):
-        """Value, witness, exactness and tree count equal those of the
-        search that builds a hypergraph and a forest per spanning tree, on
-        one and several components, at every budget."""
-        for seed in range(30):
-            bare = random_signed_graph(seed, max_edges=5)
-            bare = OrientedHypergraph.build(
-                bare.vertices + ("bare",), bare.edges + ("empty",),
-                [(i.id, i.vertex, i.edge, i.sign) for i in bare.incidences])
-            for g in (random_balanceable(seed, max_incidences=14,
-                                         extra_range=(2, 5)),
-                      bare,
-                      disjoint_union(random_balanceable(seed, 10), bare)):
-                for budget in (None, 0, 3):
-                    assert frustration(g, "trees", budget) == \
-                        oracle_frustration_trees(g, budget)
-
-    def test_trees_take_linear_time_in_the_component_count(self):
-        """2,000 components of two parallel incidences each: one view and
-        one index per component, and no scan of every incidence per
-        component."""
-        n = 2000
-        g = OrientedHypergraph.build(
-            [f"v{k}" for k in range(n)], [f"e{k}" for k in range(n)],
-            [(f"a{k}", f"v{k}", f"e{k}", 1) for k in range(n)]
-            + [(f"b{k}", f"v{k}", f"e{k}", 1) for k in range(n)])
+    def test_exact_decoding_on_signed_graph_rungs(self):
+        """``large_signed_graph(n, 0)``: n = 20 and 24 as the ascending
+        search found them; at n = 32 and 40, too far for that search, the
+        witness balances g and its count is the ascending search's by
+        rank.  A budget of 10^6 at n = 80 refuses at once, since the budget
+        also bounds the decoding table."""
         start = time.perf_counter()
-        result = frustration(g, "trees")
+        for n, witness, evaluations in (
+                (20, ("i10a", "i13a", "i18a", "i3a"), 96_605),
+                (24, ("i12a", "i19a", "i1a", "i23a"), 358_912)):
+            result = frustration(large_signed_graph(n, 0), "exact")
+            assert (result.value, result.witness, result.evaluations) == \
+                (4, witness, evaluations)
+        for n in (32, 40):
+            g = large_signed_graph(n, 0)
+            result = frustration(g, "exact")
+            assert is_balancing_set(g, result.witness)
+            assert result.value == len(result.witness) and result.exact
+            assert result.evaluations == oracle_ascending_count(
+                sorted(i.id for i in g.incidences), result.witness)
         assert time.perf_counter() - start < 1.0
-        assert (result.value, result.evaluations, result.exact) == \
-            (n, 2 * n, True)
+        start = time.perf_counter()
+        with pytest.raises(ResourceError) as info:
+            frustration(large_signed_graph(80, 0), "exact", budget=10**6)
+        assert str(info.value) == ("exact frustration budget of 1000000 "
+                                   "candidate sets exhausted at size 3")
+        assert time.perf_counter() - start < 1.0
 
     def test_unbalanceable_raises(self):
         with pytest.raises(UnbalanceableError):
@@ -513,8 +502,7 @@ def test_forests_match_the_node_keyed_oracle(family):
 
 def test_one_index_per_call(monkeypatch, tmp_path, capsys):
     """The local search builds g's index once, however many random
-    restarts it grows, the tree search one per component, however many
-    spanning trees it grows, and ``spanning_forest`` one per call."""
+    restarts it grows, and ``spanning_forest`` one per call."""
     builds = grown = 0
     index, grow = ohg.gamma._index, ohg.gamma._grow_forest
 
@@ -544,13 +532,6 @@ def test_one_index_per_call(monkeypatch, tmp_path, capsys):
         builds = 0
         spanning_forest(g, strategy, 1)
         assert builds == 1
-    g = disjoint_union(
-        random_balanceable(6, max_incidences=14, extra_range=(2, 5)),
-        random_balanceable(21, max_incidences=14, extra_range=(2, 5)))
-    builds = grown = 0
-    result = ohg.camion._frustration_trees(g, None)
-    assert result.evaluations == 56
-    assert builds == 2 and grown == 56
 
 
 def wheel(n):

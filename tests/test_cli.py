@@ -196,11 +196,18 @@ class TestBalanceCommands:
                            "--mode", "exact")
         assert code == 2
         assert "balanceable" in json.loads(err)["error"]
-        for mode in ("exact", "trees", "local-search"):
+        for mode in ("exact", "local-search"):
             code, _, err = run(capsys, "frustration", triangle_file,
                                "--mode", mode, "--budget", "-1")
             assert code == 2
             assert json.loads(err)["kind"] == "input"
+
+    def test_frustration_trees_mode_is_refused(self, capsys, triangle_file):
+        """The spanning-tree mode is gone: argparse refuses it, exit 2."""
+        with pytest.raises(SystemExit) as info:
+            main(["frustration", triangle_file, "--mode", "trees"])
+        assert info.value.code == 2
+        assert "invalid choice: 'trees'" in capsys.readouterr().err
 
     def test_frustration_seed_echoed(self, capsys, triangle_file):
         code, out, _ = run(capsys, "frustration", triangle_file,
@@ -439,7 +446,7 @@ _FILE_COMMANDS = [
     ["gamma", "--dot", "{dir}/g.dot"], ["balance", "--certificate"],
     ["balanceable", "--certificate"], ["camion", "--out", "{dir}/c.json"],
     ["camion", "--tree", "random", "--seed", "3"],
-    ["frustration", "--mode", "exact"], ["frustration", "--mode", "trees"],
+    ["frustration", "--mode", "exact"],
     ["frustration", "--mode", "local-search", "--budget", "5"],
     ["circuits", "--field", "q"], ["circuits", "--field", "3", "--max-size", "2"],
     ["shunt-verify", "{decomposition}"],
